@@ -11,7 +11,9 @@ reduction.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
@@ -19,7 +21,7 @@ import numpy as np
 
 from .exceptions import (AccuracyError, BoundaryModeError, DomainError,
                          PreconditionError)
-from .numerics import log_gamma, minimize_scalar
+from .numerics import log_gamma, log_rising, minimize_scalar
 
 __all__ = [
     "CountTable",
@@ -52,6 +54,10 @@ _NEGATIVE_FLOOR = -1e-10
 # Search window for modes of a, in log space.
 _MODE_BRACKET = (1e-9, 1e4)
 
+# Entries per temporary (grid rows x (n + 1) floats, 128 kB) when the
+# exact-prior cache evaluates its grid in 2-D passes.
+_CACHE_CHUNK = 1 << 14
+
 clamp_diagnostics = {"count": 0}
 
 
@@ -60,12 +66,19 @@ class CountTable:
     """Sparse multinomial counts over m cells.
 
     ``counts`` maps cell index (0-based) to a positive count; absent
-    cells are zero.  ``r_profile[j]`` is the number of cells whose
-    count exceeds j, for j = 0..n-1.
+    cells are zero.  ``n`` is the total count and ``histogram`` a pair
+    of arrays, the distinct counts (ascending) and the number of cells
+    holding each; both are computed once, on construction.
+    ``r_profile[j]`` is the number of cells whose count exceeds j, for
+    j = 0..n-1.
     """
 
     m: int
     counts: Dict[int, int]
+    n: int = field(init=False, repr=False, compare=False)
+    histogram: tuple = field(init=False, repr=False, compare=False)
+    # log of the multinomial coefficient n! / prod(counts!)
+    _log_coef: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -76,12 +89,16 @@ class CountTable:
         if any(i < 0 or i >= self.m for i in counts):
             raise DomainError("cell index out of range")
         object.__setattr__(self, "counts", counts)
-        if self.n < 1:
+        n = sum(counts.values())
+        if n < 1:
             raise DomainError("need at least one observation")
-
-    @property
-    def n(self) -> int:
-        return sum(self.counts.values())
+        values, cells = zip(*sorted(Counter(counts.values()).items()))
+        values, cells = np.array(values), np.array(cells, dtype=float)
+        log_fact = log_rising(1.0, values[-1])
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "histogram", (values, cells))
+        object.__setattr__(self, "_log_coef",
+                           log_gamma(n + 1.0) - float(cells @ log_fact[values]))
 
     @property
     def r0(self) -> int:
@@ -151,25 +168,25 @@ class LimitProfile:
 def marginal_log_likelihood(x: CountTable, a: float) -> float:
     """Log marginal probability of the table under Dirichlet(a,..,a),
     multinomial coefficient included.  Zero-count cells contribute
-    log[Gamma(a)/Gamma(a)] = 0, so cost is O(#nonzero)."""
+    log[Gamma(a)/Gamma(a)] = 0, and cells with equal counts contribute
+    equally, so the terms run over the distinct counts."""
     if not (a > 0.0):
         raise DomainError("a must be positive")
-    n, m = x.n, x.m
-    out = log_gamma(n + 1.0) + log_gamma(m * a) - log_gamma(n + m * a)
-    for c in x.counts.values():
-        out += log_gamma(c + a) - log_gamma(a) - log_gamma(c + 1.0)
-    return out
+    values, cells = x.histogram
+    per_cell = log_rising(a, values[-1])[values]
+    return (x._log_coef + float(cells @ per_cell)
+            - float(log_rising(x.m * a, x.n)[-1]))
 
 
-def _log_pmf_single_vec(a: float, m: int, n: int) -> np.ndarray:
-    """Log of the beta-binomial cell marginal for all x = 0..n."""
-    x = np.arange(n + 1, dtype=float)
-    lg = np.vectorize(log_gamma)
-    return (
-        lg(n + 1.0) - lg(x + 1.0) - lg(n - x + 1.0)
-        + lg(x + a) + lg(n - x + (m - 1) * a) + lg(m * a)
-        - log_gamma(a) - log_gamma((m - 1) * a) - log_gamma(n + m * a)
-    )
+def _log_pmf_single_vec(a, m: int, n: int) -> np.ndarray:
+    """Log of the beta-binomial(a, (m-1)a) cell marginal for x = 0..n,
+    log C(n,x) + R_a[x] + R_{(m-1)a}[n-x] - R_{ma}[n] with R the log
+    rising factorials.  An array of a gives one row per value."""
+    a = np.asarray(a, dtype=float)
+    log_fact = log_rising(1.0, n)
+    return (log_fact[-1] - log_fact - log_fact[::-1]
+            + log_rising(a, n) + log_rising((m - 1) * a, n)[..., ::-1]
+            - log_rising(m * a, n)[..., -1:])
 
 
 def marginal_pmf_single(x: int, a: float, m: int, n: int) -> float:
@@ -180,11 +197,7 @@ def marginal_pmf_single(x: int, a: float, m: int, n: int) -> float:
         raise DomainError("a must be positive")
     if m < 2:
         raise DomainError("need m >= 2")
-    return math.exp(
-        log_gamma(n + 1.0) - log_gamma(x + 1.0) - log_gamma(n - x + 1.0)
-        + log_gamma(x + a) + log_gamma(n - x + (m - 1) * a) + log_gamma(m * a)
-        - log_gamma(a) - log_gamma((m - 1) * a) - log_gamma(n + m * a)
-    )
+    return float(np.exp(_log_pmf_single_vec(a, m, n)[x]))
 
 
 def tail_Q(j: int, a: float, m: int, n: int) -> float:
@@ -195,14 +208,30 @@ def tail_Q(j: int, a: float, m: int, n: int) -> float:
     return float(p[j + 1:].sum())
 
 
-def _bracket_sum(a: float, m: int, n: int) -> float:
+def _fisher_sum(a, m: int, n: int) -> np.ndarray:
     """The Fisher-information sum whose square root is the exact
-    hyperprior; one O(n) pass over the single-cell pmf."""
-    p = np.exp(_log_pmf_single_vec(a, m, n))
+    hyperprior, at each a of a scalar or 1-D array; one O(n) pass over
+    the single-cell pmf per value."""
+    a = np.asarray(a, dtype=float)[..., None]
+    p = np.exp(_log_pmf_single_vec(a[..., 0], m, n))
     # Q[j] = sum_{l > j} p_l for j = 0..n-1
-    q = np.cumsum(p[::-1])[::-1][1:]
+    q = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1][..., 1:]
     j = np.arange(n, dtype=float)
-    return float(np.sum(q / (a + j) ** 2 - m / (m * a + j) ** 2))
+    return np.sum(q / (a + j) ** 2 - m / (m * a + j) ** 2, axis=-1)
+
+
+def _clamp_fisher_sum(s: float, a: float) -> float:
+    """Clamp a Fisher sum within the cancellation floor below zero to
+    zero (counted in ``clamp_diagnostics``); raise if it is further
+    below."""
+    if s < 0.0:
+        if s < _NEGATIVE_FLOOR:
+            raise AccuracyError(
+                f"Fisher sum {s} below cancellation floor at a={a}",
+                best_estimate=0.0)
+        clamp_diagnostics["count"] += 1
+        s = 0.0
+    return s
 
 
 def reference_prior_exact(a: float, m: int, n: int) -> float:
@@ -217,15 +246,7 @@ def reference_prior_exact(a: float, m: int, n: int) -> float:
         raise DomainError("a must be positive")
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and n >= 1")
-    s = _bracket_sum(a, m, n)
-    if s < 0.0:
-        if s < _NEGATIVE_FLOOR:
-            raise AccuracyError(
-                f"Fisher sum {s} below cancellation floor at a={a}",
-                best_estimate=0.0)
-        clamp_diagnostics["count"] += 1
-        s = 0.0
-    return math.sqrt(s)
+    return math.sqrt(_clamp_fisher_sum(float(_fisher_sum(a, m, n)), a))
 
 
 def reference_prior_approx(a: float, m: int, n: int) -> float:
@@ -320,25 +341,24 @@ class _MonotoneCubicInterp:
     """Shape-preserving (Fritsch-Carlson) cubic Hermite interpolant."""
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs = xs
-        self.ys = ys
         h = np.diff(xs)
         delta = np.diff(ys) / h
         d = np.empty_like(ys)
         d[0] = delta[0]
         d[-1] = delta[-1]
-        for i in range(1, len(xs) - 1):
-            if delta[i - 1] * delta[i] <= 0.0:
-                d[i] = 0.0
-            else:
-                w1 = 2.0 * h[i] + h[i - 1]
-                w2 = h[i] + 2.0 * h[i - 1]
-                d[i] = (w1 + w2) / (w1 / delta[i - 1] + w2 / delta[i])
-        self.d = d
+        # Interior slopes: a weighted harmonic mean of the neighbouring
+        # secants where they agree in sign, else zero.
+        w1 = 2.0 * h[1:] + h[:-1]
+        w2 = h[1:] + 2.0 * h[:-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = (w1 + w2) / (w1 / delta[:-1] + w2 / delta[1:])
+        d[1:-1] = np.where(delta[:-1] * delta[1:] > 0.0, mean, 0.0)
+        # Python floats: a lookup does scalar arithmetic only.
+        self.xs, self.ys, self.d = xs.tolist(), ys.tolist(), d.tolist()
 
     def __call__(self, x: float) -> float:
         xs, ys, d = self.xs, self.ys, self.d
-        i = int(np.searchsorted(xs, x)) - 1
+        i = bisect.bisect_left(xs, x) - 1
         i = min(max(i, 0), len(xs) - 2)
         h = xs[i + 1] - xs[i]
         t = (x - xs[i]) / h
@@ -346,8 +366,8 @@ class _MonotoneCubicInterp:
         h10 = t * (1 - t) ** 2
         h01 = t * t * (3 - 2 * t)
         h11 = t * t * (t - 1)
-        return float(h00 * ys[i] + h10 * h * d[i]
-                     + h01 * ys[i + 1] + h11 * h * d[i + 1])
+        return (h00 * ys[i] + h10 * h * d[i]
+                + h01 * ys[i + 1] + h11 * h * d[i + 1])
 
 
 class _ExactPriorCache:
@@ -362,19 +382,26 @@ class _ExactPriorCache:
                  size: int = 3000):
         self.m, self.n = m, n
         ts = np.linspace(math.log(lo), math.log(hi), size)
+        rows = max(1, _CACHE_CHUNK // (n + 1))
         ys = []
-        for t in ts:
-            v = reference_prior_exact(math.exp(t), m, n)
-            if v <= 0.0:
+        for start in range(0, size, rows):
+            chunk = ts[start:start + rows]
+            s = _fisher_sum(np.exp(chunk), m, n)
+            vanished = np.flatnonzero(s <= 0.0)
+            if vanished.size:
                 # Cancellation noise clamped to zero: truncate the grid
                 # here and fall back to direct evaluation beyond it.
+                k = vanished[0]
+                _clamp_fisher_sum(float(s[k]), math.exp(chunk[k]))
+                ys.append(0.5 * np.log(s[:k]))
                 break
-            ys.append(math.log(v))
+            ys.append(0.5 * np.log(s))
+        ys = np.concatenate(ys)
         if len(ys) < 2:
             raise AccuracyError("exact prior vanished over the cache range",
                                 best_estimate=None)
         ts = ts[:len(ys)]
-        self._interp = _MonotoneCubicInterp(ts, np.array(ys))
+        self._interp = _MonotoneCubicInterp(ts, ys)
         self.lo, self.hi = lo, math.exp(ts[-1])
 
     def log_value(self, a: float) -> float:

@@ -1,18 +1,29 @@
 """Special functions, divergences, quadrature and 1-D minimization.
 
 Everything in this module is a pure function of its inputs and safe to
-call concurrently.  The special functions are self-contained
-(recurrence shift into the asymptotic regime followed by a Stirling
-series), since they set the accuracy floor for every formula built on
-top of them.
+call concurrently.  The special functions set the accuracy floor for
+every formula built on top of them:
+
+- ``log_gamma`` is ``math.lgamma`` behind a domain check;
+- ``log_rising`` and ``log_rising_ratio`` give log rising factorials
+  for every j = 0..k in one numpy pass.  The marginal likelihood, the
+  single-cell pmf and the expected loss take their log-gamma
+  differences at arguments an integer apart through them rather than
+  as a difference of two ``lgamma`` values, which cancels when the
+  argument is much larger than the step;
+- ``digamma`` (elementwise on arrays) and ``trigamma`` shift the
+  argument up with the recurrence and then sum the asymptotic series.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .exceptions import AccuracyError, DomainError, EvaluationError
 
@@ -20,6 +31,8 @@ __all__ = [
     "Grid1D",
     "OptimResult",
     "log_gamma",
+    "log_rising",
+    "log_rising_ratio",
     "digamma",
     "trigamma",
     "kl_beta",
@@ -27,20 +40,6 @@ __all__ = [
     "minimize_scalar",
     "integrate",
 ]
-
-_HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-
-# Stirling-series coefficients B_{2k} / (2k (2k-1)) for log-gamma.
-_LGAMMA_COEF = (
-    1.0 / 12.0,
-    -1.0 / 360.0,
-    1.0 / 1260.0,
-    -1.0 / 1680.0,
-    1.0 / 1188.0,
-    -691.0 / 360360.0,
-    1.0 / 156.0,
-    -3617.0 / 122400.0,
-)
 
 # B_{2k} / (2k) for digamma.
 _DIGAMMA_COEF = (
@@ -100,42 +99,106 @@ class OptimResult:
 
 
 def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0.
+    """Natural log of the gamma function for x > 0 (``math.lgamma``).
 
-    Relative error below 1e-12 on [1e-6, 1e8].
+    Error below 1e-14 on [1e-8, 1e12]: relative, or absolute where
+    |log Gamma(x)| < 1 (near the zeros at x = 1 and x = 2).
     """
     x = float(x)
     if not (x > 0.0):
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    shift = 0.0
-    y = x
-    while y < _SHIFT:
-        shift += math.log(y)
-        y += 1.0
-    z = 1.0 / (y * y)
-    series = 0.0
-    for c in reversed(_LGAMMA_COEF):
-        series = (series + c) * z
-    series /= z  # undo the extra factor from the Horner loop
-    series /= y
-    return (y - 0.5) * math.log(y) - y + _HALF_LOG_TWO_PI + series - shift
+    return math.lgamma(x)
 
 
-def digamma(x: float) -> float:
-    """Digamma function psi(x) for x > 0; absolute error below 1e-10."""
-    x = float(x)
-    if not (x > 0.0):
+def _steps(k) -> np.ndarray:
+    """The offsets i = 0..k-1 of a rising factorial of integer length k."""
+    k = operator.index(k)
+    if k < 0:
+        raise DomainError(f"rising-factorial length must be >= 0, got {k}")
+    return np.arange(k, dtype=float)
+
+
+def _log_rising_tail(x: np.ndarray, i: np.ndarray, big: bool) -> np.ndarray:
+    """log_rising for j = 1..k along the last axis; ``x`` is 0-d or a
+    column, and ``big`` picks the form for x >= k."""
+    if big:
+        return ((i + 1.0) * np.log(x)
+                + np.add.accumulate(np.log1p(i / x), axis=-1))
+    return np.add.accumulate(np.log(x + i), axis=-1)
+
+
+def log_rising(x, k: int) -> np.ndarray:
+    """Log rising factorials log[Gamma(x + j) / Gamma(x)] for j = 0..k.
+
+    ``x`` is a positive scalar or array; the result has shape
+    ``np.shape(x) + (k + 1,)``.  Where x >= k the sum is written as
+    j log x + sum_{i<j} log1p(i/x), otherwise as sum_{i<j} log(x + i).
+    Error below 1e-14 for x in [1e-8, 1e12] and k <= 1000: relative,
+    or absolute where the value is below 1.
+    """
+    i = _steps(k)
+    x = np.asarray(x, dtype=float)
+    scalar = x.ndim == 0
+    if not (float(x) > 0.0 if scalar else (x > 0.0).all()):
+        raise DomainError(f"log_rising requires x > 0, got {x}")
+    if scalar:
+        out = np.zeros(i.size + 1)
+        out[1:] = _log_rising_tail(x, i, float(x) >= i.size)
+        return out
+    col = x.reshape(-1, 1)
+    big = col[:, 0] >= i.size
+    out = np.zeros((col.shape[0], i.size + 1))
+    out[big, 1:] = _log_rising_tail(col[big], i, True)
+    out[~big, 1:] = _log_rising_tail(col[~big], i, False)
+    return out.reshape(x.shape + (i.size + 1,))
+
+
+def log_rising_ratio(x: float, y: float, k: int) -> np.ndarray:
+    """log[Gamma(x + j) Gamma(y) / (Gamma(x) Gamma(y + j))] for j = 0..k,
+    for scalars x, y > 0.
+
+    Summed as log1p((x - y)/(y + i)), so the result keeps its relative
+    accuracy when x and y are close and both large, where the
+    difference of two ``log_rising`` rows would cancel.  Error below
+    1e-13 for k <= 1000: relative, or absolute where the value is
+    below 1.
+    """
+    i = _steps(k)
+    x, y = float(x), float(y)
+    if not (x > 0.0 and y > 0.0):
+        raise DomainError(f"log_rising_ratio requires x, y > 0, "
+                          f"got {x}, {y}")
+    u = (x - y) / (y + i)
+    terms = np.log1p(u)
+    # Near u = -1 the rounding of u dominates; take the ratio directly.
+    near = u < -0.5
+    terms[near] = np.log((x + i[near]) / (y + i[near]))
+    out = np.zeros(i.size + 1)
+    out[1:] = np.add.accumulate(terms)
+    return out
+
+
+def digamma(x):
+    """Digamma function psi(x) for x > 0, elementwise on arrays.
+
+    A scalar argument gives a float.  Error below 1e-14 on
+    [1e-8, 1e12]: relative, or absolute where |psi(x)| < 1.
+    """
+    y = np.asarray(x, dtype=float)
+    if not (y > 0.0).all():
         raise DomainError(f"digamma requires x > 0, got {x}")
-    acc = 0.0
-    y = x
-    while y < _SHIFT:
-        acc -= 1.0 / y
-        y += 1.0
+    # psi(y) = psi(y + s) - sum_{i<s} 1/(y + i), with s the unit steps
+    # that lift y into the range of the asymptotic series.
+    s = np.ceil(np.maximum(_SHIFT - y, 0.0))
+    i = np.arange(_SHIFT)
+    acc = -np.where(i < s[..., None], 1.0 / (y[..., None] + i), 0.0).sum(-1)
+    y = y + s
     z = 1.0 / (y * y)
     series = 0.0
     for c in reversed(_DIGAMMA_COEF):
         series = (series + c) * z
-    return acc + math.log(y) - 0.5 / y - series
+    out = acc + np.log(y) - 0.5 / y - series
+    return float(out) if out.ndim == 0 else out
 
 
 def trigamma(x: float) -> float:

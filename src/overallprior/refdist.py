@@ -16,8 +16,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .exceptions import DegenerateDataError, DomainError
-from .numerics import (Grid1D, OptimResult, digamma, kl_beta, log_gamma,
-                       minimize_scalar)
+from .numerics import (Grid1D, OptimResult, digamma, log_gamma,
+                       log_rising_ratio, minimize_scalar)
 
 __all__ = [
     "RefDistConfig",
@@ -40,6 +40,10 @@ __all__ = [
 # Covers 0.8/m for every m up to 1e5 as well as the Jeffreys value 1/2.
 _A_BRACKET_LO_TIMES_M = 1e-4
 _A_BRACKET_HI = 10.0
+
+# psi(1) = -gamma (Euler's constant) and psi(1/2) = -gamma - 2 log 2.
+_PSI_ONE = -0.5772156649015329
+_PSI_HALF = _PSI_ONE - 2.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -119,22 +123,46 @@ def reference_predictive(x: int, n: int) -> float:
     ) / math.pi
 
 
+def _reference_terms(n: int):
+    """The parts of the expected loss that do not depend on a: the
+    reference predictive p(x | n) and psi(x + 1/2) for x = 0..n, and
+    psi(n + 1), from the rising-factorial and digamma recurrences."""
+    # log[Gamma(x + 1/2) / (Gamma(1/2) x!)]; Gamma(1/2)^2 = pi cancels
+    # the 1/pi of the predictive.
+    g = log_rising_ratio(0.5, 1.0, n)
+    predictive = np.exp(g + g[::-1])
+    steps = np.arange(n, dtype=float)
+    psi_half = np.empty(n + 1)
+    psi_half[0] = _PSI_HALF
+    psi_half[1:] = _PSI_HALF + np.cumsum(1.0 / (steps + 0.5))
+    psi_next = _PSI_ONE + float(np.sum(1.0 / (steps + 1.0)))
+    return predictive, psi_half, psi_next
+
+
 def expected_loss(a: float, cfg: RefDistConfig) -> float:
     """Predictive-averaged divergence of the Dirichlet(a,..,a) marginal
     posterior from the per-cell reference posterior.
 
     By symmetry of the candidate family all m cells carry the same
     expected loss, so the weighted sum collapses to a single sum over
-    the cell count.
+    the cell count x = 0..n of
+    kl_beta(x + a, n - x + (m-1)a, x + 1/2, n - x + 1/2) p(x | n),
+    evaluated as one array expression in which every log-gamma
+    difference is a rising-factorial ratio.
     """
     if not (a > 0.0):
         raise DomainError(f"hyperparameter a must be positive, got {a}")
     m, n = cfg.m, cfg.n
-    total = 0.0
-    for x in range(n + 1):
-        div = kl_beta(x + a, n - x + (m - 1) * a, x + 0.5, n - x + 0.5)
-        total += div * reference_predictive(x, n)
-    return total
+    b = (m - 1) * a
+    predictive, psi_half, psi_next = _reference_terms(n)
+    divergence = (
+        log_rising_ratio(1.0, m * a, n)[-1]
+        + log_gamma(a) + log_gamma(b) - log_gamma(m * a) - math.log(math.pi)
+        + log_rising_ratio(a, 0.5, n) + log_rising_ratio(b, 0.5, n)[::-1]
+        + (0.5 - a) * psi_half + (0.5 - b) * psi_half[::-1]
+        - (1.0 - m * a) * psi_next
+    )
+    return float(predictive @ divergence)
 
 
 def optimal_a(cfg: RefDistConfig, tol: float = 1e-8) -> OptimResult:

@@ -3,6 +3,7 @@ modes, MCMC, large-m limit, and the hypergeometric reduction."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sp
@@ -10,9 +11,11 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overallprior.exceptions import (BoundaryModeError, DomainError,
-                                     PreconditionError)
+from overallprior import hier
+from overallprior.exceptions import (AccuracyError, BoundaryModeError,
+                                     DomainError, PreconditionError)
 from overallprior.hier import (CountTable, LimitProfile, _ExactPriorCache,
+                               _fisher_sum,
                                approx_posterior_curvature,
                                hypergeometric_overall_prior,
                                hypergeometric_pmf, likelihood_mode_a,
@@ -31,6 +34,14 @@ def test_count_table_basics():
     t = CountTable.from_dense([5, 3, 0, 2, 0])
     assert (t.m, t.n, t.r0) == (5, 10, 3)
     assert t.r_profile[:5] == (3, 3, 2, 1, 1)
+
+
+def test_count_table_histogram():
+    t = CountTable.from_dense([5, 3, 0, 2, 0, 3, 3])
+    values, cells = t.histogram
+    assert values.tolist() == [2, 3, 5]
+    assert cells.tolist() == [1, 3, 1]
+    assert t.n == 16
 
 
 def test_count_table_validation():
@@ -76,6 +87,26 @@ def test_marginal_log_likelihood_oracle(a):
     t = CountTable(m=40, counts={0: 5, 3: 2, 17: 1})
     assert marginal_log_likelihood(t, a) == pytest.approx(
         _mll_oracle(t.counts, t.m, a), rel=1e-12, abs=1e-12)
+
+
+def _dense_poisson_table():
+    return CountTable.from_dense(np.random.default_rng(0).poisson(0.5, 2000))
+
+
+@pytest.mark.parametrize("log_a", [10, 25, 30, 35, 40])
+def test_marginal_log_likelihood_far_tail_mpmath(log_a):
+    # Here m a exceeds n by 10^7 to 10^20, where lgamma(m a) and
+    # lgamma(n + m a) are nearly equal and their difference cancels.
+    t = _dense_poisson_table()
+    a = math.exp(log_a)
+    lg = mpmath.loggamma
+    with mpmath.workdps(50):
+        ma = mpmath.mpf(a)
+        ref = lg(t.n + 1) + lg(t.m * ma) - lg(t.n + t.m * ma)
+        for c in t.counts.values():
+            ref += lg(c + ma) - lg(ma) - lg(c + 1)
+        ref = float(ref)
+    assert marginal_log_likelihood(t, a) == pytest.approx(ref, rel=1e-14)
 
 
 def test_marginal_likelihood_sums_to_one_small_case():
@@ -357,6 +388,57 @@ def test_sampler_argument_validation():
         sample_posterior(t, 10, seed=1, method="nuts")
     with pytest.raises(DomainError):
         sample_posterior(t, 10, seed=1, prior="flat")
+
+
+def test_slice_sampler_steps_out_into_far_tail():
+    # Under the approximate prior the slice sampler steps out to m a
+    # beyond 1e154 on this table; the target must stay finite there.
+    t = _dense_poisson_table()
+    chain = sample_posterior(t, 50, seed=0, prior="approx", method="slice",
+                             warmup=50)
+    assert chain.a_samples.shape == (50,)
+    assert np.all(np.isfinite(chain.a_samples))
+
+
+def test_fisher_sum_rows_match_single_values():
+    m, n = 60, 60
+    a = np.exp(np.linspace(math.log(1e-9), math.log(1e4), 37))
+    rows = _fisher_sum(a, m, n)
+    assert rows.shape == a.shape
+    np.testing.assert_allclose(rows, [float(_fisher_sum(v, m, n)) for v in a],
+                               rtol=1e-12)
+
+
+_CACHE_TS = np.linspace(math.log(1e-9), math.log(1e4), 3000)
+
+
+def _fake_fisher_sum(monkeypatch, below):
+    """Stand in a Fisher sum of 1/a up to cache grid point 1234, and
+    `below` from there on."""
+    cut = 0.5 * (_CACHE_TS[1233] + _CACHE_TS[1234])
+    monkeypatch.setattr(hier, "_fisher_sum", lambda a, m, n: np.where(
+        np.log(a) < cut, 1.0 / np.asarray(a), below))
+
+
+def test_exact_prior_cache_truncates_where_sum_vanishes(monkeypatch):
+    # Within the cancellation floor the sum is clamped once and the
+    # grid is cut at the first vanishing point.
+    _fake_fisher_sum(monkeypatch, -1e-12)
+    before = hier.clamp_diagnostics["count"]
+    cache = _ExactPriorCache(10, 5)
+    assert hier.clamp_diagnostics["count"] == before + 1
+    assert cache.hi == pytest.approx(math.exp(_CACHE_TS[1233]), rel=1e-12)
+    # Below the cut the table holds log sqrt(1/a) = -t/2; beyond it,
+    # lookups fall back to direct evaluation.
+    t = _CACHE_TS[600]
+    assert cache.log_value(math.exp(t)) == pytest.approx(-0.5 * t, abs=1e-9)
+    assert cache.log_value(math.exp(_CACHE_TS[2000])) == -math.inf
+
+
+def test_exact_prior_cache_raises_below_cancellation_floor(monkeypatch):
+    _fake_fisher_sum(monkeypatch, -1.0)
+    with pytest.raises(AccuracyError):
+        _ExactPriorCache(10, 5)
 
 
 def test_exact_prior_cache_accuracy():

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from overallprior.exceptions import (AccuracyError, DomainError,
                                      EvaluationError)
 from overallprior.numerics import (Grid1D, digamma, integrate, kl_beta,
-                                   kl_numeric, log_gamma, minimize_scalar,
+                                   kl_numeric, log_gamma, log_rising,
+                                   log_rising_ratio, minimize_scalar,
                                    trigamma)
 
 # ---------------------------------------------------------------- specials
@@ -51,6 +52,87 @@ def test_trigamma_tiny_argument_relative():
 def test_specials_reject_nonpositive(fn, x):
     with pytest.raises(DomainError):
         fn(x)
+
+
+# Log-spaced over [1e-8, 1e12], plus points at and next to the
+# rising-factorial lengths below, where log_rising switches form.
+_WIDE_X = sorted(set(np.exp(np.linspace(math.log(1e-8), math.log(1e12),
+                                        25)).tolist()
+                     + [0.5, 1.0, 6.5, 7.0, 59.9, 60.0, 999.0, 1000.0]))
+
+
+def test_log_gamma_mpmath_wide_range():
+    with mpmath.workdps(50):
+        for x in _WIDE_X:
+            ref = float(mpmath.loggamma(x))
+            assert log_gamma(x) == pytest.approx(ref, rel=1e-14, abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7, 60, 1000])
+def test_log_rising_mpmath(k):
+    with mpmath.workdps(50):
+        for x in _WIDE_X:
+            base = mpmath.loggamma(x)
+            ref = np.array([float(mpmath.loggamma(x + j) - base)
+                            for j in range(k + 1)])
+            got = log_rising(x, k)
+            assert got.shape == (k + 1,)
+            np.testing.assert_allclose(got, ref, rtol=1e-14, atol=1e-14)
+
+
+def test_log_rising_array_rows_match_scalar_calls():
+    # Rows below and above x = k take the two different forms.
+    x = np.array([[1e-8, 0.3, 59.0], [60.0, 1e3, 1e12]])
+    got = log_rising(x, 60)
+    assert got.shape == (2, 3, 61)
+    for idx in np.ndindex(x.shape):
+        np.testing.assert_array_equal(got[idx], log_rising(x[idx], 60))
+
+
+def test_log_rising_domain():
+    with pytest.raises(DomainError):
+        log_rising(0.0, 3)
+    with pytest.raises(DomainError):
+        log_rising(np.array([1.0, -1.0]), 3)
+    with pytest.raises(DomainError):
+        log_rising(1.0, -1)
+
+
+@pytest.mark.parametrize("x,y", [(1e-6, 0.5), (0.08, 0.5), (10.0, 0.5),
+                                 (0.5, 1.0), (1e3, 1.0), (1e-8, 1.0),
+                                 (5e5, 5e5 + 1e-3), (1.0, 1e12)])
+@pytest.mark.parametrize("k", [0, 1, 60, 1000])
+def test_log_rising_ratio_mpmath(x, y, k):
+    with mpmath.workdps(50):
+        base = mpmath.loggamma(x) - mpmath.loggamma(y)
+        ref = np.array([float(mpmath.loggamma(x + j)
+                              - mpmath.loggamma(y + j) - base)
+                        for j in range(k + 1)])
+    np.testing.assert_allclose(log_rising_ratio(x, y, k), ref,
+                               rtol=1e-13, atol=1e-14)
+
+
+def test_log_rising_ratio_domain():
+    with pytest.raises(DomainError):
+        log_rising_ratio(0.0, 1.0, 3)
+    with pytest.raises(DomainError):
+        log_rising_ratio(1.0, -1.0, 3)
+
+
+def test_digamma_array_matches_scalar_and_scipy():
+    x = np.exp(np.linspace(math.log(1e-8), math.log(1e12), 400))
+    got = digamma(x)
+    assert got.shape == x.shape
+    np.testing.assert_allclose(got, [digamma(float(v)) for v in x],
+                               rtol=1e-15, atol=1e-15)
+    np.testing.assert_allclose(got, sp.digamma(x), rtol=1e-14, atol=1e-14)
+    grid = x.reshape(20, 20)
+    np.testing.assert_array_equal(digamma(grid), got.reshape(20, 20))
+
+
+def test_digamma_array_rejects_nonpositive_entries():
+    with pytest.raises(DomainError):
+        digamma(np.array([1.0, 0.0]))
 
 
 @given(st.floats(0.01, 50.0))

@@ -3,6 +3,7 @@ normal-model closed forms, and posterior summaries."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.stats
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from overallprior.exceptions import DegenerateDataError, DomainError
+from overallprior.numerics import kl_beta
 from overallprior.refdist import (CountVector, RefDistConfig,
                                   dirichlet_posterior_means,
                                   dirichlet_posterior_variances, d_mu,
@@ -53,6 +55,45 @@ def test_expected_loss_zero_at_jeffreys_for_two_cells():
     # reference posterior exactly.
     cfg = RefDistConfig(m=2, n=17)
     assert expected_loss(0.5, cfg) == pytest.approx(0.0, abs=1e-12)
+
+
+def _scalar_expected_loss(a, m, n):
+    """Reference sum over x of the scalar divergence times the scalar
+    reference predictive."""
+    return sum(kl_beta(x + a, n - x + (m - 1) * a, x + 0.5, n - x + 0.5)
+               * reference_predictive(x, n) for x in range(n + 1))
+
+
+# The scalar reference is itself accurate to about 2e-13 at these sizes
+# (checked against mpmath); at n = 1000 its own error reaches 2.5e-12,
+# so that size is checked against mpmath directly below.
+@pytest.mark.parametrize("a", [1e-6, 0.08, 10.0])
+@pytest.mark.parametrize("mn", [(2, 17), (3, 40), (10, 100), (1000, 30)])
+def test_expected_loss_matches_scalar_reference(a, mn):
+    m, n = mn
+    assert expected_loss(a, RefDistConfig(m, n)) == pytest.approx(
+        _scalar_expected_loss(a, m, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e-6, 0.008, 10.0])
+def test_expected_loss_mpmath_large_n(a):
+    m, n = 100, 1000
+    lg, dg = mpmath.loggamma, mpmath.digamma
+    with mpmath.workdps(30):
+        am = mpmath.mpf(a)
+        ref = mpmath.mpf(0)
+        for x in range(n + 1):
+            a0, b0 = x + am, n - x + (m - 1) * am
+            al, be = mpmath.mpf(x) + 0.5, mpmath.mpf(n - x) + 0.5
+            kl = (lg(al + be) - lg(a0 + b0) + lg(a0) - lg(al)
+                  + lg(b0) - lg(be) + (al - a0) * dg(al)
+                  + (be - b0) * dg(be) - (al + be - a0 - b0) * dg(al + be))
+            weight = mpmath.exp(lg(al) + lg(be) - lg(x + 1)
+                                - lg(n - x + 1)) / mpmath.pi
+            ref += kl * weight
+        ref = float(ref)
+    assert expected_loss(a, RefDistConfig(m, n)) == pytest.approx(ref,
+                                                                  rel=1e-12)
 
 
 def test_expected_loss_weights_do_not_matter():
