@@ -211,13 +211,21 @@ def tail_Q(j: int, a: float, m: int, n: int) -> float:
 def _fisher_sum(a, m: int, n: int) -> np.ndarray:
     """The Fisher-information sum whose square root is the exact
     hyperprior, at each a of a scalar or 1-D array; one O(n) pass over
-    the single-cell pmf per value."""
+    the single-cell pmf per value.
+
+    The sum runs over j = 0..n-1 of Q_j/(a+j)^2 - m/(ma+j)^2, with Q_j
+    the right tail of the pmf above j.  Its j = 0 term (Q_0 - 1/m)/a^2
+    is taken in closed form: Q_0 - 1/m = (m-1)/m (1 - prod_{i=1}^{n-1}
+    (1 - a/(ma+i))), which keeps its digits however small a is."""
     a = np.asarray(a, dtype=float)[..., None]
     p = np.exp(_log_pmf_single_vec(a[..., 0], m, n))
-    # Q[j] = sum_{l > j} p_l for j = 0..n-1
-    q = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1][..., 1:]
-    j = np.arange(n, dtype=float)
-    return np.sum(q / (a + j) ** 2 - m / (m * a + j) ** 2, axis=-1)
+    # Q[j] = sum_{l > j} p_l for j = 1..n-1
+    q = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1][..., 2:]
+    j = np.arange(1, n, dtype=float)
+    maj = m * a + j
+    log_p0_ratio = np.sum(np.log1p(-a / maj), axis=-1)
+    lead = -(m - 1) / m * np.expm1(log_p0_ratio) / a[..., 0] / a[..., 0]
+    return lead + np.sum(q / (a + j) ** 2 - m / maj ** 2, axis=-1)
 
 
 def _clamp_fisher_sum(s: float, a: float) -> float:
@@ -520,7 +528,7 @@ def limit_density_psi(v: float, profile: LimitProfile) -> float:
     n, r0 = profile.n, profile.r0
     i = np.arange(1, n, dtype=float)
     log_sum = 0.5 * math.log(float(np.sum(i / (v + i) ** 2)))
-    return math.exp(log_gamma(v + 1.0) - log_gamma(v + n)
+    return math.exp(-log_rising(v + 1.0, n - 1)[-1]
                     + (r0 - 1.5) * math.log(v) + log_sum)
 
 

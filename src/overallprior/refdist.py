@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -48,32 +48,20 @@ _PSI_HALF = _PSI_ONE - 2.0 * math.log(2.0)
 
 @dataclass(frozen=True)
 class RefDistConfig:
-    """Multinomial problem size and per-parameter importance weights.
+    """Multinomial problem size: m cells, sample size n.
 
-    Weights default to uniform (1/m).  For the symmetric Dirichlet
-    candidate family every cell has the same expected loss, so any
-    valid weight vector yields the same d(a); weights are retained for
-    interface completeness.
+    Every cell of the symmetric Dirichlet candidate family has the same
+    expected loss, so d(a) is the loss of any one cell.
     """
 
     m: int
     n: int
-    weights: Optional[tuple] = None
 
     def __post_init__(self):
         if self.m < 2:
             raise DomainError(f"need m >= 2 cells, got {self.m}")
         if self.n < 1:
             raise DomainError(f"need sample size n >= 1, got {self.n}")
-        if self.weights is not None:
-            w = tuple(float(x) for x in self.weights)
-            if len(w) != self.m:
-                raise DomainError("weights must have length m")
-            if any(x < 0 for x in w):
-                raise DomainError("weights must be nonnegative")
-            if abs(sum(w) - 1.0) > 1e-12:
-                raise DomainError("weights must sum to 1")
-            object.__setattr__(self, "weights", w)
 
 
 @dataclass(frozen=True)

@@ -55,16 +55,18 @@ class MeansData:
 
 @dataclass(frozen=True)
 class ShrinkChain:
-    """Gibbs draws of (mu, tau^2) and the tau^2-step rejection rate."""
+    """Gibbs draws of theta = |mu|^2 / m and tau^2, and the tau^2-step
+    rejection rate.  The mu draws are not kept: the Rao-Blackwellised
+    mean of mu is x * mean(tau2 / (1 + tau2))."""
 
-    mu_samples: np.ndarray
+    theta_samples: np.ndarray
     tau2_samples: np.ndarray
     seed: int
     rejection_rate: float
 
     def __post_init__(self):
-        if self.mu_samples.shape[0] != self.tau2_samples.shape[0]:
-            raise DomainError("mu and tau2 sample lists must align")
+        if self.theta_samples.shape != self.tau2_samples.shape:
+            raise DomainError("theta and tau2 sample lists must align")
         if np.any(self.tau2_samples <= 0.0):
             raise DomainError("tau2 draws must be positive")
 
@@ -116,13 +118,12 @@ def reference_prior_density(mu: Sequence[float]) -> float:
     return norm ** (-(v.size - 1))
 
 
-def _tau2_step(rng: np.random.Generator, mu: np.ndarray):
-    """Sample tau^2 | mu exactly: propose from the inverse-gamma form
-    (tau^2)^{-(1+m/2)} exp(-|mu|^2/2tau^2) by drawing the precision
-    from a gamma, accept with probability tau^2/(1+tau^2).  Returns
-    (draw, number of rejected proposals)."""
-    m = mu.size
-    rate = 0.5 * float(mu @ mu)
+def _tau2_step(rng: np.random.Generator, m: int, sq_norm: float):
+    """Sample tau^2 | mu exactly, given m and |mu|^2: propose from the
+    inverse-gamma form (tau^2)^{-(1+m/2)} exp(-|mu|^2/2tau^2) by drawing
+    the precision from a gamma, accept with probability tau^2/(1+tau^2).
+    Returns (draw, number of rejected proposals)."""
+    rate = 0.5 * sq_norm
     rejections = 0
     for _ in range(_REJECTION_CAP):
         lam = rng.gamma(0.5 * m, 1.0 / rate)
@@ -141,7 +142,8 @@ def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
     with the exact rejection step for tau^2 | mu.  Requires m >= 3: for
     smaller m the inverse-gamma proposal is not normalizable in the
     regime the sampler relies on, and the paper's construction is
-    silent.  Fixed seed gives a bit-identical chain.
+    silent.  Each draw keeps theta, not mu, so memory is O(length).
+    Fixed seed gives a bit-identical chain.
     """
     if data.m < 3:
         raise PreconditionError("gibbs_sample requires m >= 3")
@@ -149,25 +151,26 @@ def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
         raise DomainError("chain length must be >= 1")
     rng = np.random.default_rng(seed)
     m = data.m
-    mu_draws = np.empty((length, m))
+    theta_draws = np.empty(length)
     tau2_draws = np.empty(length)
     tau2 = 1.0
     rejections = 0
     for it in range(length):
         shrink = tau2 / (1.0 + tau2)
         mu = rng.normal(data.x * shrink, math.sqrt(shrink))
-        tau2, rej = _tau2_step(rng, mu)
+        sq_norm = float(mu @ mu)
+        tau2, rej = _tau2_step(rng, m, sq_norm)
         rejections += rej
-        mu_draws[it] = mu
+        theta_draws[it] = sq_norm / m
         tau2_draws[it] = tau2
     total_proposals = length + rejections
-    return ShrinkChain(mu_samples=mu_draws, tau2_samples=tau2_draws,
+    return ShrinkChain(theta_samples=theta_draws, tau2_samples=tau2_draws,
                        seed=seed,
                        rejection_rate=rejections / total_proposals)
 
 
 def theta_posterior_samples(chain: ShrinkChain) -> np.ndarray:
-    """Per-draw theta = |mu|^2 / m."""
-    if chain.mu_samples.shape[0] < 1:
+    """Per-draw theta = |mu|^2 / m, as stored by the chain."""
+    if chain.theta_samples.size < 1:
         raise DomainError("empty chain")
-    return np.sum(chain.mu_samples ** 2, axis=1) / chain.mu_samples.shape[1]
+    return chain.theta_samples

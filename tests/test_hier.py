@@ -190,8 +190,9 @@ def test_exact_prior_tail_slope_pin():
 
 
 def test_exact_prior_n1_bracket_vanishes():
-    # At n=1 the Fisher sum collapses to ~0 (recorded behavior).
-    assert reference_prior_exact(0.5, 10, 1) == pytest.approx(0.0, abs=1e-6)
+    # With one draw the cell is uniform whatever a is: no information.
+    for a in (1e-9, 1e-5, 0.5, 1e4):
+        assert reference_prior_exact(a, 10, 1) == 0.0
 
 
 def test_exact_prior_domain():
@@ -409,6 +410,34 @@ def test_fisher_sum_rows_match_single_values():
                                rtol=1e-12)
 
 
+def _fisher_sum_mpmath(a, m, n):
+    """The Fisher sum from the single-cell pmf in mpmath, with enough
+    digits to absorb the cancellation of Q_0 - 1/m at small a."""
+    with mpmath.workdps(40 + max(0, int(-math.log10(a)))):
+        a = mpmath.mpf(a)
+        p = [mpmath.binomial(n, x) * mpmath.rf(a, x)
+             * mpmath.rf((m - 1) * a, n - x) / mpmath.rf(m * a, n)
+             for x in range(n + 1)]
+        return float(sum(mpmath.fsum(p[j + 1:]) / (a + j) ** 2
+                         - m / (m * a + j) ** 2 for j in range(n)))
+
+
+@pytest.mark.parametrize("mn", [(60, 60), (2000, 3), (10, 2), (2, 300),
+                                (1000, 30)])
+def test_fisher_sum_small_a_mpmath(mn):
+    m, n = mn
+    a = np.array([1e-30, 1e-12, 1e-9, 1e-5, 1e-2])
+    np.testing.assert_allclose(
+        _fisher_sum(a, m, n), [_fisher_sum_mpmath(v, m, n) for v in a],
+        rtol=2e-15)
+
+
+@pytest.mark.parametrize("a", [1e-200, 1e-300])
+def test_exact_prior_extreme_small_a_mpmath(a):
+    ref = math.sqrt(_fisher_sum_mpmath(a, 60, 60))
+    assert reference_prior_exact(a, 60, 60) == pytest.approx(ref, rel=1e-15)
+
+
 _CACHE_TS = np.linspace(math.log(1e-9), math.log(1e4), 3000)
 
 
@@ -460,6 +489,18 @@ def test_limit_density_value_oracle():
     ref = math.exp(float(sp.gammaln(v + 1) - sp.gammaln(v + 10))) \
         * v ** 1.5 * math.sqrt(float(np.sum(i / (v + i) ** 2)))
     assert limit_density_psi(v, prof) == pytest.approx(ref, rel=1e-12)
+
+
+@pytest.mark.parametrize("v", [1e10, 1e12, 1e14])
+def test_limit_density_large_v_mpmath(v):
+    with mpmath.workdps(50):
+        mv = mpmath.mpf(v)
+        log_ratio = mpmath.loggamma(mv + 1) - mpmath.loggamma(mv + 10)
+        ref = float(mpmath.exp(log_ratio) * mv ** 1.5 * mpmath.sqrt(
+            mpmath.fsum(i / (mv + i) ** 2 for i in range(1, 10))))
+    # Values are about 1e-85..1e-119: no absolute tolerance.
+    assert limit_density_psi(v, LimitProfile(n=10, r0=3)) == \
+        pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 def test_limit_profile_validation():

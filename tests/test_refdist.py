@@ -96,18 +96,11 @@ def test_expected_loss_mpmath_large_n(a):
                                                                   rel=1e-12)
 
 
-def test_expected_loss_weights_do_not_matter():
-    m, n = 5, 12
-    w = (0.5, 0.2, 0.1, 0.1, 0.1)
-    assert expected_loss(0.7, RefDistConfig(m, n)) == pytest.approx(
-        expected_loss(0.7, RefDistConfig(m, n, weights=w)), rel=1e-14)
-
-
-def test_weight_validation():
+def test_config_validation():
     with pytest.raises(DomainError):
-        RefDistConfig(3, 5, weights=(0.5, 0.5, 0.5))
+        RefDistConfig(1, 5)
     with pytest.raises(DomainError):
-        RefDistConfig(3, 5, weights=(1.0, 0.5))
+        RefDistConfig(3, 0)
 
 
 def test_expected_loss_rejects_nonpositive_a():

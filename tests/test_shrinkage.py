@@ -128,7 +128,7 @@ def test_tau2_step_stationary_distribution():
     mu = np.array([1.0, -0.5, 0.8, 0.3, -1.2])
     s = float(mu @ mu)
     rng = np.random.default_rng(123)
-    draws = np.array([_tau2_step(rng, mu)[0] for _ in range(100000)])
+    draws = np.array([_tau2_step(rng, m, s)[0] for _ in range(100000)])
 
     grid = np.exp(np.linspace(math.log(1e-4), math.log(1e3), 8000))
     dens = grid ** (-0.5 * m) * np.exp(-0.5 * s / grid) / (1 + grid)
@@ -155,31 +155,36 @@ def test_gibbs_reproducible():
     data = MeansData(np.array([1.0, -2.0, 0.5, 3.0]))
     c1 = gibbs_sample(data, 300, seed=17)
     c2 = gibbs_sample(data, 300, seed=17)
-    assert np.array_equal(c1.mu_samples, c2.mu_samples)
+    assert np.array_equal(c1.theta_samples, c2.theta_samples)
     assert np.array_equal(c1.tau2_samples, c2.tau2_samples)
     assert c1.rejection_rate == c2.rejection_rate
 
 
-def test_gibbs_mu_step_shrinks_toward_zero():
-    # Posterior mu-draws must sit between 0 and x on average.
-    rng = np.random.default_rng(5)
-    x = rng.normal(2.0, 0.2, size=20)
-    chain = gibbs_sample(MeansData(x), 4000, seed=8)
-    post_mean = chain.mu_samples[500:].mean(axis=0)
-    assert np.all(post_mean > 0.1)
-    assert np.all(post_mean < x)
+@pytest.mark.parametrize("x,length,seed,burn", [
+    (np.array([2.0, -1.0, 0.5, 1.5, -2.5]), 60000, 21, 1000),
+    (np.random.default_rng(5).normal(2.0, 0.2, size=20), 4000, 8, 500),
+], ids=["five-means", "twenty-means"])
+def test_gibbs_rao_blackwell_theta_mean(x, length, seed, burn):
+    # Given tau^2, mu_i ~ N(s x_i, s) with s = tau^2/(1+tau^2), so
+    # E[theta | x, tau^2] = s^2 mean(x^2) + s.  The chain mean of theta
+    # must match that conditional mean averaged over the tau^2 draws;
+    # the tolerance is 5-10 batch-means standard errors.
+    chain = gibbs_sample(MeansData(x), length, seed=seed)
+    t2 = chain.tau2_samples[burn:]
+    s = t2 / (1 + t2)
+    rb = float(np.mean(s ** 2 * np.mean(x ** 2) + s))
+    direct = float(theta_posterior_samples(chain)[burn:].mean())
+    assert direct == pytest.approx(rb, rel=0.02)
 
 
-def test_gibbs_rao_blackwell_mu_mean():
-    # E[mu_i | x] averaged over the chain must match the conditional
-    # mean x_i tau^2/(1+tau^2) averaged over tau^2 draws.
-    data = MeansData(np.array([2.0, -1.0, 0.5, 1.5, -2.5]))
-    chain = gibbs_sample(data, 60000, seed=21)
-    t2 = chain.tau2_samples[1000:]
-    shrink = np.mean(t2 / (1 + t2))
-    rb = data.x * shrink
-    direct = chain.mu_samples[1000:].mean(axis=0)
-    assert np.max(np.abs(direct - rb)) < 0.05
+def test_gibbs_chain_memory_is_linear_in_length():
+    # Two floats per draw (theta and tau^2), however many means.
+    rng = np.random.default_rng(3)
+    length = 2000
+    chain = gibbs_sample(MeansData(rng.normal(size=500)), length, seed=0)
+    held = sum(v.nbytes for v in vars(chain).values()
+               if isinstance(v, np.ndarray))
+    assert held <= 16 * length
 
 
 def test_gibbs_recovers_theta_scale():
@@ -195,11 +200,20 @@ def test_gibbs_recovers_theta_scale():
 
 
 def test_theta_samples_example():
-    chain = gibbs_sample(MeansData(np.array([1.0, 2.0, 3.0])), 5, seed=1)
+    # Replay the sampler's random stream: each theta is |mu|^2 / m of the
+    # mu draw that feeds the next tau^2 step.
+    x = np.array([1.0, 2.0, 3.0])
+    chain = gibbs_sample(MeansData(x), 5, seed=1)
     theta = theta_posterior_samples(chain)
     assert theta.shape == (5,)
-    manual = np.sum(chain.mu_samples ** 2, axis=1) / 3.0
-    assert np.allclose(theta, manual)
+    rng = np.random.default_rng(1)
+    tau2 = 1.0
+    for it in range(5):
+        shrink = tau2 / (1.0 + tau2)
+        mu = rng.normal(x * shrink, math.sqrt(shrink))
+        tau2, _ = _tau2_step(rng, 3, float(mu @ mu))
+        assert tau2 == chain.tau2_samples[it]
+        assert theta[it] == pytest.approx(np.sum(mu ** 2) / 3.0, rel=1e-14)
 
 
 def test_rejection_rate_band():
