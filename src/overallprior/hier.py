@@ -11,7 +11,6 @@ reduction.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -53,6 +52,9 @@ _NEGATIVE_FLOOR = -1e-10
 
 # Search window for modes of a, in log space.
 _MODE_BRACKET = (1e-9, 1e4)
+
+# Points of the exact-prior cache grid, uniform in log a.
+_CACHE_SIZE = 3000
 
 # Entries per temporary (grid rows x (n + 1) floats, 128 kB) when the
 # exact-prior cache evaluates its grid in 2-D passes.
@@ -254,6 +256,13 @@ def reference_prior_exact(a: float, m: int, n: int) -> float:
         raise DomainError("a must be positive")
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and n >= 1")
+    if a <= 1e-300:
+        # Every j >= 1 term is below 1e-290 of the j = 0 term, about
+        # (m-1)/m sum_i 1/(ma+i) / a, which overflows at subnormal a:
+        # take the two square roots separately.
+        i = np.arange(1, n, dtype=float)
+        return (math.sqrt((m - 1) / m * float(np.sum(1.0 / (m * a + i))))
+                / math.sqrt(a))
     return math.sqrt(_clamp_fisher_sum(float(_fisher_sum(a, m, n)), a))
 
 
@@ -345,78 +354,61 @@ def log_concavity_certificate(x: CountTable,
     return all(approx_posterior_curvature(float(a), x) < 0.0 for a in a_grid)
 
 
-class _MonotoneCubicInterp:
-    """Shape-preserving (Fritsch-Carlson) cubic Hermite interpolant."""
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        h = np.diff(xs)
-        delta = np.diff(ys) / h
-        d = np.empty_like(ys)
-        d[0] = delta[0]
-        d[-1] = delta[-1]
-        # Interior slopes: a weighted harmonic mean of the neighbouring
-        # secants where they agree in sign, else zero.
-        w1 = 2.0 * h[1:] + h[:-1]
-        w2 = h[1:] + 2.0 * h[:-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean = (w1 + w2) / (w1 / delta[:-1] + w2 / delta[1:])
-        d[1:-1] = np.where(delta[:-1] * delta[1:] > 0.0, mean, 0.0)
-        # Python floats: a lookup does scalar arithmetic only.
-        self.xs, self.ys, self.d = xs.tolist(), ys.tolist(), d.tolist()
-
-    def __call__(self, x: float) -> float:
-        xs, ys, d = self.xs, self.ys, self.d
-        i = bisect.bisect_left(xs, x) - 1
-        i = min(max(i, 0), len(xs) - 2)
-        h = xs[i + 1] - xs[i]
-        t = (x - xs[i]) / h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return (h00 * ys[i] + h10 * h * d[i]
-                + h01 * ys[i + 1] + h11 * h * d[i + 1])
-
-
 class _ExactPriorCache:
-    """Memoized log of the exact hyperprior on a log-spaced grid.
+    """Memoized log of the exact hyperprior on a grid uniform in log a
+    over ``_MODE_BRACKET``.
 
-    Direct evaluation dominates the MCMC cost for large n; the
-    interpolant reproduces direct values to better than 1e-6 and falls
-    back to direct evaluation outside its range.
+    Direct evaluation dominates the MCMC cost for large n.  Lookups use
+    a shape-preserving (Fritsch-Carlson) cubic Hermite interpolant, which
+    reproduces direct values to better than 1e-6; outside the tabulated
+    range they fall back to direct evaluation.
     """
 
-    def __init__(self, m: int, n: int, lo: float = 1e-9, hi: float = 1e4,
-                 size: int = 3000):
+    def __init__(self, m: int, n: int):
+        if n < 2:
+            raise PreconditionError(
+                "the exact hyperprior is identically zero when n = 1")
         self.m, self.n = m, n
-        ts = np.linspace(math.log(lo), math.log(hi), size)
+        lo, hi = _MODE_BRACKET
+        ts = np.linspace(math.log(lo), math.log(hi), _CACHE_SIZE)
         rows = max(1, _CACHE_CHUNK // (n + 1))
-        ys = []
-        for start in range(0, size, rows):
-            chunk = ts[start:start + rows]
-            s = _fisher_sum(np.exp(chunk), m, n)
-            vanished = np.flatnonzero(s <= 0.0)
-            if vanished.size:
-                # Cancellation noise clamped to zero: truncate the grid
-                # here and fall back to direct evaluation beyond it.
-                k = vanished[0]
-                _clamp_fisher_sum(float(s[k]), math.exp(chunk[k]))
-                ys.append(0.5 * np.log(s[:k]))
-                break
-            ys.append(0.5 * np.log(s))
-        ys = np.concatenate(ys)
-        if len(ys) < 2:
+        s = np.concatenate([_fisher_sum(np.exp(ts[k:k + rows]), m, n)
+                            for k in range(0, _CACHE_SIZE, rows)])
+        vanished = np.flatnonzero(s <= 0.0)
+        if vanished.size:
+            # Cancellation noise clamped to zero: truncate the grid here
+            # and fall back to direct evaluation beyond it.
+            k = vanished[0]
+            _clamp_fisher_sum(float(s[k]), math.exp(ts[k]))
+            s = s[:k]
+        if len(s) < 2:
             raise AccuracyError("exact prior vanished over the cache range",
                                 best_estimate=None)
-        ts = ts[:len(ys)]
-        self._interp = _MonotoneCubicInterp(ts, ys)
-        self.lo, self.hi = lo, math.exp(ts[-1])
+        ys = 0.5 * np.log(s)
+        h = (ts[-1] - ts[0]) / (_CACHE_SIZE - 1)
+        delta = np.diff(ys) / h
+        # On a uniform grid the Fritsch-Carlson weighted harmonic mean of
+        # the neighbouring secants is their plain harmonic mean; the
+        # slope is zero where they disagree in sign.
+        d = np.empty_like(ys)
+        d[0], d[-1] = delta[0], delta[-1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean = 2.0 / (1.0 / delta[:-1] + 1.0 / delta[1:])
+        d[1:-1] = np.where(delta[:-1] * delta[1:] > 0.0, mean, 0.0)
+        # Python floats: a lookup does scalar arithmetic only.
+        self._ys, self._hd = ys.tolist(), (h * d).tolist()
+        self._t0, self._h, self._last = float(ts[0]), float(h), len(ys) - 2
+        self.lo, self.hi = lo, math.exp(ts[len(ys) - 1])
 
     def log_value(self, a: float) -> float:
-        if self.lo <= a <= self.hi:
-            return self._interp(math.log(a))
-        v = reference_prior_exact(a, self.m, self.n)
-        return math.log(v) if v > 0.0 else -math.inf
+        if not (self.lo <= a <= self.hi):
+            return _log_prior(a, self.m, self.n, "exact")
+        x = (math.log(a) - self._t0) / self._h
+        i = min(int(x), self._last)
+        t = x - i
+        ys, hd = self._ys, self._hd
+        return ((1 + 2 * t) * (1 - t) ** 2 * ys[i] + t * (1 - t) ** 2 * hd[i]
+                + t * t * (3 - 2 * t) * ys[i + 1] + t * t * (t - 1) * hd[i + 1])
 
 
 def sample_posterior(x: CountTable, length: int, seed: int,
@@ -438,16 +430,16 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         raise DomainError("chain length must be >= 1")
     if method not in ("mh", "slice"):
         raise DomainError(f"unknown method {method!r}")
-    cache = _ExactPriorCache(x.m, x.n) if prior == "exact" else None
-
-    if cache is not None:
-        def log_target(t: float) -> float:
-            # +t is the log-a change-of-variables Jacobian
-            return marginal_log_likelihood(x, math.exp(t)) \
-                + cache.log_value(math.exp(t)) + t
+    if prior == "exact":
+        log_prior = _ExactPriorCache(x.m, x.n).log_value
     else:
-        def log_target(t: float) -> float:
-            return posterior_log_density_a(math.exp(t), x, prior) + t
+        def log_prior(a: float) -> float:
+            return _log_prior(a, x.m, x.n, prior)
+
+    def log_target(t: float) -> float:
+        # +t is the log-a change-of-variables Jacobian
+        a = math.exp(t)
+        return marginal_log_likelihood(x, a) + log_prior(a) + t
 
     rng = np.random.default_rng(seed)
     t = math.log(x.n / x.m) if x.n < x.m else 0.0  # start near prior median scale
@@ -509,13 +501,12 @@ def sample_posterior(x: CountTable, length: int, seed: int,
 
     theta_draws = None
     if thetas:
-        theta_draws = np.empty((length, x.m))
         dense = np.zeros(x.m)
         for idx, c in x.counts.items():
             dense[idx] = c
-        for i in range(length):
-            g = rng.gamma(dense + draws[i])
-            theta_draws[i] = g / g.sum()
+        # One row per draw, generated in the same order as row-by-row calls.
+        theta_draws = rng.gamma(dense + draws[:, None])
+        theta_draws /= theta_draws.sum(axis=1, keepdims=True)
 
     return HierChain(a_samples=draws, theta_samples=theta_draws, seed=seed,
                      acceptance_rate=acc_rate)
@@ -603,6 +594,8 @@ def hypergeometric_overall_prior(R: Sequence[int], N: int, k: int) -> float:
     """Dirichlet-multinomial prior mass of the population split R with
     symmetric parameter 1/k over the k+1 categories."""
     R = [int(v) for v in R]
+    if k < 1:
+        raise DomainError(f"need k >= 1 categories, got {k}")
     if len(R) != k:
         raise DomainError(f"R must have k={k} components")
     if any(v < 0 for v in R):

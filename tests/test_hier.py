@@ -381,6 +381,49 @@ def test_theta_draws_rao_blackwell():
     assert np.max(np.abs(chain.theta_samples.mean(axis=0) - rb)) < 0.01
 
 
+# Recorded values: how the prior table is read or how theta is drawn
+# must not change the chain for a given seed.
+_PINNED_CHAINS = {
+    # (prior, method): (a[0], a[99], a[-1], sum(a), acceptance rate)
+    ("exact", "mh"): (0.5286074359396418, 0.24934568041123117,
+                      0.27134555115253406, 72.03073617241313, 0.355),
+    ("exact", "slice"): (0.11005940018244767, 0.320763293096854,
+                         2.9963588519938247, 85.88366361225602, 1.0),
+    ("approx", "mh"): (0.5038142705769901, 0.271031274647888,
+                       1.286464711364696, 76.65283257602567, 0.365),
+    ("approx", "slice"): (0.4364293631850667, 0.21569259525528214,
+                          0.3259610185402397, 88.78881506634477, 1.0),
+}
+
+
+@pytest.mark.parametrize("prior,method", sorted(_PINNED_CHAINS))
+def test_chain_pinned(prior, method):
+    chain = sample_posterior(_synthetic_table(), 200, seed=11, prior=prior,
+                             method=method, warmup=200)
+    a = chain.a_samples
+    np.testing.assert_allclose(
+        [a[0], a[99], a[-1], a.sum(), chain.acceptance_rate],
+        _PINNED_CHAINS[prior, method], rtol=1e-12)
+
+
+def test_theta_draws_pinned():
+    chain = sample_posterior(_synthetic_table(), 200, seed=11, warmup=200,
+                             thetas=True)
+    th = chain.theta_samples
+    assert th.shape == (200, 50)
+    np.testing.assert_allclose(
+        [th[0, 0], th[-1, 1], th[:, :5].sum(), (th ** 2).sum(),
+         chain.a_samples.sum()],
+        [0.00017263792183384448, 0.00018060344964977633, 20.325430464449152,
+         16.842101049877517, 72.03073617241313], rtol=1e-12)
+
+
+def test_exact_prior_sampler_needs_two_draws():
+    # The exact hyperprior is identically zero when n = 1.
+    with pytest.raises(PreconditionError):
+        sample_posterior(CountTable(m=10, counts={0: 1}), 10, seed=0)
+
+
 def test_sampler_argument_validation():
     t = _synthetic_table()
     with pytest.raises(DomainError):
@@ -418,8 +461,8 @@ def _fisher_sum_mpmath(a, m, n):
         p = [mpmath.binomial(n, x) * mpmath.rf(a, x)
              * mpmath.rf((m - 1) * a, n - x) / mpmath.rf(m * a, n)
              for x in range(n + 1)]
-        return float(sum(mpmath.fsum(p[j + 1:]) / (a + j) ** 2
-                         - m / (m * a + j) ** 2 for j in range(n)))
+        return sum(mpmath.fsum(p[j + 1:]) / (a + j) ** 2
+                   - m / (m * a + j) ** 2 for j in range(n))
 
 
 @pytest.mark.parametrize("mn", [(60, 60), (2000, 3), (10, 2), (2, 300),
@@ -428,13 +471,14 @@ def test_fisher_sum_small_a_mpmath(mn):
     m, n = mn
     a = np.array([1e-30, 1e-12, 1e-9, 1e-5, 1e-2])
     np.testing.assert_allclose(
-        _fisher_sum(a, m, n), [_fisher_sum_mpmath(v, m, n) for v in a],
+        _fisher_sum(a, m, n), [float(_fisher_sum_mpmath(v, m, n)) for v in a],
         rtol=2e-15)
 
 
-@pytest.mark.parametrize("a", [1e-200, 1e-300])
+@pytest.mark.parametrize("a", [1e-200, 1e-300, 2e-308, 1e-310, 1e-320])
 def test_exact_prior_extreme_small_a_mpmath(a):
-    ref = math.sqrt(_fisher_sum_mpmath(a, 60, 60))
+    # Below about 2e-308 the sum itself overflows a float; its root does not.
+    ref = float(mpmath.sqrt(_fisher_sum_mpmath(a, 60, 60)))
     assert reference_prior_exact(a, 60, 60) == pytest.approx(ref, rel=1e-15)
 
 
@@ -468,6 +512,14 @@ def test_exact_prior_cache_raises_below_cancellation_floor(monkeypatch):
     _fake_fisher_sum(monkeypatch, -1.0)
     with pytest.raises(AccuracyError):
         _ExactPriorCache(10, 5)
+
+
+@pytest.mark.parametrize("j", [0, 1, 1500, 2998, 2999])
+def test_exact_prior_cache_reproduces_grid_nodes(j):
+    cache = _ExactPriorCache(60, 60)
+    a = math.exp(_CACHE_TS[j])
+    assert cache.log_value(a) == pytest.approx(
+        0.5 * math.log(float(_fisher_sum(a, 60, 60))), rel=0.0, abs=1e-12)
 
 
 def test_exact_prior_cache_accuracy():
@@ -560,6 +612,17 @@ def test_hypergeometric_overall_prior_normalized():
     total = sum(hypergeometric_overall_prior([r1, r2], N, k)
                 for r1 in range(N + 1) for r2 in range(N + 1 - r1))
     assert total == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hypergeometric_overall_prior_validation():
+    with pytest.raises(DomainError):
+        hypergeometric_overall_prior([], 5, 0)
+    with pytest.raises(DomainError):
+        hypergeometric_overall_prior([1, 2], 5, 1)
+    with pytest.raises(DomainError):
+        hypergeometric_overall_prior([-1], 5, 1)
+    with pytest.raises(DomainError):
+        hypergeometric_overall_prior([3, 3], 5, 2)
 
 
 @given(st.integers(2, 8), st.integers(1, 2))
