@@ -136,7 +136,7 @@ def cmd_hier(args) -> int:
     chain = hier.sample_posterior(table, args.chain, seed=args.seed,
                                   prior=args.prior)
     _write_csv(out / "chain.csv", ["iteration", "a"],
-               ((i, repr(float(a))) for i, a in enumerate(chain.a_samples)))
+               enumerate(chain.a_samples.tolist()))
 
     grid = _parse_grid(args.grid)
     prior_fn = (hier.reference_prior_exact if args.prior == "exact"
@@ -179,8 +179,8 @@ def cmd_shrink(args) -> int:
     chain = shrinkage.gibbs_sample(data, args.chain, seed=args.seed)
     theta = shrinkage.theta_posterior_samples(chain)
     _write_csv(out / "chain.csv", ["iteration", "tau2", "theta"],
-               ((i, repr(float(t2)), repr(float(th))) for i, (t2, th)
-                in enumerate(zip(chain.tau2_samples, theta))))
+               zip(range(theta.size), chain.tau2_samples.tolist(),
+                   theta.tolist()))
     burn = min(len(theta) // 10, 1000)
     kept = theta[burn:]
     lo, hi = np.quantile(kept, [0.05, 0.95])

@@ -454,7 +454,7 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         for i in range(warmup):
             prop = t + scale * rng.standard_normal()
             lprop = log_target(prop)
-            if math.log(rng.uniform()) < lprop - lt:
+            if math.log(rng.random()) < lprop - lt:
                 t, lt = prop, lprop
                 block_acc += 1
             if (i + 1) % 50 == 0:
@@ -465,7 +465,7 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         for i in range(length):
             prop = t + scale * rng.standard_normal()
             lprop = log_target(prop)
-            if math.log(rng.uniform()) < lprop - lt:
+            if math.log(rng.random()) < lprop - lt:
                 t, lt = prop, lprop
                 accepted += 1
             draws[i] = math.exp(t)
@@ -474,8 +474,8 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         w = 2.0
         max_steps = 200
         for i in range(-min(warmup, 200), length):
-            ly = lt + math.log(rng.uniform())
-            left = t - w * rng.uniform()
+            ly = lt + math.log(rng.random())
+            left = t - w * rng.random()
             right = left + w
             steps = max_steps
             while steps > 0 and log_target(left) > ly:
@@ -486,7 +486,8 @@ def sample_posterior(x: CountTable, length: int, seed: int,
                 right += w
                 steps -= 1
             while True:
-                prop = rng.uniform(left, right)
+                # rng.uniform(left, right) to the bit, at a third the cost
+                prop = left + (right - left) * rng.random()
                 lprop = log_target(prop)
                 if lprop >= ly:
                     t, lt = prop, lprop

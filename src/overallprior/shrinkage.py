@@ -128,7 +128,7 @@ def _tau2_step(rng: np.random.Generator, m: int, sq_norm: float):
     for _ in range(_REJECTION_CAP):
         lam = rng.gamma(0.5 * m, 1.0 / rate)
         tau2 = 1.0 / lam
-        if rng.uniform() < tau2 / (1.0 + tau2):
+        if rng.random() < tau2 / (1.0 + tau2):
             return tau2, rejections
         rejections += 1
     raise AccuracyError("tau2 rejection step exceeded its cap",
@@ -150,14 +150,22 @@ def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
     if length < 1:
         raise DomainError("chain length must be >= 1")
     rng = np.random.default_rng(seed)
-    m = data.m
+    x, m = data.x, data.m
     theta_draws = np.empty(length)
     tau2_draws = np.empty(length)
+    mu = np.empty(m)
+    z = np.empty(m)
     tau2 = 1.0
     rejections = 0
     for it in range(length):
         shrink = tau2 / (1.0 + tau2)
-        mu = rng.normal(data.x * shrink, math.sqrt(shrink))
+        # mu = x*shrink + sqrt(shrink)*z: the same normals, products and
+        # sums as rng.normal(x * shrink, sqrt(shrink)), without its
+        # per-call parameter checks and allocations.
+        np.multiply(x, shrink, out=mu)
+        rng.standard_normal(out=z)
+        np.multiply(z, math.sqrt(shrink), out=z)
+        np.add(mu, z, out=mu)
         sq_norm = float(mu @ mu)
         tau2, rej = _tau2_step(rng, m, sq_norm)
         rejections += rej

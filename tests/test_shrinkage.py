@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from overallprior.exceptions import (DomainError, PreconditionError,
-                                     SingularityError)
+from overallprior import shrinkage
+from overallprior.exceptions import (AccuracyError, DomainError,
+                                     PreconditionError, SingularityError)
 from overallprior.shrinkage import (MeansData, _tau2_step,
                                     flat_prior_theta_mean, gibbs_sample,
                                     hierarchical_prior_density,
@@ -141,6 +142,14 @@ def test_tau2_step_stationary_distribution():
     assert np.max(np.abs(emp - model)) < 0.01
 
 
+def test_tau2_step_rejection_cap(monkeypatch):
+    # At |mu|^2 = 1e-12 the proposals sit near tau^2 = 1e-12, so each is
+    # accepted with probability about 3e-13: five proposals cannot pass.
+    monkeypatch.setattr(shrinkage, "_REJECTION_CAP", 5)
+    with pytest.raises(AccuracyError):
+        _tau2_step(np.random.default_rng(0), 3, 1e-12)
+
+
 # --------------------------------------------------------------- Gibbs
 
 
@@ -158,6 +167,25 @@ def test_gibbs_reproducible():
     assert np.array_equal(c1.theta_samples, c2.theta_samples)
     assert np.array_equal(c1.tau2_samples, c2.tau2_samples)
     assert c1.rejection_rate == c2.rejection_rate
+
+
+def test_gibbs_chain_pinned():
+    # Recorded from the sampler that drew mu with rng.normal(x*s, sqrt(s))
+    # and accepted tau^2 with rng.uniform(): the random stream must not
+    # change.  tau^2 and the rejection rate are exact; theta = |mu|^2/m
+    # is a BLAS dot product, whose summation order may vary.
+    x = np.random.default_rng(3).normal(size=500)
+    chain = gibbs_sample(MeansData(x), 200, seed=5)
+    assert float(chain.tau2_samples.sum()) == 26.65435181633518
+    assert chain.rejection_rate == 2137 / 2337
+    assert float(chain.theta_samples.sum()) == pytest.approx(
+        26.502039838216596, rel=1e-14)
+    for i, tau2, theta in [(0, 0.7293929636221318, 0.6827720395940855),
+                           (1, 0.6205696228523541, 0.6177484090437347),
+                           (99, 0.1163930432766042, 0.11423580602078026),
+                           (199, 0.04788680679686008, 0.04587991805747384)]:
+        assert chain.tau2_samples[i] == tau2
+        assert chain.theta_samples[i] == pytest.approx(theta, rel=1e-14)
 
 
 @pytest.mark.parametrize("x,length,seed,burn", [
