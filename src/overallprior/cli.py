@@ -142,7 +142,7 @@ def cmd_hier(args) -> int:
     prior_fn = (hier.reference_prior_exact if args.prior == "exact"
                 else hier.reference_prior_approx)
     _write_csv(out / "prior_curve.csv", ["a", "prior"],
-               ((a, prior_fn(float(a), table.m, table.n)) for a in grid))
+               zip(grid.tolist(), prior_fn(grid, table.m, table.n).tolist()))
 
     mode = hier.posterior_mode_a(table, prior=args.prior)
     try:

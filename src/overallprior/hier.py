@@ -56,9 +56,15 @@ _MODE_BRACKET = (1e-9, 1e4)
 # Points of the exact-prior cache grid, uniform in log a.
 _CACHE_SIZE = 3000
 
-# Entries per temporary (grid rows x (n + 1) floats, 128 kB) when the
-# exact-prior cache evaluates its grid in 2-D passes.
+# Entries per temporary (rows of a x terms per row, 128 kB) when the
+# likelihood, the exact prior or its cache evaluate an array of a in
+# 2-D passes.
 _CACHE_CHUNK = 1 << 14
+
+# At or below this a, J/a in the likelihood and the Fisher sum (of
+# order 1/a^2) can overflow a float; both switch to forms that take
+# log a or sqrt(a) separately.
+_TINY_A = 1e-300
 
 clamp_diagnostics = {"count": 0}
 
@@ -70,17 +76,27 @@ class CountTable:
     ``counts`` maps cell index (0-based) to a positive count; absent
     cells are zero.  ``n`` is the total count and ``histogram`` a pair
     of arrays, the distinct counts (ascending) and the number of cells
-    holding each; both are computed once, on construction.
-    ``r_profile[j]`` is the number of cells whose count exceeds j, for
-    j = 0..n-1.
+    holding each.  ``r_profile[j]`` is the number of cells whose count
+    exceeds j, for j = 0..n-1.  All are computed once, on construction,
+    together with the terms of the one-pass likelihood (see
+    ``marginal_log_likelihood``): with c_max the largest count,
+
+        log p(x|a) = c0 + sum_k W_k log1p(J_k / a),
+
+    J = (1, .., c_max - 1, 1/m, .., (n-1)/m) and W the exceedance
+    profile r_profile[1:c_max] followed by n - 1 entries of -1.
     """
 
     m: int
     counts: Dict[int, int]
     n: int = field(init=False, repr=False, compare=False)
     histogram: tuple = field(init=False, repr=False, compare=False)
-    # log of the multinomial coefficient n! / prod(counts!)
-    _log_coef: float = field(init=False, repr=False, compare=False)
+    # r_profile as an int array; c0, J and W of the likelihood identity,
+    # c0 = log[n! / prod(counts!)] - n log m
+    _exceed: np.ndarray = field(init=False, repr=False, compare=False)
+    _lik_c0: float = field(init=False, repr=False, compare=False)
+    _lik_j: np.ndarray = field(init=False, repr=False, compare=False)
+    _lik_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -91,16 +107,26 @@ class CountTable:
         if any(i < 0 or i >= self.m for i in counts):
             raise DomainError("cell index out of range")
         object.__setattr__(self, "counts", counts)
-        n = sum(counts.values())
+        m, n = self.m, sum(counts.values())
         if n < 1:
             raise DomainError("need at least one observation")
         values, cells = zip(*sorted(Counter(counts.values()).items()))
         values, cells = np.array(values), np.array(cells, dtype=float)
         log_fact = log_rising(1.0, values[-1])
+        log_coef = log_gamma(n + 1.0) - float(cells @ log_fact[values])
+        # exceed[j] = number of cells whose count v > j
+        by_count = np.zeros(n + 1, dtype=int)
+        by_count[values] = cells
+        exceed = np.cumsum(by_count[::-1])[::-1][1:]
+        top = int(values[-1])
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "histogram", (values, cells))
-        object.__setattr__(self, "_log_coef",
-                           log_gamma(n + 1.0) - float(cells @ log_fact[values]))
+        object.__setattr__(self, "_exceed", exceed)
+        object.__setattr__(self, "_lik_c0", log_coef - n * math.log(m))
+        object.__setattr__(self, "_lik_j", np.concatenate(
+            [np.arange(1.0, top), np.arange(1.0, n) / m]))
+        object.__setattr__(self, "_lik_w", np.concatenate(
+            [exceed[1:top], np.full(n - 1, -1)]).astype(float))
 
     @property
     def r0(self) -> int:
@@ -108,8 +134,7 @@ class CountTable:
 
     @property
     def r_profile(self) -> tuple:
-        vals = sorted(self.counts.values(), reverse=True)
-        return tuple(sum(1 for v in vals if v > j) for j in range(self.n))
+        return tuple(self._exceed.tolist())
 
     @classmethod
     def from_dense(cls, counts: Sequence[int]) -> "CountTable":
@@ -167,17 +192,60 @@ class LimitProfile:
             raise DomainError("need 1 <= r0 <= n")
 
 
-def marginal_log_likelihood(x: CountTable, a: float) -> float:
-    """Log marginal probability of the table under Dirichlet(a,..,a),
-    multinomial coefficient included.  Zero-count cells contribute
-    log[Gamma(a)/Gamma(a)] = 0, and cells with equal counts contribute
-    equally, so the terms run over the distinct counts."""
+def _is_array(a) -> bool:
+    """Raise unless a > 0 (elementwise for an ndarray); true for an
+    ndarray, which the caller evaluates elementwise."""
+    if isinstance(a, np.ndarray):
+        if not (a > 0.0).all():
+            raise DomainError("a must be positive")
+        return True
     if not (a > 0.0):
         raise DomainError("a must be positive")
-    values, cells = x.histogram
-    per_cell = log_rising(a, values[-1])[values]
-    return (x._log_coef + float(cells @ per_cell)
-            - float(log_rising(x.m * a, x.n)[-1]))
+    return False
+
+
+def _by_rows(f, a: np.ndarray, width: int) -> np.ndarray:
+    """``f`` over a 1-D array in slices, so that a (slice x width)
+    temporary holds at most ``_CACHE_CHUNK`` entries."""
+    rows = max(1, _CACHE_CHUNK // max(width, 1))
+    if a.size <= rows:
+        return f(a)
+    return np.concatenate([f(a[k:k + rows]) for k in range(0, a.size, rows)])
+
+
+def marginal_log_likelihood(x: CountTable, a):
+    """Log marginal probability of the table under Dirichlet(a,..,a),
+    multinomial coefficient included; elementwise for an array of a.
+
+    With R_j the number of cells whose count exceeds j,
+
+        log p(x|a) = log coef + sum_{j>=0} R_j log(a + j)
+                     - sum_{i=0}^{n-1} log(m a + i).
+
+    Writing log(y + i) = log y + log1p(i/y), the n log a terms cancel
+    exactly against the n log(m a) terms (sum_j R_j = n), leaving the
+    ``CountTable`` form c0 + sum_k W_k log1p(J_k / a): one division, one
+    log1p and one dot product, with no difference of large logs at any
+    a.  Relative error below 1e-15 against 60-digit mpmath over
+    log a in [-690, 40] on the tables of the tests.  Below ``_TINY_A``,
+    where J/a would overflow, log1p(J/a) is taken as log(a + J) - log a,
+    and sum_k W_k = 1 - r0 gathers the log a terms into one.
+    """
+    if _is_array(a):
+        flat = a.astype(float).ravel()
+        out = np.empty(flat.shape)
+        big = flat > _TINY_A
+        out[big] = _by_rows(lambda v: np.log1p(x._lik_j / v[:, None])
+                            @ x._lik_w, flat[big], x._lik_j.size)
+        tiny = flat[~big]
+        out[~big] = (_by_rows(lambda v: np.log(v[:, None] + x._lik_j)
+                              @ x._lik_w, tiny, x._lik_j.size)
+                     + (x.r0 - 1) * np.log(tiny))
+        return (x._lik_c0 + out).reshape(a.shape)
+    if a > _TINY_A:
+        return x._lik_c0 + float(x._lik_w @ np.log1p(x._lik_j / a))
+    return (x._lik_c0 + float(x._lik_w @ np.log(a + x._lik_j))
+            + (x.r0 - 1) * math.log(a))
 
 
 def _log_pmf_single_vec(a, m: int, n: int) -> np.ndarray:
@@ -230,78 +298,101 @@ def _fisher_sum(a, m: int, n: int) -> np.ndarray:
     return lead + np.sum(q / (a + j) ** 2 - m / maj ** 2, axis=-1)
 
 
-def _clamp_fisher_sum(s: float, a: float) -> float:
-    """Clamp a Fisher sum within the cancellation floor below zero to
-    zero (counted in ``clamp_diagnostics``); raise if it is further
-    below."""
-    if s < 0.0:
-        if s < _NEGATIVE_FLOOR:
+def _clamp_fisher_sum(s, a):
+    """Clamp Fisher sums within the cancellation floor below zero to
+    zero (each counted in ``clamp_diagnostics``); raise if any is
+    further below.  Elementwise over arrays of s and a."""
+    s = np.asarray(s, dtype=float)
+    negative = s < 0.0
+    if negative.any():
+        below = np.flatnonzero(s < _NEGATIVE_FLOOR)
+        if below.size:
+            k = below[0]
             raise AccuracyError(
-                f"Fisher sum {s} below cancellation floor at a={a}",
-                best_estimate=0.0)
-        clamp_diagnostics["count"] += 1
-        s = 0.0
+                f"Fisher sum {s.flat[k]} below cancellation floor "
+                f"at a={np.ravel(a)[k]}", best_estimate=0.0)
+        clamp_diagnostics["count"] += int(np.count_nonzero(negative))
+        s = np.where(negative, 0.0, s)
     return s
 
 
-def reference_prior_exact(a: float, m: int, n: int) -> float:
+def _tiny_a_prior(a: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The exact hyperprior at a <= ``_TINY_A``.  Every j >= 1 term of
+    the Fisher sum is below 1e-290 of the j = 0 term, about
+    (m-1)/m sum_i 1/(ma+i) / a, which overflows at subnormal a: take
+    the two square roots separately."""
+    i = np.arange(1, n, dtype=float)
+    return (np.sqrt((m - 1) / m * np.sum(1.0 / (m * a[..., None] + i),
+                                         axis=-1)) / np.sqrt(a))
+
+
+def reference_prior_exact(a, m: int, n: int):
     """Unnormalized exact reference hyperprior: square root of the
-    marginal-model Fisher information.
+    marginal-model Fisher information; elementwise for an array of a.
 
     Behaves like sqrt((m-1) c_n / m) / sqrt(a) near zero and decays at
     infinity, hence proper.  Slightly negative sums (within 1e-10 of
     zero) are clamped: the leading large-a terms cancel analytically.
     """
-    if not (a > 0.0):
-        raise DomainError("a must be positive")
+    array = _is_array(a)
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and n >= 1")
-    if a <= 1e-300:
-        # Every j >= 1 term is below 1e-290 of the j = 0 term, about
-        # (m-1)/m sum_i 1/(ma+i) / a, which overflows at subnormal a:
-        # take the two square roots separately.
-        i = np.arange(1, n, dtype=float)
-        return (math.sqrt((m - 1) / m * float(np.sum(1.0 / (m * a + i))))
-                / math.sqrt(a))
-    return math.sqrt(_clamp_fisher_sum(float(_fisher_sum(a, m, n)), a))
+    if not array:
+        if a <= _TINY_A:
+            return float(_tiny_a_prior(np.asarray(a, dtype=float), m, n))
+        return math.sqrt(_clamp_fisher_sum(float(_fisher_sum(a, m, n)), a))
+    flat = a.astype(float).ravel()
+    out = np.empty(flat.shape)
+    tiny = flat <= _TINY_A
+    out[tiny] = _tiny_a_prior(flat[tiny], m, n)
+    rest = flat[~tiny]
+    out[~tiny] = np.sqrt(_clamp_fisher_sum(
+        _by_rows(lambda v: _fisher_sum(v, m, n), rest, n + 1), rest))
+    return out.reshape(a.shape)
 
 
-def reference_prior_approx(a: float, m: int, n: int) -> float:
+def reference_prior_approx(a, m: int, n: int):
     """Proper closed-form approximation to the exact hyperprior:
     (1/2)(n/m) a^{-1/2} (a + n/m)^{-3/2}, i.e. a/(a + n/m) ~ Be(1/2, 1).
-    Integrates to 1 exactly."""
-    if not (a > 0.0):
-        raise DomainError("a must be positive")
+    Integrates to 1 exactly.  Elementwise for an array of a."""
+    array = _is_array(a)
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and n >= 1")
     c = n / m
+    if array:
+        return 0.5 * c / (np.sqrt(a) * (a + c) ** 1.5)
     return 0.5 * c / (math.sqrt(a) * (a + c) ** 1.5)
 
 
-def _log_prior(a: float, m: int, n: int, prior: str) -> float:
+def _log_prior(a, m: int, n: int, prior: str):
     if prior == "exact":
         v = reference_prior_exact(a, m, n)
     elif prior == "approx":
         v = reference_prior_approx(a, m, n)
     else:
         raise DomainError(f"unknown prior {prior!r}; use 'exact' or 'approx'")
+    if isinstance(v, np.ndarray):
+        with np.errstate(divide="ignore"):
+            return np.log(v)
     return math.log(v) if v > 0.0 else -math.inf
 
 
-def posterior_log_density_a(a: float, x: CountTable,
-                            prior: str = "exact") -> float:
-    """Unnormalized log posterior density of the hyperparameter a."""
+def posterior_log_density_a(a, x: CountTable, prior: str = "exact"):
+    """Unnormalized log posterior density of the hyperparameter a;
+    elementwise for an array of a."""
     return marginal_log_likelihood(x, a) + _log_prior(a, x.m, x.n, prior)
 
 
 def _log_mode(neg_log_density, lo: float, hi: float) -> float:
-    """Coarse log-grid scan followed by local refinement."""
+    """Minimize ``neg_log_density`` of a over [lo, hi]: a 240-point scan
+    uniform in log a, made as one array call, then scalar refinement in
+    log a around the best point."""
     grid = np.linspace(math.log(lo), math.log(hi), 240)
-    vals = np.array([neg_log_density(t) for t in grid])
-    k = int(np.argmin(vals))
+    k = int(np.argmin(neg_log_density(np.exp(grid))))
     left = grid[max(k - 1, 0)]
     right = grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(neg_log_density, left, right, tol=1e-12)
+    res = minimize_scalar(lambda t: neg_log_density(math.exp(t)),
+                          left, right, tol=1e-12)
     return math.exp(res.argmin)
 
 
@@ -314,7 +405,7 @@ def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
     if x.r0 <= 1:
         raise BoundaryModeError(
             "posterior mode is at a=0 when only one cell is occupied")
-    return _log_mode(lambda t: -posterior_log_density_a(math.exp(t), x, prior),
+    return _log_mode(lambda a: -posterior_log_density_a(a, x, prior),
                      *_MODE_BRACKET)
 
 
@@ -324,7 +415,7 @@ def likelihood_mode_a(x: CountTable) -> float:
     The marginal likelihood is bounded away from zero at infinity, so
     an interior maximizer need not exist; when every cell is occupied
     the likelihood is increasing in a and this raises."""
-    a_hat = _log_mode(lambda t: -marginal_log_likelihood(x, math.exp(t)),
+    a_hat = _log_mode(lambda a: -marginal_log_likelihood(x, a),
                       *_MODE_BRACKET)
     if a_hat > 0.5 * _MODE_BRACKET[1]:
         raise BoundaryModeError("marginal likelihood has no interior mode")
@@ -337,8 +428,8 @@ def approx_posterior_curvature(a: float, x: CountTable) -> float:
         raise DomainError("a must be positive")
     m, n = x.m, x.n
     j = np.arange(n, dtype=float)
-    r = np.asarray(x.r_profile, dtype=float)
-    out = float(np.sum(m * m / (m * a + j) ** 2) - np.sum(r / (a + j) ** 2))
+    out = float(np.sum(m * m / (m * a + j) ** 2)
+                - np.sum(x._exceed / (a + j) ** 2))
     return out + 0.5 / a ** 2 + 1.5 / (a + n / m) ** 2
 
 
@@ -371,9 +462,7 @@ class _ExactPriorCache:
         self.m, self.n = m, n
         lo, hi = _MODE_BRACKET
         ts = np.linspace(math.log(lo), math.log(hi), _CACHE_SIZE)
-        rows = max(1, _CACHE_CHUNK // (n + 1))
-        s = np.concatenate([_fisher_sum(np.exp(ts[k:k + rows]), m, n)
-                            for k in range(0, _CACHE_SIZE, rows)])
+        s = _by_rows(lambda t: _fisher_sum(np.exp(t), m, n), ts, n + 1)
         vanished = np.flatnonzero(s <= 0.0)
         if vanished.size:
             # Cancellation noise clamped to zero: truncate the grid here

@@ -6,11 +6,13 @@ every formula built on top of them:
 
 - ``log_gamma`` is ``math.lgamma`` behind a domain check;
 - ``log_rising`` and ``log_rising_ratio`` give log rising factorials
-  for every j = 0..k in one numpy pass.  The marginal likelihood, the
-  single-cell pmf and the expected loss take their log-gamma
+  for every j = 0..k in one numpy pass.  The single-cell pmf, the
+  multinomial coefficient and the expected loss take their log-gamma
   differences at arguments an integer apart through them rather than
   as a difference of two ``lgamma`` values, which cancels when the
-  argument is much larger than the step;
+  argument is much larger than the step.  The marginal likelihood
+  needs no log-gamma at all: ``hier.CountTable`` writes it as one
+  weighted sum of log1p terms (see ``hier.marginal_log_likelihood``);
 - ``digamma`` (elementwise on arrays) and ``trigamma`` shift the
   argument up with the recurrence and then sum the asymptotic series.
 """

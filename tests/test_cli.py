@@ -90,6 +90,9 @@ def test_hier_outputs_and_reproducibility(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["a", "prior"]
     assert len(rows) == 21
+    for a, v in rows[1:]:
+        assert float(v) == pytest.approx(
+            hier.reference_prior_exact(float(a), 50, 8), rel=1e-12)
 
 
 def test_hier_single_cell_is_precondition_failure(tmp_path):

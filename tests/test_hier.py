@@ -2,6 +2,8 @@
 modes, MCMC, large-m limit, and the hypergeometric reduction."""
 
 import math
+import warnings
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -25,7 +27,7 @@ from overallprior.hier import (CountTable, LimitProfile, _ExactPriorCache,
                                posterior_mode_a, reference_prior_approx,
                                reference_prior_exact, sample_posterior,
                                tail_Q)
-from overallprior.numerics import integrate
+from overallprior.numerics import integrate, minimize_scalar
 
 # ---------------------------------------------------------------- tables
 
@@ -107,6 +109,53 @@ def test_marginal_log_likelihood_far_tail_mpmath(log_a):
             ref += lg(c + ma) - lg(ma) - lg(c + 1)
         ref = float(ref)
     assert marginal_log_likelihood(t, a) == pytest.approx(ref, rel=1e-14)
+
+
+def _sweep_tables():
+    """Dense Poisson (n = 987 over 2000 cells), m = n = 60, a small
+    three-cell table and a sparse m = 1000, n = 30 table."""
+    return {
+        "poisson": _dense_poisson_table(),
+        "60x60": CountTable.from_dense(
+            np.random.default_rng(7).multinomial(60, np.full(60, 1 / 60))),
+        "40x8": CountTable(m=40, counts={0: 5, 3: 2, 17: 1}),
+        "1000x30": CountTable.from_dense(np.random.default_rng(8).multinomial(
+            30, np.random.default_rng(9).dirichlet(np.full(1000, 0.05)))),
+    }
+
+
+def _mll_mpmath(t, a):
+    """Log marginal likelihood at 60 digits, over the distinct counts."""
+    lg = mpmath.loggamma
+    with mpmath.workdps(60):
+        a = mpmath.mpf(a)
+        ref = lg(t.n + 1) + lg(t.m * a) - lg(t.n + t.m * a)
+        for c, k in Counter(t.counts.values()).items():
+            ref += k * (lg(c + a) - lg(a) - lg(c + 1))
+        return ref
+
+
+@pytest.mark.parametrize("name", ["poisson", "60x60", "40x8", "1000x30"])
+def test_marginal_log_likelihood_mpmath_sweep(name):
+    t = _sweep_tables()[name]
+    for log_a in np.linspace(-690.0, 40.0, 74):
+        a = math.exp(log_a)
+        ref = _mll_mpmath(t, a)
+        assert float(abs((marginal_log_likelihood(t, a) - ref) / ref)) \
+            < 1e-14, (name, log_a)
+
+
+@pytest.mark.parametrize("a", [1e-308, 1e-310, 5e-324])
+def test_marginal_log_likelihood_subnormal_a(a):
+    # J/a overflows a float here; the tiny-a form must not.
+    for name, t in _sweep_tables().items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = marginal_log_likelihood(t, a)
+            row = marginal_log_likelihood(t, np.array([a, 1.0]))[0]
+        ref = _mll_mpmath(t, a)
+        assert math.isfinite(got) and row == pytest.approx(got, rel=1e-13)
+        assert float(abs((got - ref) / ref)) < 1e-14, name
 
 
 def test_marginal_likelihood_sums_to_one_small_case():
@@ -202,6 +251,32 @@ def test_exact_prior_domain():
         reference_prior_exact(1.0, 1, 5)
 
 
+_ARRAY_A = np.concatenate(([5e-324, 1e-310, 1e-300, 3e-300],
+                           np.exp(np.linspace(-40.0, 12.0, 53))))
+
+
+@pytest.mark.parametrize("name", ["poisson", "60x60", "40x8", "1000x30"])
+def test_likelihood_array_matches_scalar_calls(name):
+    t = _sweep_tables()[name]
+    np.testing.assert_allclose(
+        marginal_log_likelihood(t, _ARRAY_A),
+        [marginal_log_likelihood(t, float(a)) for a in _ARRAY_A], rtol=1e-13)
+    with pytest.raises(DomainError):
+        marginal_log_likelihood(t, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("mn", [(60, 60), (1000, 30), (10, 5), (7, 30)])
+def test_priors_array_match_scalar_calls(mn):
+    m, n = mn
+    for prior in (reference_prior_exact, reference_prior_approx):
+        got = prior(_ARRAY_A, m, n)
+        assert got.shape == _ARRAY_A.shape
+        np.testing.assert_allclose(
+            got, [prior(float(a), m, n) for a in _ARRAY_A], rtol=1e-13)
+        with pytest.raises(DomainError):
+            prior(np.array([1.0, -1.0]), m, n)
+
+
 def normalizer(m, n, upper):
     z = integrate(lambda a: reference_prior_exact(a, m, n), 0.0, upper,
                   tol=1e-7)
@@ -287,6 +362,28 @@ def test_posterior_mode_matches_grid_argmax():
         grid = np.exp(np.linspace(math.log(1e-5), math.log(50), 3000))
         vals = [posterior_log_density_a(a, t, prior) for a in grid]
         assert mode == pytest.approx(grid[int(np.argmax(vals))], rel=0.01)
+
+
+def _scalar_scan_mode(neg_log_density):
+    """The mode search with its 240-point scan made one scalar call at a
+    time, as a reference for the array scan."""
+    grid = np.linspace(math.log(1e-9), math.log(1e4), 240)
+    k = int(np.argmin([neg_log_density(math.exp(t)) for t in grid]))
+    res = minimize_scalar(lambda t: neg_log_density(math.exp(t)),
+                          grid[max(k - 1, 0)], grid[min(k + 1, 239)],
+                          tol=1e-12)
+    return math.exp(res.argmin)
+
+
+def test_modes_match_scalar_scan():
+    t = _synthetic_table()
+    for prior in ("exact", "approx"):
+        ref = _scalar_scan_mode(
+            lambda a: -posterior_log_density_a(a, t, prior))
+        assert posterior_mode_a(t, prior=prior) == pytest.approx(ref,
+                                                                 rel=1e-9)
+    ref = _scalar_scan_mode(lambda a: -marginal_log_likelihood(t, a))
+    assert likelihood_mode_a(t) == pytest.approx(ref, rel=1e-9)
 
 
 # --------------------------------------------------------- log-concavity
@@ -506,6 +603,27 @@ def test_exact_prior_cache_truncates_where_sum_vanishes(monkeypatch):
     t = _CACHE_TS[600]
     assert cache.log_value(math.exp(t)) == pytest.approx(-0.5 * t, abs=1e-9)
     assert cache.log_value(math.exp(_CACHE_TS[2000])) == -math.inf
+
+
+def test_exact_prior_array_clamps_like_scalar_calls(monkeypatch):
+    _fake_fisher_sum(monkeypatch, -1e-12)
+    a = np.exp(_CACHE_TS[1200:1300])
+    before = hier.clamp_diagnostics["count"]
+    scalar = [reference_prior_exact(float(v), 10, 5) for v in a]
+    clamped = hier.clamp_diagnostics["count"] - before
+    assert clamped == 66
+    np.testing.assert_allclose(reference_prior_exact(a, 10, 5), scalar,
+                               rtol=1e-13)
+    assert hier.clamp_diagnostics["count"] - before == 2 * clamped
+
+
+def test_exact_prior_array_raises_like_scalar_calls(monkeypatch):
+    _fake_fisher_sum(monkeypatch, -1.0)
+    a = np.exp(_CACHE_TS[1200:1300])
+    with pytest.raises(AccuracyError):
+        reference_prior_exact(float(a[-1]), 10, 5)
+    with pytest.raises(AccuracyError):
+        reference_prior_exact(a, 10, 5)
 
 
 def test_exact_prior_cache_raises_below_cancellation_floor(monkeypatch):
