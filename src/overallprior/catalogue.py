@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SingularityError
-from .numerics import trigamma
+from .numerics import _SHIFT, _TRIGAMMA_COEF, _series, trigamma
 
 __all__ = [
     "BvnParams",
@@ -200,10 +200,15 @@ def inverse_gaussian_prior(alpha: float, psi: float) -> float:
 
 def gamma_mean_prior(alpha: float, mu: float) -> float:
     """Common reference prior for the Gamma(alpha, mean mu):
-    sqrt(alpha trigamma(alpha) - 1) / (sqrt(alpha) mu)."""
+    sqrt(alpha trigamma(alpha) - 1) / (sqrt(alpha) mu), the difference
+    summed from alpha = 9 as 1/(2 alpha) + sum_k B_2k alpha^-2k."""
     if not (alpha > 0.0 and mu > 0.0):
         raise DomainError("alpha and mu must be positive")
-    return math.sqrt(alpha * trigamma(alpha) - 1.0) / (math.sqrt(alpha) * mu)
+    if alpha < _SHIFT:
+        excess = alpha * trigamma(alpha) - 1.0
+    else:
+        excess = 0.5 / alpha + _series(_TRIGAMMA_COEF, 1.0 / (alpha * alpha))
+    return math.sqrt(excess) / (math.sqrt(alpha) * mu)
 
 
 def stress_strength_prior(theta: float, psi: float) -> float:

@@ -127,10 +127,8 @@ def cmd_refdist(args) -> int:
 
 def cmd_hier(args) -> int:
     table = hier.CountTable.from_sparse_text(Path(args.input).read_text())
-    if table.r0 <= 1:
-        print("error: only one occupied cell; the posterior mode of a "
-              "sits at the unusable a=0 boundary", file=sys.stderr)
-        return EXIT_PRECONDITION
+    # First, so that a table with one occupied cell fails before any output.
+    mode = hier.posterior_mode_a(table, prior=args.prior)
     out = _outdir(args)
 
     chain = hier.sample_posterior(table, args.chain, seed=args.seed,
@@ -144,7 +142,6 @@ def cmd_hier(args) -> int:
     _write_csv(out / "prior_curve.csv", ["a", "prior"],
                zip(grid.tolist(), prior_fn(grid, table.m, table.n).tolist()))
 
-    mode = hier.posterior_mode_a(table, prior=args.prior)
     try:
         lik_mode = hier.likelihood_mode_a(table)
     except PreconditionError:

@@ -27,8 +27,7 @@ __all__ = [
     "HierChain",
     "LimitProfile",
     "marginal_log_likelihood",
-    "marginal_pmf_single",
-    "tail_Q",
+    "marginal_pmf",
     "reference_prior_exact",
     "reference_prior_approx",
     "posterior_log_density_a",
@@ -74,12 +73,11 @@ class CountTable:
     """Sparse multinomial counts over m cells.
 
     ``counts`` maps cell index (0-based) to a positive count; absent
-    cells are zero.  ``n`` is the total count and ``histogram`` a pair
-    of arrays, the distinct counts (ascending) and the number of cells
-    holding each.  ``r_profile[j]`` is the number of cells whose count
-    exceeds j, for j = 0..n-1.  All are computed once, on construction,
-    together with the terms of the one-pass likelihood (see
-    ``marginal_log_likelihood``): with c_max the largest count,
+    cells are zero.  ``n`` is the total count and ``r_profile[j]`` the
+    number of cells whose count exceeds j, for j = 0..n-1.  Both are
+    computed once, on construction, together with the terms of the
+    one-pass likelihood (see ``marginal_log_likelihood``): with c_max
+    the largest count,
 
         log p(x|a) = c0 + sum_k W_k log1p(J_k / a),
 
@@ -90,7 +88,6 @@ class CountTable:
     m: int
     counts: Dict[int, int]
     n: int = field(init=False, repr=False, compare=False)
-    histogram: tuple = field(init=False, repr=False, compare=False)
     # r_profile as an int array; c0, J and W of the likelihood identity,
     # c0 = log[n! / prod(counts!)] - n log m
     _exceed: np.ndarray = field(init=False, repr=False, compare=False)
@@ -120,7 +117,6 @@ class CountTable:
         exceed = np.cumsum(by_count[::-1])[::-1][1:]
         top = int(values[-1])
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "histogram", (values, cells))
         object.__setattr__(self, "_exceed", exceed)
         object.__setattr__(self, "_lik_c0", log_coef - n * math.log(m))
         object.__setattr__(self, "_lik_j", np.concatenate(
@@ -248,34 +244,19 @@ def marginal_log_likelihood(x: CountTable, a):
             + (x.r0 - 1) * math.log(a))
 
 
-def _log_pmf_single_vec(a, m: int, n: int) -> np.ndarray:
-    """Log of the beta-binomial(a, (m-1)a) cell marginal for x = 0..n,
-    log C(n,x) + R_a[x] + R_{(m-1)a}[n-x] - R_{ma}[n] with R the log
-    rising factorials.  An array of a gives one row per value."""
-    a = np.asarray(a, dtype=float)
-    log_fact = log_rising(1.0, n)
-    return (log_fact[-1] - log_fact - log_fact[::-1]
-            + log_rising(a, n) + log_rising((m - 1) * a, n)[..., ::-1]
-            - log_rising(m * a, n)[..., -1:])
-
-
-def marginal_pmf_single(x: int, a: float, m: int, n: int) -> float:
-    """Marginal pmf of a single cell count: beta-binomial(a, (m-1)a)."""
-    if not (0 <= x <= n):
-        raise DomainError(f"count x={x} outside 0..{n}")
-    if not (a > 0.0):
-        raise DomainError("a must be positive")
+def marginal_pmf(a, m: int, n: int) -> np.ndarray:
+    """Marginal pmf of a single cell count, beta-binomial(a, (m-1)a),
+    for x = 0..n: exp(log C(n,x) + R_a[x] + R_{(m-1)a}[n-x] - R_{ma}[n])
+    with R the log rising factorials.  An array of a gives one row per
+    value."""
+    _is_array(a)
     if m < 2:
         raise DomainError("need m >= 2")
-    return float(np.exp(_log_pmf_single_vec(a, m, n)[x]))
-
-
-def tail_Q(j: int, a: float, m: int, n: int) -> float:
-    """Right tail of the single-cell marginal: sum of p(l) for l > j."""
-    if not (0 <= j <= n - 1):
-        raise DomainError(f"tail index j={j} outside 0..{n - 1}")
-    p = np.exp(_log_pmf_single_vec(a, m, n))
-    return float(p[j + 1:].sum())
+    a = np.asarray(a, dtype=float)
+    log_fact = log_rising(1.0, n)
+    return np.exp(log_fact[-1] - log_fact - log_fact[::-1]
+                  + log_rising(a, n) + log_rising((m - 1) * a, n)[..., ::-1]
+                  - log_rising(m * a, n)[..., -1:])
 
 
 def _fisher_sum(a, m: int, n: int) -> np.ndarray:
@@ -288,7 +269,7 @@ def _fisher_sum(a, m: int, n: int) -> np.ndarray:
     is taken in closed form: Q_0 - 1/m = (m-1)/m (1 - prod_{i=1}^{n-1}
     (1 - a/(ma+i))), which keeps its digits however small a is."""
     a = np.asarray(a, dtype=float)[..., None]
-    p = np.exp(_log_pmf_single_vec(a[..., 0], m, n))
+    p = marginal_pmf(a[..., 0], m, n)
     # Q[j] = sum_{l > j} p_l for j = 1..n-1
     q = np.cumsum(p[..., ::-1], axis=-1)[..., ::-1][..., 2:]
     j = np.arange(1, n, dtype=float)
@@ -500,23 +481,55 @@ class _ExactPriorCache:
                 + t * t * (3 - 2 * t) * ys[i + 1] + t * t * (t - 1) * hd[i + 1])
 
 
+def _slice_step(log_target, rng, t: float, lt: float):
+    """One slice-sampling update of t, whose log target is lt: step out
+    by 2 at most 200 times a side, then shrink the bracket until a
+    proposal lands in the slice.  Returns the new t and its target."""
+    ly = lt + math.log(rng.random())
+    left = t - 2.0 * rng.random()
+    right = left + 2.0
+    steps = 200
+    while steps > 0 and log_target(left) > ly:
+        left -= 2.0
+        steps -= 1
+    steps = 200
+    while steps > 0 and log_target(right) > ly:
+        right += 2.0
+        steps -= 1
+    while True:
+        # rng.uniform(left, right) to the bit, at a third the cost
+        prop = left + (right - left) * rng.random()
+        lprop = log_target(prop)
+        if lprop >= ly:
+            return prop, lprop
+        if prop < t:
+            left = prop
+        else:
+            right = prop
+
+
 def sample_posterior(x: CountTable, length: int, seed: int,
                      prior: str = "exact", thetas: bool = False,
                      method: str = "mh", warmup: int = 2000) -> HierChain:
     """Draw an MCMC chain targeting the hyperposterior of a.
 
-    ``method="mh"`` runs a random-walk Metropolis sampler on log a,
-    with the step size adapted during a discarded warm-up to land in
-    the 30-45% acceptance band.  ``method="slice"`` runs a univariate
+    ``method="mh"`` runs a random-walk Metropolis sampler on log a.  Its
+    ``warmup`` discarded draws adapt the step size after every block of
+    50, towards the 30-45% acceptance band; the acceptances of an
+    unfinished last block are dropped, and the reported acceptance rate
+    counts the kept draws only.  ``method="slice"`` runs a univariate
     slice sampler on log a (appropriate under the approximate prior
     with three or more occupied cells, where the target is log-concave
-    in a).  With ``thetas=True`` each a is augmented by a
-    Dirichlet(x_1+a, .., x_m+a) draw of the cell probabilities.
+    in a), after min(warmup, 200) discarded draws.  With
+    ``thetas=True`` each a is augmented by a Dirichlet(x_1+a, ..,
+    x_m+a) draw of the cell probabilities.
 
     Chains are reproducible: a fixed seed yields an identical chain.
     """
     if length < 1:
         raise DomainError("chain length must be >= 1")
+    if warmup < 0:
+        raise DomainError("warmup must be >= 0")
     if method not in ("mh", "slice"):
         raise DomainError(f"unknown method {method!r}")
     if prior == "exact":
@@ -535,59 +548,28 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     lt = log_target(t)
 
     draws = np.empty(length)
+    mh = method == "mh"
+    first = -warmup if mh else -min(warmup, 200)
+    scale = 1.0
     accepted = 0
-
-    if method == "mh":
-        scale = 1.0
-        block_acc = 0
-        for i in range(warmup):
-            prop = t + scale * rng.standard_normal()
-            lprop = log_target(prop)
-            if math.log(rng.random()) < lprop - lt:
-                t, lt = prop, lprop
-                block_acc += 1
-            if (i + 1) % 50 == 0:
-                rate = block_acc / 50.0
-                scale *= math.exp(1.2 * (rate - 0.375))
-                scale = min(max(scale, 1e-3), 50.0)
-                block_acc = 0
-        for i in range(length):
+    for i in range(first, length):
+        if mh:
             prop = t + scale * rng.standard_normal()
             lprop = log_target(prop)
             if math.log(rng.random()) < lprop - lt:
                 t, lt = prop, lprop
                 accepted += 1
+            if i < 0 and (i - first + 1) % 50 == 0:
+                rate = accepted / 50.0
+                scale *= math.exp(1.2 * (rate - 0.375))
+                scale = min(max(scale, 1e-3), 50.0)
+                accepted = 0
+        else:
+            t, lt = _slice_step(log_target, rng, t, lt)
+        if i >= 0:
             draws[i] = math.exp(t)
-        acc_rate = accepted / length
-    else:
-        w = 2.0
-        max_steps = 200
-        for i in range(-min(warmup, 200), length):
-            ly = lt + math.log(rng.random())
-            left = t - w * rng.random()
-            right = left + w
-            steps = max_steps
-            while steps > 0 and log_target(left) > ly:
-                left -= w
-                steps -= 1
-            steps = max_steps
-            while steps > 0 and log_target(right) > ly:
-                right += w
-                steps -= 1
-            while True:
-                # rng.uniform(left, right) to the bit, at a third the cost
-                prop = left + (right - left) * rng.random()
-                lprop = log_target(prop)
-                if lprop >= ly:
-                    t, lt = prop, lprop
-                    break
-                if prop < t:
-                    left = prop
-                else:
-                    right = prop
-            if i >= 0:
-                draws[i] = math.exp(t)
-        acc_rate = 1.0
+        elif i == -1:  # end of warm-up: drop an unfinished 50-draw block
+            accepted = 0
 
     theta_draws = None
     if thetas:
@@ -599,7 +581,7 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         theta_draws /= theta_draws.sum(axis=1, keepdims=True)
 
     return HierChain(a_samples=draws, theta_samples=theta_draws, seed=seed,
-                     acceptance_rate=acc_rate)
+                     acceptance_rate=accepted / length if mh else 1.0)
 
 
 def limit_density_psi(v: float, profile: LimitProfile) -> float:

@@ -38,7 +38,6 @@ __all__ = [
     "digamma",
     "trigamma",
     "kl_beta",
-    "kl_numeric",
     "minimize_scalar",
     "integrate",
 ]
@@ -180,6 +179,14 @@ def log_rising_ratio(x: float, y: float, k: int) -> np.ndarray:
     return out
 
 
+def _series(coef, z):
+    """sum_k coef[k] z^(k+1) by Horner's rule; z a float or an array."""
+    out = 0.0
+    for c in reversed(coef):
+        out = (out + c) * z
+    return out
+
+
 def digamma(x):
     """Digamma function psi(x) for x > 0, elementwise on arrays.
 
@@ -195,11 +202,7 @@ def digamma(x):
     i = np.arange(_SHIFT)
     acc = -np.where(i < s[..., None], 1.0 / (y[..., None] + i), 0.0).sum(-1)
     y = y + s
-    z = 1.0 / (y * y)
-    series = 0.0
-    for c in reversed(_DIGAMMA_COEF):
-        series = (series + c) * z
-    out = acc + np.log(y) - 0.5 / y - series
+    out = acc + np.log(y) - 0.5 / y - _series(_DIGAMMA_COEF, 1.0 / (y * y))
     return float(out) if out.ndim == 0 else out
 
 
@@ -214,9 +217,7 @@ def trigamma(x: float) -> float:
         acc += 1.0 / (y * y)
         y += 1.0
     z = 1.0 / (y * y)
-    series = 0.0
-    for c in reversed(_TRIGAMMA_COEF):
-        series = (series + c) * z
+    series = _series(_TRIGAMMA_COEF, z)
     series *= 1.0 / y  # series terms are B_2k / y^{2k+1}
     return acc + 1.0 / y + 0.5 * z + series
 
@@ -242,34 +243,8 @@ def kl_beta(alpha0: float, beta0: float, alpha: float, beta: float) -> float:
     )
 
 
-def kl_numeric(p: Grid1D, q: Grid1D) -> float:
-    """Trapezoid estimate of the directed divergence of q from p's law.
-
-    ``p`` and ``q`` must be tabulated on the same grid and ``p`` should
-    integrate to about 1.  Returns ``math.inf`` when q vanishes on a
-    point where p does not (mismatched support), rather than raising:
-    callers minimize over families whose boundary members degenerate.
-    """
-    if p.points != q.points:
-        raise DomainError("kl_numeric requires a common support grid")
-    integrand = []
-    for pv, qv in zip(p.values, q.values):
-        if pv < 0.0 or qv < 0.0:
-            raise DomainError("densities must be nonnegative")
-        if pv == 0.0:
-            integrand.append(0.0)
-        elif qv == 0.0:
-            return math.inf
-        else:
-            integrand.append(pv * math.log(pv / qv))
-    xs = p.points
-    total = 0.0
-    for i in range(len(xs) - 1):
-        total += 0.5 * (integrand[i] + integrand[i + 1]) * (xs[i + 1] - xs[i])
-    return total
-
-
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_MINIMIZE_MAX_ITER = 500
 
 
 def _checked_eval(f: Callable[[float], float], x: float) -> float:
@@ -280,12 +255,12 @@ def _checked_eval(f: Callable[[float], float], x: float) -> float:
 
 
 def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
-                    tol: float = 1e-10, max_iter: int = 500) -> OptimResult:
+                    tol: float = 1e-10) -> OptimResult:
     """Bracketing minimizer on [lo, hi]: golden section with parabolic steps.
 
     For a unimodal f the returned point is the global minimizer to
-    within ``tol``; otherwise it is a local minimizer (converged flag
-    still reports bracket collapse).
+    within ``tol``; otherwise it is a local minimizer.  ``converged``
+    reports bracket collapse within ``_MINIMIZE_MAX_ITER`` steps.
     """
     if not (lo < hi):
         raise DomainError("minimize_scalar requires lo < hi")
@@ -297,7 +272,7 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
     d = e = 0.0
     iterations = 0
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, _MINIMIZE_MAX_ITER + 1):
         mid = 0.5 * (a + b)
         tol1 = tol * abs(x) + 1e-15
         tol2 = 2.0 * tol1

@@ -40,6 +40,7 @@ __all__ = [
 # Covers 0.8/m for every m up to 1e5 as well as the Jeffreys value 1/2.
 _A_BRACKET_LO_TIMES_M = 1e-4
 _A_BRACKET_HI = 10.0
+_OPTIMAL_A_TOL = 1e-8
 
 # psi(1) = -gamma (Euler's constant) and psi(1/2) = -gamma - 2 log 2.
 _PSI_ONE = -0.5772156649015329
@@ -153,7 +154,7 @@ def expected_loss(a: float, cfg: RefDistConfig) -> float:
     return float(predictive @ divergence)
 
 
-def optimal_a(cfg: RefDistConfig, tol: float = 1e-8) -> OptimResult:
+def optimal_a(cfg: RefDistConfig) -> OptimResult:
     """Minimize expected_loss over a, searching in log(a) space.
 
     The optimum scales like 1/m, so the bracket is [1e-4/m, 10] on the
@@ -162,7 +163,7 @@ def optimal_a(cfg: RefDistConfig, tol: float = 1e-8) -> OptimResult:
     lo = math.log(_A_BRACKET_LO_TIMES_M / cfg.m)
     hi = math.log(_A_BRACKET_HI)
     res = minimize_scalar(lambda t: expected_loss(math.exp(t), cfg),
-                          lo, hi, tol=tol)
+                          lo, hi, tol=_OPTIMAL_A_TOL)
     return OptimResult(argmin=math.exp(res.argmin), min_value=res.min_value,
                        iterations=res.iterations, converged=res.converged)
 

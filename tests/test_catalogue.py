@@ -3,6 +3,7 @@ reparametrizations, and the right-Haar averaging identity."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -152,6 +153,19 @@ def test_gamma_mean_prior_value():
     assert gamma_mean_prior(1.0, 1.0) == pytest.approx(
         math.sqrt(math.pi ** 2 / 6.0 - 1.0), rel=1e-12)
     assert gamma_mean_prior(1.0, 1.0) == pytest.approx(0.80308, abs=5e-6)
+
+
+def test_gamma_mean_prior_mpmath_sweep():
+    # alpha trigamma(alpha) - 1 is about 1/(2 alpha): as a direct
+    # difference it loses log10(alpha) digits, and the oracle carries
+    # that many extra.  alpha = 9 is where the series form takes over.
+    mu = 0.5
+    for alpha in np.logspace(-3, 300, 304).tolist() + [9.0]:
+        with mpmath.workdps(50 + max(0, int(math.log10(alpha)))):
+            a = mpmath.mpf(alpha)
+            ref = float(mpmath.sqrt(a * mpmath.psi(1, a) - 1)
+                        / (mpmath.sqrt(a) * mu))
+        assert gamma_mean_prior(alpha, mu) == pytest.approx(ref, rel=1e-13)
 
 
 def test_gamma_expfam_consistent_with_closed_form():

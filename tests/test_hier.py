@@ -22,11 +22,10 @@ from overallprior.hier import (CountTable, LimitProfile, _ExactPriorCache,
                                hypergeometric_overall_prior,
                                hypergeometric_pmf, likelihood_mode_a,
                                limit_density_psi, log_concavity_certificate,
-                               marginal_log_likelihood, marginal_pmf_single,
+                               marginal_log_likelihood, marginal_pmf,
                                mode_asymptotic, posterior_log_density_a,
                                posterior_mode_a, reference_prior_approx,
-                               reference_prior_exact, sample_posterior,
-                               tail_Q)
+                               reference_prior_exact, sample_posterior)
 from overallprior.numerics import integrate, minimize_scalar
 
 # ---------------------------------------------------------------- tables
@@ -36,14 +35,6 @@ def test_count_table_basics():
     t = CountTable.from_dense([5, 3, 0, 2, 0])
     assert (t.m, t.n, t.r0) == (5, 10, 3)
     assert t.r_profile[:5] == (3, 3, 2, 1, 1)
-
-
-def test_count_table_histogram():
-    t = CountTable.from_dense([5, 3, 0, 2, 0, 3, 3])
-    values, cells = t.histogram
-    assert values.tolist() == [2, 3, 5]
-    assert cells.tolist() == [1, 3, 1]
-    assert t.n == 16
 
 
 def test_count_table_validation():
@@ -175,22 +166,29 @@ def test_marginal_likelihood_sums_to_one_small_case():
 
 def test_single_cell_marginal_is_beta_binomial():
     m, n, a = 12, 20, 0.8
+    p = marginal_pmf(a, m, n)
+    assert p.shape == (n + 1,)
     for x in (0, 1, 7, 20):
         ref = float(scipy.stats.betabinom.pmf(x, n, a, (m - 1) * a))
-        assert marginal_pmf_single(x, a, m, n) == pytest.approx(ref,
-                                                                rel=1e-10)
-    assert sum(marginal_pmf_single(x, a, m, n) for x in range(n + 1)) == \
-        pytest.approx(1.0, abs=1e-12)
+        assert p[x] == pytest.approx(ref, rel=1e-10)
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
 
 
-def test_tail_q_identity():
-    m, n, a = 10, 50, 0.7
-    for j in (0, 3, 49):
-        direct = sum(marginal_pmf_single(l, a, m, n)
-                     for l in range(j + 1, n + 1))
-        assert tail_Q(j, a, m, n) == pytest.approx(direct, abs=1e-13)
+def test_marginal_pmf_rows_match_scalar_calls():
+    m, n = 10, 50
+    a = np.array([1e-6, 0.05, 0.7, 3.0, 250.0])
+    rows = marginal_pmf(a, m, n)
+    assert rows.shape == (a.size, n + 1)
+    for row, v in zip(rows, a):
+        np.testing.assert_array_equal(row, marginal_pmf(float(v), m, n))
+
+
+@pytest.mark.parametrize("a,m", [(0.0, 10), (-0.5, 10), (math.nan, 10),
+                                 (np.array([0.5, 0.0]), 10),
+                                 (np.array([-1.0, 2.0]), 10), (0.5, 1)])
+def test_marginal_pmf_domain(a, m):
     with pytest.raises(DomainError):
-        tail_Q(n, a, m, n)
+        marginal_pmf(a, m, 20)
 
 
 # ---------------------------------------------------------- exact prior
@@ -503,6 +501,32 @@ def test_chain_pinned(prior, method):
         _PINNED_CHAINS[prior, method], rtol=1e-12)
 
 
+# Recorded values for MH chains whose warm-up is not a whole number of
+# 50-draw adaptation blocks, or empty: the acceptances of an unfinished
+# block must not reach the acceptance rate of the kept draws.
+_PINNED_WARMUP_CHAINS = {
+    # (prior, warmup): (a[0], a[99], a[-1], sum(a), acceptance rate)
+    ("approx", 0): (0.41391362399374165, 0.24496353311797373,
+                    0.435795839446071, 99.68105446097033, 0.565),
+    ("approx", 75): (0.2183257976656546, 0.25224725824404204,
+                     0.380393520450768, 93.8827923737872, 0.445),
+    ("exact", 0): (0.41391362399374165, 0.24496353311797373,
+                   0.42069270238370926, 94.79046076599678, 0.6),
+    ("exact", 75): (0.2183257976656546, 0.5147920334063809,
+                    0.38560105164466946, 91.37376177160294, 0.515),
+}
+
+
+@pytest.mark.parametrize("prior,warmup", sorted(_PINNED_WARMUP_CHAINS))
+def test_mh_chain_pinned_at_partial_warmup(prior, warmup):
+    chain = sample_posterior(_synthetic_table(), 200, seed=11, prior=prior,
+                             method="mh", warmup=warmup)
+    a = chain.a_samples
+    np.testing.assert_allclose(
+        [a[0], a[99], a[-1], a.sum(), chain.acceptance_rate],
+        _PINNED_WARMUP_CHAINS[prior, warmup], rtol=1e-12)
+
+
 def test_theta_draws_pinned():
     chain = sample_posterior(_synthetic_table(), 200, seed=11, warmup=200,
                              thetas=True)
@@ -529,6 +553,9 @@ def test_sampler_argument_validation():
         sample_posterior(t, 10, seed=1, method="nuts")
     with pytest.raises(DomainError):
         sample_posterior(t, 10, seed=1, prior="flat")
+    for method in ("mh", "slice"):
+        with pytest.raises(DomainError):
+            sample_posterior(t, 10, seed=1, method=method, warmup=-1)
 
 
 def test_slice_sampler_steps_out_into_far_tail():

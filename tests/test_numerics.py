@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from overallprior.exceptions import (AccuracyError, DomainError,
                                      EvaluationError)
 from overallprior.numerics import (Grid1D, digamma, integrate, kl_beta,
-                                   kl_numeric, log_gamma, log_rising,
-                                   log_rising_ratio, minimize_scalar,
-                                   trigamma)
+                                   log_gamma, log_rising, log_rising_ratio,
+                                   minimize_scalar, trigamma)
 
 # ---------------------------------------------------------------- specials
 
@@ -206,17 +205,6 @@ def test_kl_beta_zero_iff_same(a, b):
 def test_kl_beta_rejects_nonpositive_parameters():
     with pytest.raises(DomainError):
         kl_beta(0.0, 1.0, 1.0, 1.0)
-
-
-def test_kl_numeric_matches_closed_form():
-    xs = np.linspace(1e-6, 1 - 1e-6, 200001)
-    def beta_pdf(a, b):
-        return np.exp(sp.gammaln(a + b) - sp.gammaln(a) - sp.gammaln(b)
-                      + (a - 1) * np.log(xs) + (b - 1) * np.log1p(-xs))
-    p = Grid1D(points=tuple(xs), values=tuple(beta_pdf(2.0, 3.0)))
-    q = Grid1D(points=tuple(xs), values=tuple(beta_pdf(3.0, 2.0)))
-    assert kl_numeric(p, q) == pytest.approx(kl_beta(3.0, 2.0, 2.0, 3.0),
-                                             rel=1e-4)
 
 
 # ---------------------------------------------------------------- optimize

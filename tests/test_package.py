@@ -1,11 +1,20 @@
-"""Package layout: every exported name exists."""
+"""Package layout: every exported name exists, and the runtime needs
+numpy and the standard library only (scipy, mpmath and hypothesis are
+test-only oracles)."""
 
 import importlib
+import os
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
 
 import pytest
 
 MODULES = ["overallprior"] + [f"overallprior.{name}" for name in (
     "catalogue", "cli", "hier", "numerics", "refdist", "shrinkage")]
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -13,3 +22,19 @@ def test_all_names_exist(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_runtime_imports_are_numpy_and_stdlib():
+    code = ("import sys, overallprior, overallprior.cli; "
+            "print(' '.join(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            check=True, capture_output=True,
+                            text=True).stdout.split()
+    assert "overallprior.cli" in loaded
+    for name in ("scipy", "mpmath", "hypothesis", "pytest"):
+        assert not [m for m in loaded
+                    if m == name or m.startswith(name + ".")], name
+    with (ROOT / "pyproject.toml").open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
