@@ -147,11 +147,21 @@ def expfam_prior(G1pp: Callable[[float], float],
     return math.sqrt(c1 * c2)
 
 
+def _trigamma_excess(alpha: float) -> float:
+    """alpha trigamma(alpha) - 1 (about 1/(2 alpha)) for alpha > 0,
+    summed from alpha = 9 as 1/(2 alpha) + sum_k B_2k alpha^-2k, where
+    the direct difference would cancel."""
+    if alpha < _SHIFT:
+        return alpha * trigamma(alpha) - 1.0
+    return 0.5 / alpha + _series(_TRIGAMMA_COEF, 1.0 / (alpha * alpha))
+
+
 def _h_curvature(theta1: float) -> float:
-    # G1(t) = -t + t log(-t) + log Gamma(-t), t < 0
+    # G1(t) = -t + t log(-t) + log Gamma(-t), t = -alpha < 0, so
+    # G1'' = trigamma(alpha) - 1/alpha = (alpha trigamma(alpha) - 1)/alpha.
     if not (theta1 < 0.0):
         raise DomainError("natural parameter theta1 must be negative")
-    return trigamma(-theta1) - 1.0 / (-theta1)
+    return _trigamma_excess(-theta1) / -theta1
 
 
 def normal_expfam_curvatures():
@@ -201,14 +211,10 @@ def inverse_gaussian_prior(alpha: float, psi: float) -> float:
 def gamma_mean_prior(alpha: float, mu: float) -> float:
     """Common reference prior for the Gamma(alpha, mean mu):
     sqrt(alpha trigamma(alpha) - 1) / (sqrt(alpha) mu), the difference
-    summed from alpha = 9 as 1/(2 alpha) + sum_k B_2k alpha^-2k."""
+    taken from `_trigamma_excess`."""
     if not (alpha > 0.0 and mu > 0.0):
         raise DomainError("alpha and mu must be positive")
-    if alpha < _SHIFT:
-        excess = alpha * trigamma(alpha) - 1.0
-    else:
-        excess = 0.5 / alpha + _series(_TRIGAMMA_COEF, 1.0 / (alpha * alpha))
-    return math.sqrt(excess) / (math.sqrt(alpha) * mu)
+    return math.sqrt(_trigamma_excess(alpha)) / (math.sqrt(alpha) * mu)
 
 
 def stress_strength_prior(theta: float, psi: float) -> float:

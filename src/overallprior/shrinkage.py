@@ -56,7 +56,7 @@ class MeansData:
 @dataclass(frozen=True)
 class ShrinkChain:
     """Gibbs draws of theta = |mu|^2 / m and tau^2, and the tau^2-step
-    rejection rate.  The mu draws are not kept: the Rao-Blackwellised
+    rejection rate.  mu itself is never drawn: the Rao-Blackwellised
     mean of mu is x * mean(tau2 / (1 + tau2))."""
 
     theta_samples: np.ndarray
@@ -119,16 +119,23 @@ def reference_prior_density(mu: Sequence[float]) -> float:
 
 
 def _tau2_step(rng: np.random.Generator, m: int, sq_norm: float):
-    """Sample tau^2 | mu exactly, given m and |mu|^2: propose from the
-    inverse-gamma form (tau^2)^{-(1+m/2)} exp(-|mu|^2/2tau^2) by drawing
-    the precision from a gamma, accept with probability tau^2/(1+tau^2).
-    Returns (draw, number of rejected proposals)."""
-    rate = 0.5 * sq_norm
+    """Sample tau^2 | mu exactly, given m and |mu|^2 > 0.  The precision
+    lam = 1/tau^2 has density lam^{m/2-1} exp(-r lam)/(1+lam), r = |mu|^2/2:
+    propose lam ~ Gamma(m/2 - c, rate r), accept with probability
+    lam^c/(1+lam) / (c^c (1-c)^{1-c}), which peaks at 1 at lam = L for
+    c = L/(1+L), L = m/|mu|^2.  Exact for every c in [0, 1), and nearly
+    rejection-free also near theta = 0; a proposal whose tau^2 is not a
+    positive finite float is rejected.  Returns (draw, rejections)."""
+    q = sq_norm / m  # 1/L, so that 1 - c = q/(1+q) never rounds to 0
+    c, one_minus_c = 1.0 / (1.0 + q), q / (1.0 + q)
+    log_bound = one_minus_c * math.log(one_minus_c) - c * math.log1p(q)
+    shape, scale = 0.5 * m - c, 2.0 / sq_norm
     rejections = 0
     for _ in range(_REJECTION_CAP):
-        lam = rng.gamma(0.5 * m, 1.0 / rate)
-        tau2 = 1.0 / lam
-        if rng.random() < tau2 / (1.0 + tau2):
+        lam = rng.gamma(shape, scale)
+        tau2 = 1.0 / lam if lam > 0.0 else math.inf
+        if 0.0 < tau2 < math.inf and rng.random() < math.exp(
+                c * math.log(lam) - math.log1p(lam) - log_bound):
             return tau2, rejections
         rejections += 1
     raise AccuracyError("tau2 rejection step exceeded its cap",
@@ -138,35 +145,28 @@ def _tau2_step(rng: np.random.Generator, m: int, sq_norm: float):
 def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
     """Gibbs sampler for the hierarchical posterior of (mu, tau^2).
 
-    Alternates mu_i | x, tau^2 ~ N(x_i tau^2/(1+tau^2), tau^2/(1+tau^2))
-    with the exact rejection step for tau^2 | mu.  Requires m >= 3: for
-    smaller m the inverse-gamma proposal is not normalizable in the
-    regime the sampler relies on, and the paper's construction is
-    silent.  Each draw keeps theta, not mu, so memory is O(length).
-    Fixed seed gives a bit-identical chain.
+    Given tau^2, mu_i | x ~ N(s x_i, s) with s = tau^2/(1+tau^2); the
+    exact rejection step for tau^2 | mu reads mu only through |mu|^2, so
+    that is drawn directly as s * chi'^2_m(s |x|^2): one noncentral
+    chi-square per draw, O(1) in m.  The (theta, tau^2) chain has the law
+    of the Gibbs sampler that draws all m means.  Requires m >= 3, the
+    case the paper treats.  Memory is O(length); a fixed seed gives a
+    bit-identical chain.
     """
     if data.m < 3:
         raise PreconditionError("gibbs_sample requires m >= 3")
     if length < 1:
         raise DomainError("chain length must be >= 1")
     rng = np.random.default_rng(seed)
-    x, m = data.x, data.m
+    m = data.m
+    xx = float(data.x @ data.x)
     theta_draws = np.empty(length)
     tau2_draws = np.empty(length)
-    mu = np.empty(m)
-    z = np.empty(m)
     tau2 = 1.0
     rejections = 0
     for it in range(length):
         shrink = tau2 / (1.0 + tau2)
-        # mu = x*shrink + sqrt(shrink)*z: the same normals, products and
-        # sums as rng.normal(x * shrink, sqrt(shrink)), without its
-        # per-call parameter checks and allocations.
-        np.multiply(x, shrink, out=mu)
-        rng.standard_normal(out=z)
-        np.multiply(z, math.sqrt(shrink), out=z)
-        np.add(mu, z, out=mu)
-        sq_norm = float(mu @ mu)
+        sq_norm = shrink * rng.noncentral_chisquare(m, shrink * xx)
         tau2, rej = _tau2_step(rng, m, sq_norm)
         rejections += rej
         theta_draws[it] = sq_norm / m

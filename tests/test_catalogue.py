@@ -165,7 +165,8 @@ def test_gamma_mean_prior_mpmath_sweep():
             a = mpmath.mpf(alpha)
             ref = float(mpmath.sqrt(a * mpmath.psi(1, a) - 1)
                         / (mpmath.sqrt(a) * mu))
-        assert gamma_mean_prior(alpha, mu) == pytest.approx(ref, rel=1e-13)
+        assert gamma_mean_prior(alpha, mu) == pytest.approx(ref, rel=1e-13,
+                                                            abs=0.0)
 
 
 def test_gamma_expfam_consistent_with_closed_form():
@@ -178,6 +179,29 @@ def test_gamma_expfam_consistent_with_closed_form():
     # sqrt(alpha trigamma(alpha) - 1)/(sqrt(alpha) mu) is the same
     # number as sqrt((trigamma(alpha) - 1/alpha)) / mu.
     assert gamma_mean_prior(alpha, mu) == pytest.approx(natural, rel=1e-10)
+
+
+@pytest.mark.parametrize("alpha", [1e-3, 1.0, 8.99, 9.0, 1e8, 1e12, 1e15,
+                                   1e17, 1e300])
+def test_gamma_expfam_curvature_mpmath(alpha):
+    # G1'' = trigamma(alpha) - 1/alpha cancels like alpha trigamma(alpha)
+    # - 1 in gamma_mean_prior and shares its series form from alpha = 9.
+    # At alpha = 1e300 the value, 5e-601, rounds to 0 in both.
+    with mpmath.workdps(50 + max(0, int(math.log10(alpha)))):
+        a = mpmath.mpf(alpha)
+        ref = float(mpmath.psi(1, a) - 1 / a)
+    g1pp, _ = gamma_expfam_curvatures()
+    assert g1pp(-alpha) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+
+def test_gamma_expfam_prior_at_large_alpha():
+    # The direct difference trigamma(alpha) - 1/alpha was exactly 0 here,
+    # so this valid point raised DomainError.
+    g1pp, g2pp = gamma_expfam_curvatures()
+    value = expfam_prior(g1pp, g2pp, -1e17, 1.0)
+    assert math.isfinite(value) and value > 0.0
+    assert value == pytest.approx(math.sqrt(0.5) / 1e17, rel=1e-13,
+                                  abs=0.0)
 
 
 def test_inverse_gamma_matches_gamma():

@@ -38,3 +38,20 @@ def test_runtime_imports_are_numpy_and_stdlib():
     with (ROOT / "pyproject.toml").open("rb") as fh:
         project = tomllib.load(fh)["project"]
     assert project["dependencies"] == ["numpy>=1.24"]
+
+
+def test_gibbs_sample_runs_without_test_only_packages():
+    # A lazy import inside a sampler would not show at import time: run
+    # the Gibbs chain once, then look for the test-only oracles.
+    code = ("import sys, numpy, overallprior.cli; "
+            "from overallprior.shrinkage import MeansData, gibbs_sample; "
+            "gibbs_sample(MeansData(numpy.arange(5.0)), 50, seed=0); "
+            "print(' '.join(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            check=True, capture_output=True,
+                            text=True).stdout.split()
+    assert "overallprior.shrinkage" in loaded
+    for name in ("scipy", "mpmath"):
+        assert not [m for m in loaded
+                    if m == name or m.startswith(name + ".")], name
