@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SingularityError
-from .numerics import _SHIFT, _TRIGAMMA_COEF, _series, trigamma
+from .numerics import _trigamma_excess
 
 __all__ = [
     "BvnParams",
@@ -147,15 +147,6 @@ def expfam_prior(G1pp: Callable[[float], float],
     return math.sqrt(c1 * c2)
 
 
-def _trigamma_excess(alpha: float) -> float:
-    """alpha trigamma(alpha) - 1 (about 1/(2 alpha)) for alpha > 0,
-    summed from alpha = 9 as 1/(2 alpha) + sum_k B_2k alpha^-2k, where
-    the direct difference would cancel."""
-    if alpha < _SHIFT:
-        return alpha * trigamma(alpha) - 1.0
-    return 0.5 / alpha + _series(_TRIGAMMA_COEF, 1.0 / (alpha * alpha))
-
-
 def _h_curvature(theta1: float) -> float:
     # G1(t) = -t + t log(-t) + log Gamma(-t), t = -alpha < 0, so
     # G1'' = trigamma(alpha) - 1/alpha = (alpha trigamma(alpha) - 1)/alpha.
@@ -164,11 +155,17 @@ def _h_curvature(theta1: float) -> float:
     return _trigamma_excess(-theta1) / -theta1
 
 
+def _log_curvature(theta1: float) -> float:
+    # G1 = -log(-2 theta1)/2, so G1'' = 1/(2 theta1^2) for theta1 < 0.
+    if not (theta1 < 0.0):
+        raise DomainError("natural parameter theta1 must be negative")
+    return 0.5 / (theta1 * theta1)
+
+
 def normal_expfam_curvatures():
     """Natural-parameter curvatures for the normal model:
     G1 = -log(-2 theta1)/2 (theta1 = -1/(2 sigma^2)), G2 = theta2^2."""
-    return (lambda t1: 0.5 / (t1 * t1) if t1 < 0.0
-            else _raise_neg(t1)), (lambda t2: 2.0)
+    return _log_curvature, (lambda t2: 2.0)
 
 
 def inverse_gaussian_expfam_curvatures():
@@ -177,8 +174,7 @@ def inverse_gaussian_expfam_curvatures():
         if not (t2 > 0.0):
             raise DomainError("theta2 must be positive")
         return 2.0 / t2 ** 3
-    return (lambda t1: 0.5 / (t1 * t1) if t1 < 0.0
-            else _raise_neg(t1)), g2pp
+    return _log_curvature, g2pp
 
 
 def gamma_expfam_curvatures():
@@ -195,10 +191,6 @@ def inverse_gamma_expfam_curvatures():
     """Same carriers as the gamma; only the sufficient statistics
     differ (log x, 1/x), so the reference prior coincides."""
     return gamma_expfam_curvatures()
-
-
-def _raise_neg(t1):
-    raise DomainError("natural parameter theta1 must be negative")
 
 
 def inverse_gaussian_prior(alpha: float, psi: float) -> float:

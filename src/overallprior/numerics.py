@@ -222,6 +222,15 @@ def trigamma(x: float) -> float:
     return acc + 1.0 / y + 0.5 * z + series
 
 
+def _trigamma_excess(alpha: float) -> float:
+    """alpha trigamma(alpha) - 1 (about 1/(2 alpha)) for alpha > 0,
+    summed from alpha = 9 as 1/(2 alpha) + sum_k B_2k alpha^-2k, where
+    the direct difference would cancel."""
+    if alpha < _SHIFT:
+        return alpha * trigamma(alpha) - 1.0
+    return 0.5 / alpha + _series(_TRIGAMMA_COEF, 1.0 / (alpha * alpha))
+
+
 def kl_beta(alpha0: float, beta0: float, alpha: float, beta: float) -> float:
     """Directed logarithmic divergence of Be(alpha0, beta0) from Be(alpha, beta).
 

@@ -99,6 +99,15 @@ class CountVector:
         return len(self.counts)
 
 
+def _predictive_row(n: int) -> np.ndarray:
+    """The reference predictive p(x | n) for x = 0..n, each log-gamma
+    difference a rising-factorial ratio, so no large logs cancel."""
+    # log[Gamma(x + 1/2) / (Gamma(1/2) x!)]; Gamma(1/2)^2 = pi cancels
+    # the 1/pi of the predictive.
+    g = log_rising_ratio(0.5, 1.0, n)
+    return np.exp(g + g[::-1])
+
+
 def reference_predictive(x: int, n: int) -> float:
     """Predictive mass of a cell count under the per-cell Be(1/2,1/2) prior.
 
@@ -106,20 +115,14 @@ def reference_predictive(x: int, n: int) -> float:
     """
     if not (0 <= x <= n):
         raise DomainError(f"count x={x} outside 0..{n}")
-    return math.exp(
-        log_gamma(x + 0.5) + log_gamma(n - x + 0.5)
-        - log_gamma(x + 1.0) - log_gamma(n - x + 1.0)
-    ) / math.pi
+    return float(_predictive_row(n)[x])
 
 
 def _reference_terms(n: int):
     """The parts of the expected loss that do not depend on a: the
     reference predictive p(x | n) and psi(x + 1/2) for x = 0..n, and
     psi(n + 1), from the rising-factorial and digamma recurrences."""
-    # log[Gamma(x + 1/2) / (Gamma(1/2) x!)]; Gamma(1/2)^2 = pi cancels
-    # the 1/pi of the predictive.
-    g = log_rising_ratio(0.5, 1.0, n)
-    predictive = np.exp(g + g[::-1])
+    predictive = _predictive_row(n)
     steps = np.arange(n, dtype=float)
     psi_half = np.empty(n + 1)
     psi_half[0] = _PSI_HALF

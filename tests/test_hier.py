@@ -353,6 +353,20 @@ def test_likelihood_mode_missing_when_all_cells_occupied():
         likelihood_mode_a(t)
 
 
+def test_modes_scale_as_one_over_m_at_huge_m():
+    # The mode in v = m a is of order 1, so at m = 1e10 the mode in a is
+    # below 1e-9; the search window must reach it.
+    def scaled_modes(m):
+        t = CountTable(m=m, counts={0: 2, 1: 1, 2: 1})
+        return np.array([posterior_mode_a(t, prior="approx"),
+                         posterior_mode_a(t, prior="exact"),
+                         likelihood_mode_a(t)]) * m
+
+    ref = scaled_modes(10**8)
+    for m in (10**10, 10**12):
+        np.testing.assert_allclose(scaled_modes(m), ref, rtol=1e-5)
+
+
 def test_posterior_mode_matches_grid_argmax():
     t = CountTable(m=50, counts={0: 3, 1: 2, 2: 1, 3: 1})
     for prior in ("exact", "approx"):
@@ -618,12 +632,10 @@ def _fake_fisher_sum(monkeypatch, below):
 
 
 def test_exact_prior_cache_truncates_where_sum_vanishes(monkeypatch):
-    # Within the cancellation floor the sum is clamped once and the
-    # grid is cut at the first vanishing point.
+    # Within the cancellation floor the sum is clamped and the grid is
+    # cut at the first vanishing point.
     _fake_fisher_sum(monkeypatch, -1e-12)
-    before = hier.clamp_diagnostics["count"]
     cache = _ExactPriorCache(10, 5)
-    assert hier.clamp_diagnostics["count"] == before + 1
     assert cache.hi == pytest.approx(math.exp(_CACHE_TS[1233]), rel=1e-12)
     # Below the cut the table holds log sqrt(1/a) = -t/2; beyond it,
     # lookups fall back to direct evaluation.
@@ -635,13 +647,11 @@ def test_exact_prior_cache_truncates_where_sum_vanishes(monkeypatch):
 def test_exact_prior_array_clamps_like_scalar_calls(monkeypatch):
     _fake_fisher_sum(monkeypatch, -1e-12)
     a = np.exp(_CACHE_TS[1200:1300])
-    before = hier.clamp_diagnostics["count"]
-    scalar = [reference_prior_exact(float(v), 10, 5) for v in a]
-    clamped = hier.clamp_diagnostics["count"] - before
-    assert clamped == 66
-    np.testing.assert_allclose(reference_prior_exact(a, 10, 5), scalar,
-                               rtol=1e-13)
-    assert hier.clamp_diagnostics["count"] - before == 2 * clamped
+    scalar = np.array([reference_prior_exact(float(v), 10, 5) for v in a])
+    array = reference_prior_exact(a, 10, 5)
+    # Grid points 1234..1299 fall in the clamped range.
+    assert (scalar[34:] == 0.0).all() and (array[34:] == 0.0).all()
+    np.testing.assert_allclose(array, scalar, rtol=1e-13)
 
 
 def test_exact_prior_array_raises_like_scalar_calls(monkeypatch):
@@ -657,6 +667,18 @@ def test_exact_prior_cache_raises_below_cancellation_floor(monkeypatch):
     _fake_fisher_sum(monkeypatch, -1.0)
     with pytest.raises(AccuracyError):
         _ExactPriorCache(10, 5)
+
+
+def test_exact_prior_cache_truncates_at_huge_m():
+    # At m = 1e10 the large-a cancellation clamps the real Fisher sum to
+    # zero inside the tabulated range; beyond the cut, lookups evaluate
+    # the prior directly.
+    m, n = 10**10, 2
+    cache = _ExactPriorCache(m, n)
+    assert cache.hi < 1e3
+    for a in np.exp(np.linspace(math.log(cache.hi), math.log(1e4), 41))[1:]:
+        assert cache.log_value(float(a)) == hier._log_prior(float(a), m, n,
+                                                            "exact")
 
 
 @pytest.mark.parametrize("j", [0, 1, 1500, 2998, 2999])

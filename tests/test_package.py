@@ -3,7 +3,9 @@ numpy and the standard library only (scipy, mpmath and hypothesis are
 test-only oracles)."""
 
 import importlib
+import math
 import os
+import re
 import subprocess
 import sys
 import tomllib
@@ -55,3 +57,17 @@ def test_gibbs_sample_runs_without_test_only_packages():
     for name in ("scipy", "mpmath"):
         assert not [m for m in loaded
                     if m == name or m.startswith(name + ".")], name
+
+
+def test_readme_examples_run():
+    # The README's Python blocks run in order as one script, and print
+    # the values the README states next to them.
+    readme = (ROOT / "README.md").read_text()
+    code = "\n".join(re.findall(r"```python\n(.*?)```", readme, re.S))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert round(float(lines[0]), 4) == 0.0834
+    assert float(lines[2]) == pytest.approx(math.sqrt(2) / 1000, rel=0.01)

@@ -37,6 +37,19 @@ def test_reference_predictive_oracle():
         assert reference_predictive(x, n) == pytest.approx(ref, rel=1e-12)
 
 
+def test_reference_predictive_large_n_mpmath():
+    # A difference of four log-gamma terms of size n log n would lose
+    # about 1e-10 of relative accuracy here.
+    n = 10**5
+    with mpmath.workdps(50):
+        for x in (0, 1, n // 3, n // 2, n - 1, n):
+            ref = float(mpmath.gamma(x + 0.5) * mpmath.gamma(n - x + 0.5)
+                        / (mpmath.factorial(x) * mpmath.factorial(n - x)
+                           * mpmath.pi))
+            assert reference_predictive(x, n) == pytest.approx(
+                ref, rel=1e-12, abs=0.0)
+
+
 def test_reference_predictive_rejects_out_of_range():
     with pytest.raises(DomainError):
         reference_predictive(5, 4)
