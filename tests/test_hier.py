@@ -573,8 +573,8 @@ def test_sampler_argument_validation():
 
 
 def test_slice_sampler_steps_out_into_far_tail():
-    # Under the approximate prior the slice sampler steps out to m a
-    # beyond 1e154 on this table; the target must stay finite there.
+    # Under the approximate prior the slice sampler steps out to m a of
+    # about 7e74 on this table; the target must stay finite there.
     t = _dense_poisson_table()
     chain = sample_posterior(t, 50, seed=0, prior="approx", method="slice",
                              warmup=50)
@@ -592,15 +592,22 @@ def test_fisher_sum_rows_match_single_values():
 
 
 def _fisher_sum_mpmath(a, m, n):
-    """The Fisher sum from the single-cell pmf in mpmath, with enough
-    digits to absorb the cancellation of Q_0 - 1/m at small a."""
-    with mpmath.workdps(40 + max(0, int(-math.log10(a)))):
+    """The Fisher sum term by term from the single-cell pmf in mpmath,
+    the pmf by its ratio recurrence and the tails summed from the top,
+    with enough digits to absorb both cancellations: of Q_0 - 1/m at
+    small a, and of the leading 1/a^2 terms at large a."""
+    digits = abs(math.log10(a)) * (2 if a > 1 else 1) + math.log10(m)
+    with mpmath.workdps(40 + int(digits)):
         a = mpmath.mpf(a)
-        p = [mpmath.binomial(n, x) * mpmath.rf(a, x)
-             * mpmath.rf((m - 1) * a, n - x) / mpmath.rf(m * a, n)
-             for x in range(n + 1)]
-        return sum(mpmath.fsum(p[j + 1:]) / (a + j) ** 2
-                   - m / (m * a + j) ** 2 for j in range(n))
+        p = [mpmath.rf((m - 1) * a, n) / mpmath.rf(m * a, n)]
+        for x in range(n):
+            p.append(p[-1] * (n - x) * (a + x)
+                     / ((x + 1) * ((m - 1) * a + n - x - 1)))
+        total, out = mpmath.mpf(0), mpmath.mpf(0)
+        for j in range(n - 1, -1, -1):
+            total += p[j + 1]  # Q_j
+            out += total / (a + j) ** 2 - m / (m * a + j) ** 2
+        return out
 
 
 @pytest.mark.parametrize("mn", [(60, 60), (2000, 3), (10, 2), (2, 300),
@@ -620,6 +627,51 @@ def test_exact_prior_extreme_small_a_mpmath(a):
     assert reference_prior_exact(a, 60, 60) == pytest.approx(ref, rel=1e-15)
 
 
+# (m, n): relative bound on the Fisher sum for a in [1e-300, 1e8].  For
+# (2, 300) the pmf row, 1.4e-12 off, sets the error (measured 2.3e-9);
+# at m >= 1e8 it peaks where the two forms meet, a sqrt(m) = n, as both
+# cancel there (measured 1.1e-11, 3.8e-10, 2.2e-9 and 3.5e-9, in order).
+_FISHER_SWEEP = {(60, 60): 1e-12, (1000, 30): 1e-12, (10, 2): 1e-12,
+                 (2, 300): 5e-9, (10**8, 5): 1e-10, (10**10, 2): 1e-9,
+                 (10**12, 2): 1e-8, (10**12, 30): 1e-8}
+
+
+def _mn_id(mn):
+    return "x".join(f"{v:.0e}" if v >= 10**6 else str(v) for v in mn)
+
+
+@pytest.mark.parametrize("mn", sorted(_FISHER_SWEEP), ids=_mn_id)
+def test_fisher_sum_mpmath_sweep(mn):
+    m, n = mn
+    # 40 points over the range, and 13 around either switch of the forms
+    near = np.exp(np.linspace(-3.0, 3.0, 13))
+    a = np.sort(np.concatenate((
+        np.exp(np.linspace(math.log(1e-300), math.log(1e8), 40)),
+        n / math.sqrt(m) * near, max(1.0, n / m) * near)))
+    ref = np.array([float(_fisher_sum_mpmath(v, m, n)) for v in a])
+    np.testing.assert_allclose(_fisher_sum(a, m, n), ref,
+                               rtol=_FISHER_SWEEP[mn], atol=0.0)
+
+
+@pytest.mark.parametrize("mn", [(10**8, 2), (10**10, 2), (10**12, 2),
+                                (60, 60), (1000, 30), (2, 300)], ids=_mn_id)
+def test_fisher_sum_positive_at_large_a(mn):
+    # Term by term the sum cancels to zero or below from a of about 60
+    # at m = 1e12; in moments it stays positive.
+    a = np.exp(np.linspace(math.log(10.0), math.log(1e9), 4000))
+    assert (_fisher_sum(a, *mn) > 0.0).all()
+
+
+def test_exact_prior_no_overflow_at_sampler_window():
+    # The samplers reach a = 1e200 at most; the prior underflows to 0
+    # there without a warning (warnings are errors in this suite).
+    for m in (2, 60, 10**12):
+        assert reference_prior_exact(1e200, m, 30) == 0.0
+        np.testing.assert_array_equal(
+            reference_prior_exact(np.array([1e50, 1e200]), m, 30) > 0.0,
+            [True, False])
+
+
 _CACHE_TS = np.linspace(math.log(1e-9), math.log(1e4), 3000)
 
 
@@ -631,30 +683,9 @@ def _fake_fisher_sum(monkeypatch, below):
         np.log(a) < cut, 1.0 / np.asarray(a), below))
 
 
-def test_exact_prior_cache_truncates_where_sum_vanishes(monkeypatch):
-    # Within the cancellation floor the sum is clamped and the grid is
-    # cut at the first vanishing point.
-    _fake_fisher_sum(monkeypatch, -1e-12)
-    cache = _ExactPriorCache(10, 5)
-    assert cache.hi == pytest.approx(math.exp(_CACHE_TS[1233]), rel=1e-12)
-    # Below the cut the table holds log sqrt(1/a) = -t/2; beyond it,
-    # lookups fall back to direct evaluation.
-    t = _CACHE_TS[600]
-    assert cache.log_value(math.exp(t)) == pytest.approx(-0.5 * t, abs=1e-9)
-    assert cache.log_value(math.exp(_CACHE_TS[2000])) == -math.inf
-
-
-def test_exact_prior_array_clamps_like_scalar_calls(monkeypatch):
-    _fake_fisher_sum(monkeypatch, -1e-12)
-    a = np.exp(_CACHE_TS[1200:1300])
-    scalar = np.array([reference_prior_exact(float(v), 10, 5) for v in a])
-    array = reference_prior_exact(a, 10, 5)
-    # Grid points 1234..1299 fall in the clamped range.
-    assert (scalar[34:] == 0.0).all() and (array[34:] == 0.0).all()
-    np.testing.assert_allclose(array, scalar, rtol=1e-13)
-
-
 def test_exact_prior_array_raises_like_scalar_calls(monkeypatch):
+    # Both forms of the sum are positive to their accuracy, so a
+    # negative sum is a defect, and raises.
     _fake_fisher_sum(monkeypatch, -1.0)
     a = np.exp(_CACHE_TS[1200:1300])
     with pytest.raises(AccuracyError):
@@ -669,33 +700,101 @@ def test_exact_prior_cache_raises_below_cancellation_floor(monkeypatch):
         _ExactPriorCache(10, 5)
 
 
-def test_exact_prior_cache_truncates_at_huge_m():
-    # At m = 1e10 the large-a cancellation clamps the real Fisher sum to
-    # zero inside the tabulated range; beyond the cut, lookups evaluate
-    # the prior directly.
-    m, n = 10**10, 2
+def test_exact_prior_table_takes_128_fisher_sums(monkeypatch):
+    values = []
+    real = hier._fisher_sum
+
+    def counted(a, m, n):
+        values.append(np.size(a))
+        return real(a, m, n)
+
+    monkeypatch.setattr(hier, "_fisher_sum", counted)
+    _ExactPriorCache(60, 60)
+    assert sum(values) == 128
+
+
+def _log_prior_mpmath(a, m, n):
+    return float(mpmath.log(_fisher_sum_mpmath(a, m, n)) / 2)
+
+
+def _table_error(m, n, points):
+    """Largest |table - mpmath| of the log prior at ``points`` points
+    spread over the window, none of them on a Chebyshev node."""
     cache = _ExactPriorCache(m, n)
-    assert cache.hi < 1e3
-    for a in np.exp(np.linspace(math.log(cache.hi), math.log(1e4), 41))[1:]:
-        assert cache.log_value(float(a)) == hier._log_prior(float(a), m, n,
-                                                            "exact")
-
-
-@pytest.mark.parametrize("j", [0, 1, 1500, 2998, 2999])
-def test_exact_prior_cache_reproduces_grid_nodes(j):
-    cache = _ExactPriorCache(60, 60)
-    a = math.exp(_CACHE_TS[j])
-    assert cache.log_value(a) == pytest.approx(
-        0.5 * math.log(float(_fisher_sum(a, 60, 60))), rel=0.0, abs=1e-12)
+    a = np.exp(np.linspace(math.log(cache.lo), math.log(cache.hi),
+                           points + 2)[1:-1] + 1e-3)
+    return max(abs(cache.log_value(float(v)) - _log_prior_mpmath(v, m, n))
+               for v in a)
 
 
 def test_exact_prior_cache_accuracy():
-    m, n = 50, 20
-    cache = _ExactPriorCache(m, n)
-    grid = np.exp(np.linspace(math.log(1e-6), math.log(50), 400))
-    err = max(abs(cache.log_value(a)
-                  - math.log(reference_prior_exact(a, m, n))) for a in grid)
-    assert err < 1e-6
+    # Measured: 3.9e-12, 4.1e-12, 2.0e-12 and 1.6e-9 (set by the pmf row).
+    for m, n, bound in ((60, 60, 1e-11), (1000, 30, 1e-11), (10, 2, 1e-11),
+                        (2, 300, 5e-9)):
+        assert _table_error(m, n, 61) < bound, (m, n)
+
+
+_LARGE_TABLE_BOUNDS = {(2000, 10029): 5e-9, (10**10, 2): 1e-9,
+                       (10**12, 2): 5e-9, (10**12, 30): 5e-9}
+
+
+@pytest.mark.parametrize("mn", sorted(_LARGE_TABLE_BOUNDS), ids=_mn_id)
+def test_exact_prior_cache_accuracy_large(mn):
+    # Measured: 7.4e-10, 1.1e-10, 7.9e-10 and 1.8e-9.
+    assert _table_error(*mn, 7 if mn[1] > 1000 else 41) < \
+        _LARGE_TABLE_BOUNDS[mn]
+
+
+def test_exact_chain_stays_on_table_at_huge_m():
+    # The posterior mode is a = 3e-10, so every draw lies in the table,
+    # which reaches down to 1e-4/m = 1e-14 and up to 1e4.  Only MH
+    # proposals in the far lower tail fall below it, where the target is
+    # below e^-12.7 of its mode, and are evaluated directly.
+    t = CountTable(m=10**10, counts={0: 1, 1: 1})
+    warmup, length = 2000, 2000
+    chain = sample_posterior(t, length, seed=4, warmup=warmup)
+    a = chain.a_samples
+    assert 1e-14 < a.min() and a.max() < 1e4
+    assert 1e-11 < np.median(a) < 1e-9
+    assert chain.direct_prior_evals < 0.1 * (warmup + length)
+
+
+def test_chain_counts_direct_prior_evaluations():
+    t = _synthetic_table()
+    cache = _ExactPriorCache(t.m, t.n)
+    cache.log_value(1e3)
+    assert cache.direct == 0
+    assert cache.log_value(2e4) == hier._log_prior(2e4, t.m, t.n, "exact")
+    assert cache.direct == 1
+    chain = sample_posterior(t, 50, seed=1, prior="approx")
+    assert chain.direct_prior_evals == 0
+
+
+@pytest.mark.parametrize("prior", ["exact", "approx"])
+def test_sampler_target_window(prior):
+    # One occupied cell: the posterior in t falls only as e^{t/2} below
+    # its mode, so slice step-outs reach the low edge of the window.
+    t = CountTable(m=10, counts={0: 5})
+    log_prior = (_ExactPriorCache(t.m, t.n).log_value if prior == "exact"
+                 else lambda a: hier._log_prior(a, t.m, t.n, prior))
+    target = hier._log_target(t, log_prior)
+    edge = hier._LOG_A_LIMIT
+    # Past either edge the target is -inf, not an OverflowError from
+    # exp(t) or a DomainError from a = 0, so MH proposals there are
+    # rejected.
+    for t_out in (-800.0, -edge - 1e-9, edge + 1e-9, 720.0, math.nan):
+        assert target(t_out) == -math.inf
+    # Start at the finite points of the target nearest either edge: the
+    # low edge itself, and at the high end where the prior underflows.
+    finite = [u for u in np.linspace(-edge, edge, 922)
+              if math.isfinite(target(u))]
+    assert finite[0] == -edge
+    rng = np.random.default_rng(3)
+    for u in (finite[0], finite[-1]):
+        lt = target(u)
+        for _ in range(5):
+            u, lt = hier._slice_step(target, rng, u, lt)
+            assert -edge <= u <= edge and math.isfinite(lt)
 
 
 # ----------------------------------------------------------- large-m limit

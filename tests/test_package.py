@@ -71,3 +71,19 @@ def test_readme_examples_run():
     lines = run.stdout.splitlines()
     assert round(float(lines[0]), 4) == 0.0834
     assert float(lines[2]) == pytest.approx(math.sqrt(2) / 1000, rel=0.01)
+
+
+def test_exact_prior_table_loads_no_numpy_polynomial():
+    # numpy.polynomial costs milliseconds to import, which every command
+    # would pay: the exact-prior table sums its Chebyshev series itself.
+    code = ("import sys, overallprior.cli; "
+            "from overallprior.hier import CountTable, sample_posterior; "
+            "sample_posterior(CountTable(m=5, counts={0: 2, 1: 1}), 5, "
+            "seed=0, warmup=0); "
+            "print(' '.join(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            check=True, capture_output=True,
+                            text=True).stdout.split()
+    assert "overallprior.hier" in loaded
+    assert not [m for m in loaded if m.startswith("numpy.polynomial")]
