@@ -267,33 +267,34 @@ def haar_geometric_average(p: BvnParams) -> float:
     return 1.0 / (p.sigma1 * p.sigma2 * (1.0 - p.rho ** 2))
 
 
-# name -> (callable over positional floats, arity description, proper?)
+# name -> (callable over positional floats, argument description,
+# proper?, number of arguments, or None for any number from 1 up)
 ENTRIES = {
     "bivariate-binomial": (
         lambda args: bivariate_binomial_prior(args[0], args[1]),
-        "theta1 theta2 in (0,1)", True),
+        "theta1 theta2 in (0,1)", True, 2),
     "directional-multinomial": (
         lambda args: directional_multinomial_prior(args),
-        "xi_1 .. xi_{m-1} in (0,1)", True),
+        "xi_1 .. xi_{m-1} in (0,1)", True, None),
     "inverse-gaussian": (
         lambda args: inverse_gaussian_prior(args[0], args[1]),
-        "alpha psi > 0", False),
+        "alpha psi > 0", False, 2),
     "gamma-expfam": (
         lambda args: gamma_mean_prior(args[0], args[1]),
-        "alpha mu > 0", False),
+        "alpha mu > 0", False, 2),
     "stress-strength": (
         lambda args: stress_strength_prior(args[0], args[1]),
-        "theta in (0,1), psi > 0", False),
+        "theta in (0,1), psi > 0", False, 2),
     "right-haar": (
         lambda args: right_haar_density(
             BvnParams(0.0, 0.0, args[1], args[2], args[3]), args[0]),
-        "beta sigma1 sigma2 rho", False),
+        "beta sigma1 sigma2 rho", False, 4),
     "arithmetic-average": (
         lambda args: haar_arithmetic_average(
             BvnParams(0.0, 0.0, args[0], args[1], args[2])),
-        "sigma1 sigma2 rho", False),
+        "sigma1 sigma2 rho", False, 3),
     "geometric-average": (
         lambda args: haar_geometric_average(
             BvnParams(0.0, 0.0, args[0], args[1], args[2])),
-        "sigma1 sigma2 rho", False),
+        "sigma1 sigma2 rho", False, 3),
 }

@@ -151,6 +151,7 @@ def cmd_hier(args) -> int:
         "likelihood_mode_a": lik_mode,
         "sqrt2_over_m": math.sqrt(2.0) / table.m,
         "acceptance_rate": chain.acceptance_rate,
+        "direct_prior_evals": chain.direct_prior_evals,
         "r0": table.r0, "m": table.m, "n": table.n,
         "prior": args.prior, "seed": args.seed,
     }
@@ -200,7 +201,7 @@ def cmd_shrink(args) -> int:
 
 def cmd_catalogue(args) -> int:
     if args.list or args.entry is None:
-        for name, (_, domain, proper) in sorted(catalogue.ENTRIES.items()):
+        for name, (_, domain, proper, _) in sorted(catalogue.ENTRIES.items()):
             print(f"{name:26s} args: {domain:26s} "
                   f"proper: {'yes' if proper else 'no'}")
         return EXIT_OK
@@ -209,15 +210,14 @@ def cmd_catalogue(args) -> int:
         for name in sorted(catalogue.ENTRIES):
             print(f"  {name}", file=sys.stderr)
         return EXIT_USAGE
-    fn, domain, proper = catalogue.ENTRIES[args.entry]
+    fn, domain, proper, nargs = catalogue.ENTRIES[args.entry]
     try:
         point = [float(tok) for tok in args.point]
     except ValueError as exc:
         raise _UsageError(f"non-numeric point: {exc}")
-    try:
-        value = fn(point)
-    except IndexError:
+    if (len(point) != nargs) if nargs else not point:
         raise _UsageError(f"{args.entry} expects arguments: {domain}")
+    value = fn(point)
     print(f"{args.entry}({', '.join(str(p) for p in point)}) = {value!r}  "
           f"proper: {'yes' if proper else 'no'}")
     return EXIT_OK

@@ -5,14 +5,15 @@ call concurrently.  The special functions set the accuracy floor for
 every formula built on top of them:
 
 - ``log_gamma`` is ``math.lgamma`` behind a domain check;
-- ``log_rising`` and ``log_rising_ratio`` give log rising factorials
-  for every j = 0..k in one numpy pass.  The single-cell pmf, the
-  multinomial coefficient and the expected loss take their log-gamma
-  differences at arguments an integer apart through them rather than
-  as a difference of two ``lgamma`` values, which cancels when the
-  argument is much larger than the step.  The marginal likelihood
-  needs no log-gamma at all: ``hier.CountTable`` writes it as one
-  weighted sum of log1p terms (see ``hier.marginal_log_likelihood``);
+- ``log_rising_ratio`` gives the log of a ratio of two rising
+  factorials for every j = 0..k in one numpy pass.  The reference
+  predictive and the expected loss take their log-gamma differences at
+  arguments an integer apart through it rather than as a difference of two
+  ``lgamma`` values, which cancels when the argument is much larger
+  than the step.  The hierarchical model needs neither: the marginal
+  likelihood is one weighted sum of log1p terms (see
+  ``hier.marginal_log_likelihood``), and the single-cell pmf follows
+  its ratio recurrence (see ``hier.marginal_pmf``);
 - ``digamma`` (elementwise on arrays) and ``trigamma`` shift the
   argument up with the recurrence and then sum the asymptotic series.
 """
@@ -33,7 +34,6 @@ __all__ = [
     "Grid1D",
     "OptimResult",
     "log_gamma",
-    "log_rising",
     "log_rising_ratio",
     "digamma",
     "trigamma",
@@ -111,60 +111,20 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _steps(k) -> np.ndarray:
-    """The offsets i = 0..k-1 of a rising factorial of integer length k."""
-    k = operator.index(k)
-    if k < 0:
-        raise DomainError(f"rising-factorial length must be >= 0, got {k}")
-    return np.arange(k, dtype=float)
-
-
-def _log_rising_tail(x: np.ndarray, i: np.ndarray, big: bool) -> np.ndarray:
-    """log_rising for j = 1..k along the last axis; ``x`` is 0-d or a
-    column, and ``big`` picks the form for x >= k."""
-    if big:
-        return ((i + 1.0) * np.log(x)
-                + np.add.accumulate(np.log1p(i / x), axis=-1))
-    return np.add.accumulate(np.log(x + i), axis=-1)
-
-
-def log_rising(x, k: int) -> np.ndarray:
-    """Log rising factorials log[Gamma(x + j) / Gamma(x)] for j = 0..k.
-
-    ``x`` is a positive scalar or array; the result has shape
-    ``np.shape(x) + (k + 1,)``.  Where x >= k the sum is written as
-    j log x + sum_{i<j} log1p(i/x), otherwise as sum_{i<j} log(x + i).
-    Error below 1e-14 for x in [1e-8, 1e12] and k <= 1000: relative,
-    or absolute where the value is below 1.
-    """
-    i = _steps(k)
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    if not (float(x) > 0.0 if scalar else (x > 0.0).all()):
-        raise DomainError(f"log_rising requires x > 0, got {x}")
-    if scalar:
-        out = np.zeros(i.size + 1)
-        out[1:] = _log_rising_tail(x, i, float(x) >= i.size)
-        return out
-    col = x.reshape(-1, 1)
-    big = col[:, 0] >= i.size
-    out = np.zeros((col.shape[0], i.size + 1))
-    out[big, 1:] = _log_rising_tail(col[big], i, True)
-    out[~big, 1:] = _log_rising_tail(col[~big], i, False)
-    return out.reshape(x.shape + (i.size + 1,))
-
-
 def log_rising_ratio(x: float, y: float, k: int) -> np.ndarray:
     """log[Gamma(x + j) Gamma(y) / (Gamma(x) Gamma(y + j))] for j = 0..k,
     for scalars x, y > 0.
 
     Summed as log1p((x - y)/(y + i)), so the result keeps its relative
     accuracy when x and y are close and both large, where the
-    difference of two ``log_rising`` rows would cancel.  Error below
+    difference of the two log rising factorials would cancel.  Error below
     1e-13 for k <= 1000: relative, or absolute where the value is
     below 1.
     """
-    i = _steps(k)
+    k = operator.index(k)
+    if k < 0:
+        raise DomainError(f"rising-factorial length must be >= 0, got {k}")
+    i = np.arange(k, dtype=float)
     x, y = float(x), float(y)
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"log_rising_ratio requires x, y > 0, "

@@ -311,9 +311,10 @@ def test_entries_registry():
         "bivariate-binomial", "directional-multinomial",
         "inverse-gaussian", "gamma-expfam", "stress-strength",
         "right-haar", "arithmetic-average", "geometric-average"}
-    fn, _, proper = ENTRIES["bivariate-binomial"]
-    assert proper is True
+    fn, _, proper, nargs = ENTRIES["bivariate-binomial"]
+    assert proper is True and nargs == 2
     assert fn([0.5, 0.5]) == pytest.approx(4.0)
-    fn, _, proper = ENTRIES["geometric-average"]
-    assert proper is False
+    fn, _, proper, nargs = ENTRIES["geometric-average"]
+    assert proper is False and nargs == 3
     assert fn([1.0, 1.0, 0.0]) == pytest.approx(1.0)
+    assert ENTRIES["directional-multinomial"][3] is None

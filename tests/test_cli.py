@@ -95,6 +95,24 @@ def test_hier_outputs_and_reproducibility(tmp_path):
             hier.reference_prior_exact(float(a), 50, 8), rel=1e-12)
 
 
+def test_hier_reports_direct_prior_evaluations(tmp_path, capsys):
+    # On 1e10 cells the exact chain's MH proposals reach below the
+    # prior table, whose low end is 1e-4/m; the approximate prior has
+    # no table.
+    inp = _counts_file(tmp_path, "10000000000 2\n0 1\n1 1\n")
+    table = hier.CountTable.from_sparse_text(
+        (tmp_path / "counts.txt").read_text())
+    for prior in ("exact", "approx"):
+        out = tmp_path / prior
+        assert _run("hier", "--input", inp, "--chain", "2000", "--seed", "4",
+                    "--prior", prior, "--out", str(out)) == 0
+        chain = hier.sample_posterior(table, 2000, seed=4, prior=prior)
+        reported = _read_json(out / "mode.json")["direct_prior_evals"]
+        assert reported == chain.direct_prior_evals
+        assert (reported > 0) == (prior == "exact")
+    assert "direct_prior_evals" not in capsys.readouterr().out
+
+
 def test_hier_single_cell_is_precondition_failure(tmp_path):
     inp = _counts_file(tmp_path, "100 4\n0 4\n")
     assert _run("hier", "--input", inp, "--chain", "10",
@@ -197,6 +215,21 @@ def test_catalogue_unknown_entry(capsys):
 def test_catalogue_bad_point():
     assert _run("catalogue", "bivariate-binomial", "0.5") == 1
     assert _run("catalogue", "bivariate-binomial", "0.5", "x") == 1
+
+
+def test_catalogue_rejects_extra_coordinates(capsys):
+    assert _run("catalogue", "bivariate-binomial", "0.5", "0.5", "0.7") == 1
+    assert _run("catalogue", "geometric-average",
+                "1", "2", "0.5", "9", "9") == 1
+    assert "expects arguments" in capsys.readouterr().err
+
+
+def test_catalogue_directional_multinomial_takes_any_length(capsys):
+    assert _run("catalogue", "directional-multinomial") == 1
+    assert _run("catalogue", "directional-multinomial", "0.5") == 0
+    assert _run("catalogue", "directional-multinomial",
+                "0.5", "0.5", "0.5") == 0
+    assert "= 8.0" in capsys.readouterr().out
 
 
 def test_usage_errors():

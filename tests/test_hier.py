@@ -183,6 +183,45 @@ def test_marginal_pmf_rows_match_scalar_calls():
         np.testing.assert_array_equal(row, marginal_pmf(float(v), m, n))
 
 
+def _pmf_mpmath(a, m, n):
+    """The beta-binomial(a, (m-1)a) row in 50-digit mpmath from its
+    rising factorials, independent of the ratio recurrence."""
+    with mpmath.workdps(50):
+        a = mpmath.mpf(a)
+        total = mpmath.rf(m * a, n)
+        return np.array([float(mpmath.binomial(n, x) * mpmath.rf(a, x)
+                               * mpmath.rf((m - 1) * a, n - x) / total)
+                         for x in range(n + 1)])
+
+
+@pytest.mark.parametrize("m,n,a", [(2, 300, 189.0), (2000, 500, 0.3),
+                                   (60, 60, 4520.0)])
+def test_marginal_pmf_mpmath(m, n, a):
+    # Measured: 5.1e-14, 3.3e-13 and 6.8e-14.  Relative error is only
+    # asked of entries above the subnormal range.
+    ref = _pmf_mpmath(a, m, n)
+    normal = ref > np.finfo(float).tiny
+    np.testing.assert_allclose(marginal_pmf(a, m, n)[normal], ref[normal],
+                               rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("a", [1e-320, 1e-310, 1e-300, 1e150])
+@pytest.mark.parametrize("m,n", [(2, 300), (60, 60), (10**12, 30)])
+def test_marginal_pmf_extreme_a(a, m, n):
+    # RuntimeWarnings are errors in this suite.
+    p = marginal_pmf(a, m, n)
+    assert np.isfinite(p).all()
+    assert abs(p.sum() - 1.0) <= 1e-15
+
+
+@given(st.floats(1e-8, 1e8), st.integers(2, 10**6), st.integers(1, 400))
+@settings(max_examples=60, deadline=None)
+def test_marginal_pmf_sums_to_one_with_mean_n_over_m(a, m, n):
+    p = marginal_pmf(a, m, n)
+    assert p.sum() == pytest.approx(1.0, abs=1e-14)
+    assert p @ np.arange(n + 1) == pytest.approx(n / m, rel=1e-12)
+
+
 @pytest.mark.parametrize("a,m", [(0.0, 10), (-0.5, 10), (math.nan, 10),
                                  (np.array([0.5, 0.0]), 10),
                                  (np.array([-1.0, 2.0]), 10), (0.5, 1)])
@@ -587,8 +626,8 @@ def test_fisher_sum_rows_match_single_values():
     a = np.exp(np.linspace(math.log(1e-9), math.log(1e4), 37))
     rows = _fisher_sum(a, m, n)
     assert rows.shape == a.shape
-    np.testing.assert_allclose(rows, [float(_fisher_sum(v, m, n)) for v in a],
-                               rtol=1e-12)
+    single = [_fisher_sum(np.array([v]), m, n)[0] for v in a]
+    np.testing.assert_allclose(rows, single, rtol=1e-12)
 
 
 def _fisher_sum_mpmath(a, m, n):
@@ -627,13 +666,14 @@ def test_exact_prior_extreme_small_a_mpmath(a):
     assert reference_prior_exact(a, 60, 60) == pytest.approx(ref, rel=1e-15)
 
 
-# (m, n): relative bound on the Fisher sum for a in [1e-300, 1e8].  For
-# (2, 300) the pmf row, 1.4e-12 off, sets the error (measured 2.3e-9);
-# at m >= 1e8 it peaks where the two forms meet, a sqrt(m) = n, as both
-# cancel there (measured 1.1e-11, 3.8e-10, 2.2e-9 and 3.5e-9, in order).
-_FISHER_SWEEP = {(60, 60): 1e-12, (1000, 30): 1e-12, (10, 2): 1e-12,
-                 (2, 300): 5e-9, (10**8, 5): 1e-10, (10**10, 2): 1e-9,
-                 (10**12, 2): 1e-8, (10**12, 30): 1e-8}
+# (m, n): relative bound on the Fisher sum for a in [1e-300, 1e8].  Up
+# to m = 2000 the pmf row sets the error, and it grows with n (measured
+# 1.5e-14, 7.7e-15, 1.0e-14, 3.8e-13 and 8.2e-13, in order).  At
+# m >= 1e8 it peaks where the two forms meet, a sqrt(m) = n, as both
+# cancel there (measured 1.0e-11, 1.3e-10, 1.4e-9 and 3.4e-10, in order).
+_FISHER_SWEEP = {(60, 60): 5e-14, (1000, 30): 5e-14, (10, 2): 5e-14,
+                 (2, 300): 2e-12, (20, 1000): 3e-12, (10**8, 5): 1e-10,
+                 (10**10, 2): 1e-9, (10**12, 2): 1e-8, (10**12, 30): 1e-8}
 
 
 def _mn_id(mn):
@@ -675,18 +715,19 @@ def test_exact_prior_no_overflow_at_sampler_window():
 _CACHE_TS = np.linspace(math.log(1e-9), math.log(1e4), 3000)
 
 
-def _fake_fisher_sum(monkeypatch, below):
-    """Stand in a Fisher sum of 1/a up to cache grid point 1234, and
-    `below` from there on."""
+def _fake_fisher_forms(monkeypatch, below):
+    """Stand in, for both forms of the Fisher sum, a sum of 1/a up to
+    cache grid point 1234, and `below` from there on."""
     cut = 0.5 * (_CACHE_TS[1233] + _CACHE_TS[1234])
-    monkeypatch.setattr(hier, "_fisher_sum", lambda a, m, n: np.where(
-        np.log(a) < cut, 1.0 / np.asarray(a), below))
+    for form in ("_fisher_small", "_fisher_moment"):
+        monkeypatch.setattr(hier, form, lambda a, q, m, n: np.where(
+            np.log(a) < cut, 1.0 / a, below))
 
 
 def test_exact_prior_array_raises_like_scalar_calls(monkeypatch):
     # Both forms of the sum are positive to their accuracy, so a
     # negative sum is a defect, and raises.
-    _fake_fisher_sum(monkeypatch, -1.0)
+    _fake_fisher_forms(monkeypatch, -1.0)
     a = np.exp(_CACHE_TS[1200:1300])
     with pytest.raises(AccuracyError):
         reference_prior_exact(float(a[-1]), 10, 5)
@@ -695,7 +736,7 @@ def test_exact_prior_array_raises_like_scalar_calls(monkeypatch):
 
 
 def test_exact_prior_cache_raises_below_cancellation_floor(monkeypatch):
-    _fake_fisher_sum(monkeypatch, -1.0)
+    _fake_fisher_forms(monkeypatch, -1.0)
     with pytest.raises(AccuracyError):
         _ExactPriorCache(10, 5)
 
@@ -728,9 +769,10 @@ def _table_error(m, n, points):
 
 
 def test_exact_prior_cache_accuracy():
-    # Measured: 3.9e-12, 4.1e-12, 2.0e-12 and 1.6e-9 (set by the pmf row).
+    # Measured: 3.5e-12, 4.7e-12, 2.3e-12 and 1.3e-9 (set by the
+    # interpolant: the log prior at the nodes is within 4e-13).
     for m, n, bound in ((60, 60, 1e-11), (1000, 30, 1e-11), (10, 2, 1e-11),
-                        (2, 300, 5e-9)):
+                        (2, 300, 2e-9)):
         assert _table_error(m, n, 61) < bound, (m, n)
 
 
@@ -740,7 +782,7 @@ _LARGE_TABLE_BOUNDS = {(2000, 10029): 5e-9, (10**10, 2): 1e-9,
 
 @pytest.mark.parametrize("mn", sorted(_LARGE_TABLE_BOUNDS), ids=_mn_id)
 def test_exact_prior_cache_accuracy_large(mn):
-    # Measured: 7.4e-10, 1.1e-10, 7.9e-10 and 1.8e-9.
+    # Measured: 5.2e-12, 2.8e-10, 2.2e-9 and 6.5e-10.
     assert _table_error(*mn, 7 if mn[1] > 1000 else 41) < \
         _LARGE_TABLE_BOUNDS[mn]
 
