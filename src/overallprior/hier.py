@@ -11,6 +11,7 @@ reduction.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -686,15 +687,51 @@ def sample_posterior(x: CountTable, length: int, seed: int,
                      direct_prior_evals=cache.direct if cache else 0)
 
 
+@functools.lru_cache(maxsize=64)
+def _limit_log_scale(n: int, r0: int) -> float:
+    """Log of the maximum over v of v^{r0-3/2} prod_{i<n} (1 + v/i)^{-1},
+    reached where sum_{i<n} v/(v+i) = r0 - 3/2; 0 at r0 = 1, where the
+    product decreases in v.  The sum lies between (n-1) v/(v+n-1) and
+    v H_{n-1}, whose roots bracket the bisection in log v."""
+    c = r0 - 1.5
+    if c < 0.0:
+        return 0.0
+    i = np.arange(1, n, dtype=float)
+    lo = math.log(c / float(np.sum(1.0 / i)))
+    hi = math.log(c * (n - 1) / (n - 1 - c))
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if float(np.sum(1.0 / (1.0 + i * math.exp(-mid)))) < c:
+            lo = mid
+        else:
+            hi = mid
+    v = math.exp(0.5 * (lo + hi))
+    return c * math.log(v) - float(np.sum(np.log1p(v / i)))
+
+
 def limit_density_psi(v: float, profile: LimitProfile) -> float:
-    """Unnormalized large-m limit density of v = m a given (n, r0)."""
-    if not (v > 0.0):
-        raise DomainError("v must be positive")
+    """Large-m limit density of v = m a given (n, r0), up to a v-free
+    factor:
+
+        v^{r0-3/2} Gamma(v+1) Gamma(n) / Gamma(v+n)
+            * sqrt(sum_{i<n} i/(v+i)^2) / C(n, r0),
+
+    where Gamma(v+1) Gamma(n) / Gamma(v+n) = prod_{i<n} (1 + v/i)^{-1}
+    and C(n, r0) is the maximum over v of the factors before the square
+    root (1 at r0 = 1).  So psi is of order 1 near its mode for every n:
+    without (n-1)! it underflows to 0 at every v once n > 170, and
+    without C it overflows near the mode at r0 = n/2, n = 1e4.
+    """
+    if not (0.0 < v < math.inf):
+        raise DomainError("v must be positive and finite")
     n, r0 = profile.n, profile.r0
     i = np.arange(1, n, dtype=float)
-    log_sum = 0.5 * math.log(float(np.sum(i / (v + i) ** 2)))
-    return math.exp(-float(np.sum(np.log(v + i)))
-                    + (r0 - 1.5) * math.log(v) + log_sum)
+    w = max(v, 1.0)  # sum_i i/(v+i)^2 underflows at v > 1e154
+    log_root = 0.5 * math.log(float(np.sum(i / ((v + i) / w) ** 2))) \
+        - math.log(w)
+    return math.exp((r0 - 1.5) * math.log(v)
+                    - float(np.sum(np.log1p(v / i)))
+                    - _limit_log_scale(n, r0) + log_root)
 
 
 def _solve_cstar(ratio: float) -> float:

@@ -3,12 +3,18 @@ reproducibility."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from overallprior import hier, shrinkage
-from overallprior.cli import main
+from overallprior.cli import _quantiles, main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _run(*argv):
@@ -177,6 +183,40 @@ def test_shrink_outputs_reproducible_and_exact(tmp_path):
     assert [int(i) for i, _, _ in rows] == list(range(300))
     assert [float(t2) for _, t2, _ in rows] == chain.tau2_samples.tolist()
     assert [float(th) for _, _, th in rows] == chain.theta_samples.tolist()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 1000, 9001])
+def test_quantiles_match_numpy_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    qs = (0.0, 0.05, 0.25, 0.5, 0.95, 1.0, *rng.uniform(size=20))
+    for scale in (1e-300, 1.0, 1e300):
+        x = scale * rng.standard_normal(n)
+        assert _quantiles(x, qs) == np.quantile(x, qs).tolist()
+
+
+def test_quantiles_of_a_chain_match_numpy():
+    x = np.array([1.0, -2.0, 0.5, 3.0, 0.0, 1.5])
+    theta = shrinkage.gibbs_sample(shrinkage.MeansData(x), 10000,
+                                   seed=3).theta_samples[1000:]
+    assert _quantiles(theta, (0.05, 0.95)) == \
+        np.quantile(theta, [0.05, 0.95]).tolist()
+
+
+def test_shrink_loads_no_numpy_ma(tmp_path):
+    # np.quantile imports numpy.ma, which took over 10 ms of every shrink
+    # command: the interval comes from np.sort and numpy's linear rule.
+    inp = tmp_path / "x.txt"
+    inp.write_text("1.0 -2.0 0.5\n3.0 0.0\n")
+    code = ("import sys; from overallprior.cli import main; "
+            f"main(['shrink', '--input', {str(inp)!r}, '--chain', '300', "
+            f"'--out', {str(tmp_path / 's')!r}]); "
+            "print(' '.join(sorted(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env,
+                            check=True, capture_output=True,
+                            text=True).stdout.split()
+    assert "overallprior.shrinkage" in loaded
+    assert not [m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]]
 
 
 def test_shrink_too_few_means(tmp_path):

@@ -8,6 +8,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 import scipy.special as sp
 import scipy.stats
 from hypothesis import given, settings
@@ -842,11 +843,42 @@ def test_sampler_target_window(prior):
 # ----------------------------------------------------------- large-m limit
 
 
+def _mp_limit_log_density(v, n, r0):
+    """log of v^{r0-3/2} Gamma(v+1) Gamma(n) / Gamma(v+n) sqrt(S) in
+    mpmath, with S = sum_{i<n} i/(v+i)^2
+    = psi(v+n) - psi(v+1) - v (psi'(v+1) - psi'(v+n))."""
+    v = mpmath.mpf(v)
+    s = (mpmath.digamma(v + n) - mpmath.digamma(v + 1)
+         - v * (mpmath.psi(1, v + 1) - mpmath.psi(1, v + n)))
+    return ((r0 - 1.5) * mpmath.log(v) + mpmath.loggamma(v + 1)
+            + mpmath.loggamma(n) - mpmath.loggamma(v + n) + mpmath.log(s) / 2)
+
+
+def _mp_limit_log_scale(n, r0):
+    """log C(n, r0): the factors before the square root at their
+    maximum, the root of sum_{i<n} v/(v+i) = r0 - 3/2."""
+    c = r0 - 1.5
+    t = mpmath.findroot(lambda t: mpmath.fsum(
+        1 / (1 + i * mpmath.exp(-t)) for i in range(1, n)) - c, 0)
+    v = mpmath.exp(t)
+    return (c * t + mpmath.loggamma(v + 1) + mpmath.loggamma(n)
+            - mpmath.loggamma(v + n))
+
+
 def test_limit_density_value_oracle():
+    # psi is divided by C(n, r0), the maximum of its Gamma factors, which
+    # scipy's brentq finds here independently of the package.
     prof = LimitProfile(n=10, r0=3)
     v = 2.0
     i = np.arange(1, 10)
-    ref = math.exp(float(sp.gammaln(v + 1) - sp.gammaln(v + 10))) \
+    t_star = scipy.optimize.brentq(
+        lambda t: float(np.sum(1.0 / (1.0 + i * math.exp(-t)))) - 1.5,
+        -10.0, 10.0, xtol=1e-14)
+    v_star = math.exp(t_star)
+    log_c = float(1.5 * t_star + sp.gammaln(v_star + 1) + sp.gammaln(10)
+                  - sp.gammaln(v_star + 10))
+    ref = math.exp(float(sp.gammaln(v + 1) + sp.gammaln(10)
+                         - sp.gammaln(v + 10)) - log_c) \
         * v ** 1.5 * math.sqrt(float(np.sum(i / (v + i) ** 2)))
     assert limit_density_psi(v, prof) == pytest.approx(ref, rel=1e-12)
 
@@ -854,13 +886,36 @@ def test_limit_density_value_oracle():
 @pytest.mark.parametrize("v", [1e10, 1e12, 1e14])
 def test_limit_density_large_v_mpmath(v):
     with mpmath.workdps(50):
-        mv = mpmath.mpf(v)
-        log_ratio = mpmath.loggamma(mv + 1) - mpmath.loggamma(mv + 10)
-        ref = float(mpmath.exp(log_ratio) * mv ** 1.5 * mpmath.sqrt(
-            mpmath.fsum(i / (mv + i) ** 2 for i in range(1, 10))))
-    # Values are about 1e-85..1e-119: no absolute tolerance.
+        ref = float(mpmath.exp(_mp_limit_log_density(v, 10, 3)
+                               - _mp_limit_log_scale(10, 3)))
+    # Values are about 2e-78..2e-112: no absolute tolerance.
     assert limit_density_psi(v, LimitProfile(n=10, r0=3)) == \
         pytest.approx(ref, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("r0", [5, 20, 100, 5000])
+def test_limit_density_argmax_at_large_n(r0):
+    # Criterion 9's grid at n = 1e4: the grid point where psi peaks is the
+    # one where the mpmath log density peaks.  The unscaled product
+    # Gamma(v+1)/Gamma(v+n) underflowed to 0.0 at every v there, so the
+    # argmax was the grid's first point.
+    n = 10 ** 4
+    vgrid = np.exp(np.linspace(math.log(0.05), math.log(2.0 * n), 1200))
+    prof = LimitProfile(n=n, r0=r0)
+    vals = [limit_density_psi(v, prof) for v in vgrid]
+    with mpmath.workdps(20):
+        ref = [_mp_limit_log_density(v, n, r0) for v in vgrid]
+    assert int(np.argmax(vals)) == max(range(vgrid.size),
+                                       key=ref.__getitem__)
+
+
+@pytest.mark.parametrize("r0", [1, 3, 9])
+def test_limit_density_finite_over_float_range(r0):
+    # No overflow, and no log(0) from the sum of i/(v+i)^2, from the
+    # smallest normal v to the largest.
+    prof = LimitProfile(n=10, r0=r0)
+    for v in (1e-300, 1e-10, 1.0, 1e10, 1e200, 1e308):
+        assert 0.0 <= limit_density_psi(v, prof) < math.inf
 
 
 def test_limit_profile_validation():

@@ -6,13 +6,14 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 
 from overallprior import shrinkage
 from overallprior.exceptions import (AccuracyError, DomainError,
                                      PreconditionError, SingularityError)
-from overallprior.shrinkage import (MeansData, _tau2_step,
-                                    flat_prior_theta_mean, gibbs_sample,
+from overallprior.shrinkage import (MeansData, flat_prior_theta_mean,
+                                    gibbs_sample,
                                     hierarchical_prior_density,
                                     reference_prior_density,
                                     theta_posterior_samples)
@@ -122,14 +123,30 @@ def test_reference_prior_scaling():
 # ----------------------------------------------------------- tau^2 step
 
 
+def _tau2_chains(m, sq_norm, tau2, steps, seed):
+    """The sampler's tau^2 step with mu held fixed, run on independent
+    chains started at the array tau2: v = s e given tau^2, then
+    tau^2 = (|mu|^2/2 + v)/g, with s = tau^2/(1+tau^2), e ~ Exp(1) and
+    g ~ Gamma(m/2).  Returns every state, one row per step."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((steps, tau2.size))
+    for i in range(steps):
+        shrink = tau2 / (1.0 + tau2)
+        e = rng.standard_exponential(tau2.size)
+        tau2 = (0.5 * sq_norm + shrink * e) / rng.standard_gamma(0.5 * m,
+                                                                 tau2.size)
+        out[i] = tau2
+    return out
+
+
 def test_tau2_step_stationary_distribution():
-    # With mu fixed, the accepted draws follow
-    #   pi(tau^2) propto (tau^2)^{-m/2} exp(-|mu|^2/2tau^2) / (1+tau^2).
+    # With mu fixed, the step leaves
+    #   pi(tau^2) propto (tau^2)^{-m/2} exp(-|mu|^2/2tau^2) / (1+tau^2)
+    # invariant: 200 chains, 600 steps each, the first 100 dropped.
     m = 5
     mu = np.array([1.0, -0.5, 0.8, 0.3, -1.2])
     s = float(mu @ mu)
-    rng = np.random.default_rng(123)
-    draws = np.array([_tau2_step(rng, m, s)[0] for _ in range(100000)])
+    draws = _tau2_chains(m, s, np.ones(200), 600, seed=123)[100:].ravel()
 
     grid = np.exp(np.linspace(math.log(1e-4), math.log(1e3), 8000))
     dens = grid ** (-0.5 * m) * np.exp(-0.5 * s / grid) / (1 + grid)
@@ -158,14 +175,13 @@ def _tau2_cdf(m, s):
 @pytest.mark.parametrize("m,s", [(500, 20.0), (500, 500.0), (5, 3.0),
                                  (3, 0.01), (3, 1e-17)])
 def test_tau2_step_ks(m, s):
-    # KS distance of 10^5 draws from the exact tau^2 | mu law, within the
-    # 0.1% critical value.  At (3, 1e-17) the proposal constant
-    # c = L/(1+L), L = m/|mu|^2, rounds to 1.
-    if s == 1e-17:
-        assert 3.0 / s / (1.0 + 3.0 / s) == 1.0
+    # 10^5 independent chains, started at the scale |mu|^2/m and run 40
+    # steps with mu fixed, end in the exact tau^2 | mu law: the KS
+    # distance of their last states is within the 0.1% critical value.
+    # At (3, 1e-17) 10 steps are too few for the chains to spread over
+    # the law's wide left tail in log tau^2.
     n = 100000
-    rng = np.random.default_rng(7)
-    draws = np.sort([_tau2_step(rng, m, s)[0] for _ in range(n)])
+    draws = np.sort(_tau2_chains(m, s, np.full(n, s / m), 40, seed=7)[-1])
     t, cdf = _tau2_cdf(m, s)
     model = np.interp(np.log(draws), t, cdf)
     i = np.arange(1, n + 1)
@@ -174,39 +190,34 @@ def test_tau2_step_ks(m, s):
 
 
 class _StubRng:
-    """Generator stand-in: gamma() returns the listed values in turn,
-    then repeats the last; random() returns `uniform`."""
+    """Generator stand-in for gibbs_sample: every gamma variate is
+    `gamma`, every other variate is 1."""
 
-    def __init__(self, gammas, uniform):
-        self.gammas, self.uniform = list(gammas), uniform
+    def __init__(self, gamma):
+        self.gamma = gamma
 
-    def gamma(self, shape, scale):
-        return self.gammas.pop(0) if len(self.gammas) > 1 else self.gammas[0]
+    def standard_normal(self, size):
+        return np.ones(size)
 
-    def random(self):
-        return self.uniform
+    def chisquare(self, df, size):
+        return np.ones(size)
+
+    def standard_gamma(self, shape, size):
+        return np.full(size, self.gamma)
+
+    def standard_exponential(self, size):
+        return np.ones(size)
 
 
-def test_tau2_step_rejection_cap(monkeypatch):
-    # Uniforms just below 1 accept only where the acceptance ratio is 1;
-    # proposals 1000x the scale of tau^2 | mu are far from that point,
-    # so five proposals cannot pass.
-    monkeypatch.setattr(shrinkage, "_REJECTION_CAP", 5)
-    m, s = 3, 1e-12
+@pytest.mark.parametrize("gamma", [5e-324, 1e308])
+def test_gibbs_raises_on_draws_out_of_float_range(monkeypatch, gamma):
+    # A subnormal gamma variate sends tau^2 to inf (and the next shrink
+    # factor to nan); a huge one sends tau^2 and theta to 0.  Either way
+    # the chain raises a typed error instead of returning the draws.
+    monkeypatch.setattr(shrinkage.np.random, "default_rng",
+                        lambda seed: _StubRng(gamma))
     with pytest.raises(AccuracyError):
-        _tau2_step(_StubRng([1e3 * m / s], 1.0 - 2.0 ** -53), m, s)
-
-
-def test_tau2_step_rejects_proposals_out_of_float_range(monkeypatch):
-    # A precision that underflows to 0, is subnormal (1/lam overflows) or
-    # overflows is rejected, never divided by; the next valid one is kept.
-    m, s = 5, 3.0
-    rng = _StubRng([0.0, 5e-324, math.inf, m / s], 0.0)
-    assert _tau2_step(rng, m, s) == (s / m, 3)
-    monkeypatch.setattr(shrinkage, "_REJECTION_CAP", 5)
-    for bad in (0.0, math.inf):
-        with pytest.raises(AccuracyError):
-            _tau2_step(_StubRng([bad], 0.0), m, s)
+        gibbs_sample(MeansData(np.array([1.0, 2.0, 3.0])), 50, seed=0)
 
 
 # --------------------------------------------------------------- Gibbs
@@ -229,22 +240,24 @@ def test_gibbs_reproducible():
 
 
 def test_gibbs_chain_pinned():
-    # Recorded from the sampler that draws |mu|^2 as a scaled noncentral
-    # chi-square and proposes the tau^2 precision from Gamma(m/2 - c, r):
-    # the random stream must not change.  tau^2 and the rejection rate
-    # are exact; theta is held to rel 1e-14, since |x|^2 is a BLAS dot
+    # Recorded from the sampler that draws its four variates in bulk
+    # (normal, chi-square, gamma, exponential) and takes the tau^2 step
+    # through the auxiliary variable v: the random stream must not change.
+    # tau^2 and theta are held to rel 1e-14, since |x|^2 is a BLAS dot
     # product, whose summation order may vary.
     x = np.random.default_rng(3).normal(size=500)
     chain = gibbs_sample(MeansData(x), 200, seed=5)
-    assert float(chain.tau2_samples.sum()) == 21.849468091351934
-    assert chain.rejection_rate == 0.0  # 200 proposals, none rejected
+    assert chain.rejection_rate == 0.0
+    assert float(chain.tau2_samples.sum()) == pytest.approx(
+        16.690090929732435, rel=1e-14, abs=0.0)
     assert float(chain.theta_samples.sum()) == pytest.approx(
-        21.774669637726127, rel=1e-14, abs=0.0)
-    for i, tau2, theta in [(0, 0.7005527977806185, 0.7167465067510851),
-                           (1, 0.5304431341569024, 0.5850472838711366),
-                           (99, 0.059924067761378326, 0.06311424702481956),
-                           (199, 0.06252249003401779, 0.06160589329639655)]:
-        assert chain.tau2_samples[i] == tau2
+        16.779233972258226, rel=1e-14, abs=0.0)
+    for i, tau2, theta in [(0, 0.7141073318074868, 0.7078160465989588),
+                           (1, 0.5526186526210202, 0.5440007518310385),
+                           (99, 0.03767622395993191, 0.0350680751062786),
+                           (199, 0.023854606120804856, 0.023371664039427777)]:
+        assert chain.tau2_samples[i] == pytest.approx(tau2, rel=1e-14,
+                                                      abs=0.0)
         assert chain.theta_samples[i] == pytest.approx(theta, rel=1e-14,
                                                        abs=0.0)
 
@@ -289,26 +302,24 @@ def test_gibbs_recovers_theta_scale():
 
 
 def test_theta_samples_example():
-    # Replay the sampler's random stream: |mu|^2 = s chi'^2_m(s |x|^2) is
-    # drawn, stored as theta = |mu|^2 / m, and feeds the next tau^2 step.
+    # Replay the sampler's random stream: four bulk draws, then per draw
+    # |mu|^2 = s ((z + sqrt(s |x|^2))^2 + c), stored as theta = |mu|^2 / m,
+    # and tau^2 = (|mu|^2/2 + s e) / g for the next draw.
     x = np.array([1.0, 2.0, 3.0])
     chain = gibbs_sample(MeansData(x), 5, seed=1)
     theta = theta_posterior_samples(chain)
     assert theta.shape == (5,)
     rng = np.random.default_rng(1)
+    zs, cs = rng.standard_normal(5), rng.chisquare(2, 5)
+    gs, es = rng.standard_gamma(1.5, 5), rng.standard_exponential(5)
     tau2 = 1.0
     for it in range(5):
         shrink = tau2 / (1.0 + tau2)
-        sq_norm = shrink * rng.noncentral_chisquare(3, shrink * 14.0)
-        tau2, _ = _tau2_step(rng, 3, sq_norm)
+        u = zs[it] + math.sqrt(shrink * 14.0)
+        sq_norm = shrink * (u * u + cs[it])
+        tau2 = (0.5 * sq_norm + shrink * es[it]) / gs[it]
         assert tau2 == chain.tau2_samples[it]
         assert theta[it] == sq_norm / 3.0
-
-
-def test_rejection_rate_band():
-    data = MeansData(np.array([1.0, -2.0, 0.5, 3.0, 0.0]))
-    chain = gibbs_sample(data, 3000, seed=9)
-    assert 0.0 < chain.rejection_rate < 0.95
 
 
 # ------------------------------------------- law of the collapsed chain
@@ -326,20 +337,26 @@ _THETA_ONE = _theta_one_data()
 
 @pytest.mark.parametrize("tau2", [0.05, 1.0, 20.0])
 def test_sq_norm_draw_matches_explicit_mu(tau2):
-    # Given tau^2, |mu|^2 with mu ~ N(s x, s I) is s chi'^2_m(s |x|^2):
-    # the sampler's one scalar draw must match the norm of m explicit
-    # normal draws in law, and both must match the exact mean
-    # s (m + lam) and variance 2 s^2 (m + 2 lam) within 5 standard errors.
+    # Given tau^2, |mu|^2 with mu ~ N(s x, s I) is s chi'^2_m(lam),
+    # lam = s |x|^2.  The sampler draws it as s ((z + sqrt(lam))^2 + c),
+    # z ~ N(0, 1), c ~ chi^2_{m-1}: that must match numpy's noncentral
+    # chi-square and the norm of m explicit normal draws in law, and all
+    # three must match the exact mean s (m + lam) and variance
+    # 2 s^2 (m + 2 lam) within 5 standard errors.
     x, n = _THETA_ONE, 40000
     m, s = x.size, tau2 / (1.0 + tau2)
     lam = s * float(x @ x)
-    collapsed = s * np.random.default_rng(1).noncentral_chisquare(m, lam, n)
+    rng = np.random.default_rng(1)
+    collapsed = s * ((rng.standard_normal(n) + math.sqrt(lam)) ** 2
+                     + rng.chisquare(m - 1, n))
+    noncentral = s * np.random.default_rng(3).noncentral_chisquare(m, lam, n)
     mu = np.random.default_rng(2).normal(s * x, math.sqrt(s), size=(n, m))
     explicit = np.einsum("ij,ij->i", mu, mu)
-    assert scipy.stats.ks_2samp(collapsed, explicit).pvalue > 0.001
+    for other in (noncentral, explicit):
+        assert scipy.stats.ks_2samp(collapsed, other).pvalue > 0.001
     mean, var = s * (m + lam), 2.0 * s * s * (m + 2.0 * lam)
     kappa4 = 48.0 * s ** 4 * (m + 4.0 * lam)
-    for draws in (collapsed, explicit):
+    for draws in (collapsed, noncentral, explicit):
         assert abs(draws.mean() - mean) < 5.0 * math.sqrt(var / n)
         assert abs(draws.var() - var) < 5.0 * math.sqrt(
             (kappa4 + 2.0 * var * var) / n)
@@ -376,9 +393,9 @@ def _batch_mean_se(draws, batches=50):
     (_THETA_ONE, 20000),
 ], ids=["five-means", "theta-one-m200"])
 def test_collapsed_chain_matches_full_mu_gibbs(x, length):
-    # The tau^2 step reads mu only through |mu|^2, so (theta, tau^2) is a
-    # Markov chain with the same kernel under both samplers: the theta
-    # and tau^2 means agree within 5 batch-means standard errors.
+    # Both samplers leave the posterior of (mu, tau^2) invariant, and
+    # their tau^2 steps read mu only through |mu|^2: the theta and tau^2
+    # means agree within 5 batch-means standard errors.
     burn = 1000
     chain = gibbs_sample(MeansData(x), length, seed=31)
     ref_theta, ref_tau2 = _full_mu_gibbs(x, length, seed=32)
@@ -392,7 +409,55 @@ def test_collapsed_chain_matches_full_mu_gibbs(x, length):
 def test_gibbs_near_zero_theta_few_proposals():
     # theta_T = 0 at m = 500: tau^2 | mu sits near 1/m, where a proposal
     # that ignored the 1/(1+tau^2) factor would be accepted with
-    # probability about tau^2.
+    # probability about tau^2.  The auxiliary-variable step takes exactly
+    # one gamma draw per tau^2.
     x = np.random.default_rng(0).normal(size=500)
     chain = gibbs_sample(MeansData(x), 10000, seed=1)
-    assert 1.0 / (1.0 - chain.rejection_rate) <= 1.5
+    assert chain.rejection_rate == 0.0
+
+
+def _tau2_marginal_cdf(tau2, x):
+    """Closed-form CDF of tau^2 | x: x_i ~ N(0, 1+tau^2) given tau^2, so
+    the density is (1+tau^2)^{-m/2-1} exp(-|x|^2/(2(1+tau^2))), an
+    inverse gamma (m/2, |x|^2/2) in 1+tau^2, truncated to 1+tau^2 > 1."""
+    a, b = 0.5 * x.size, 0.5 * float(x @ x)
+    q = scipy.special.gammaincc
+    return (q(a, b / (1.0 + tau2)) - q(a, b)) / scipy.special.gammainc(a, b)
+
+
+@pytest.mark.parametrize("x", [
+    np.array([1.0, 2.0, 3.0]),
+    np.array([2.0, -1.0, 0.5, 1.5, -2.5]),
+    _THETA_ONE,
+], ids=["m3", "m5", "m200"])
+def test_gibbs_tau2_marginal_ks(x):
+    # The chain's tau^2 draws after burn-in, thinned 1 in 20 to about
+    # 5000 nearly independent ones, follow the exact marginal posterior
+    # of tau^2: KS distance within the 0.1% critical value.
+    chain = gibbs_sample(MeansData(x), 101000, seed=11)
+    draws = chain.tau2_samples[1000::20]
+    dist = scipy.stats.kstest(draws, _tau2_marginal_cdf, args=(x,))
+    assert dist.statistic < 1.95 / math.sqrt(draws.size)
+
+
+def _ess_per_draw(draws):
+    """Effective sample size per draw, 1/(1 + 2 sum rho_k), summing the
+    autocorrelations by Geyer's initial positive sequence."""
+    y = draws - draws.mean()
+    n = y.size
+    f = np.fft.rfft(y, 2 * n)
+    rho = np.fft.irfft(f * np.conj(f))[:n]
+    rho /= rho[0]
+    pairs = rho[:n - n % 2].reshape(-1, 2).sum(axis=1)
+    stop = np.argmax(pairs <= 0.0) if np.any(pairs <= 0.0) else pairs.size
+    return 1.0 / (2.0 * float(pairs[:stop].sum()) - 1.0)
+
+
+def test_gibbs_theta_ess_matches_full_mu_gibbs():
+    # The auxiliary variable costs the theta chain on the theta_T = 1,
+    # m = 200 data no more than 15% of its effective sample size per
+    # draw, against the sampler that draws all m means.
+    length, burn = 20000, 1000
+    new = gibbs_sample(MeansData(_THETA_ONE), length, seed=31).theta_samples
+    ref, _ = _full_mu_gibbs(_THETA_ONE, length, seed=32)
+    assert _ess_per_draw(new[burn:]) >= 0.85 * _ess_per_draw(ref[burn:])
