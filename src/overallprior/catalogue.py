@@ -6,6 +6,10 @@ shared by every parameter of interest; this module exposes those
 kernels (mostly improper, evaluated pointwise and unnormalized)
 together with the bivariate-normal right-Haar family and its
 arithmetic/geometric averages.
+
+Scale arguments must be positive and finite.  No partial product
+under- or overflows (``_reciprocal_product``): a valid point gives its
+value, or inf where that exceeds the float range.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SingularityError
-from .numerics import _trigamma_excess
+from .numerics import _trigamma_excess, trigamma
 
 __all__ = [
     "BvnParams",
@@ -44,6 +48,19 @@ __all__ = [
 ]
 
 
+def _reciprocal_product(*factors: float) -> float:
+    """1 / prod(factors) for positive finite factors, mantissas and binary
+    exponents taken apart (``math.frexp``): inf where the value exceeds
+    the float range, 0 or a subnormal where it falls below it."""
+    mantissa, exponent = 1.0, 0
+    for f in factors:
+        mf, ef = math.frexp(f)
+        mantissa, em = math.frexp(mantissa * mf)
+        exponent -= ef + em
+    mf, ef = math.frexp(1.0 / mantissa)
+    return math.inf if ef + exponent > 1024 else math.ldexp(mf, ef + exponent)
+
+
 @dataclass(frozen=True)
 class BvnParams:
     """Bivariate normal parameters (means, scales, correlation)."""
@@ -55,8 +72,8 @@ class BvnParams:
     rho: float
 
     def __post_init__(self):
-        if not (self.sigma1 > 0.0 and self.sigma2 > 0.0):
-            raise DomainError("scales must be positive")
+        if not all(0.0 < v < math.inf for v in (self.sigma1, self.sigma2)):
+            raise DomainError("scales must be positive and finite")
         if not (-1.0 < self.rho < 1.0):
             raise DomainError("correlation must lie in (-1, 1)")
 
@@ -94,19 +111,18 @@ def bivariate_binomial_prior(theta1: float, theta2: float) -> float:
     for t in (theta1, theta2):
         if not (0.0 < t < 1.0):
             raise SingularityError(f"theta={t} on the boundary of (0,1)")
-    return 1.0 / math.sqrt(theta1 * (1 - theta1) * theta2 * (1 - theta2))
+    return _reciprocal_product(math.sqrt(theta1 * (1 - theta1)),
+                               math.sqrt(theta2 * (1 - theta2)))
 
 
 def directional_multinomial_prior(xi: Sequence[float]) -> float:
     """Reference prior for the multinomial in the conditional-cell
     parametrization: independent Be(1/2,1/2) kernels for each xi_j."""
-    out = 1.0
+    xi = [float(x) for x in xi]
     for x in xi:
-        x = float(x)
         if not (0.0 < x < 1.0):
             raise SingularityError(f"xi={x} on the boundary of (0,1)")
-        out /= math.sqrt(x * (1.0 - x))
-    return out
+    return _reciprocal_product(*(math.sqrt(x * (1.0 - x)) for x in xi))
 
 
 def theta_to_xi(theta: Sequence[float]) -> np.ndarray:
@@ -144,7 +160,7 @@ def expfam_prior(G1pp: Callable[[float], float],
     c2 = G2pp(float(theta2))
     if not (c1 > 0.0 and c2 > 0.0):
         raise DomainError("both curvatures must be positive")
-    return math.sqrt(c1 * c2)
+    return math.sqrt(c1) * math.sqrt(c2)
 
 
 def _h_curvature(theta1: float) -> float:
@@ -159,7 +175,7 @@ def _log_curvature(theta1: float) -> float:
     # G1 = -log(-2 theta1)/2, so G1'' = 1/(2 theta1^2) for theta1 < 0.
     if not (theta1 < 0.0):
         raise DomainError("natural parameter theta1 must be negative")
-    return 0.5 / (theta1 * theta1)
+    return 0.5 / theta1 / theta1
 
 
 def normal_expfam_curvatures():
@@ -173,7 +189,7 @@ def inverse_gaussian_expfam_curvatures():
     def g2pp(t2):
         if not (t2 > 0.0):
             raise DomainError("theta2 must be positive")
-        return 2.0 / t2 ** 3
+        return 2.0 / t2 / t2 / t2
     return _log_curvature, g2pp
 
 
@@ -183,7 +199,7 @@ def gamma_expfam_curvatures():
     def g2pp(t2):
         if not (t2 > 0.0):
             raise DomainError("theta2 must be positive")
-        return 1.0 / (t2 * t2)
+        return 1.0 / t2 / t2
     return _h_curvature, g2pp
 
 
@@ -195,18 +211,23 @@ def inverse_gamma_expfam_curvatures():
 
 def inverse_gaussian_prior(alpha: float, psi: float) -> float:
     """Common reference prior for the inverse Gaussian: 1/(alpha sqrt(psi))."""
-    if not (alpha > 0.0 and psi > 0.0):
-        raise DomainError("alpha and psi must be positive")
-    return 1.0 / (alpha * math.sqrt(psi))
+    if not (0.0 < alpha < math.inf and 0.0 < psi < math.inf):
+        raise DomainError("alpha and psi must be positive and finite")
+    return _reciprocal_product(alpha, math.sqrt(psi))
 
 
 def gamma_mean_prior(alpha: float, mu: float) -> float:
     """Common reference prior for the Gamma(alpha, mean mu):
     sqrt(alpha trigamma(alpha) - 1) / (sqrt(alpha) mu), the difference
-    taken from `_trigamma_excess`."""
-    if not (alpha > 0.0 and mu > 0.0):
-        raise DomainError("alpha and mu must be positive")
-    return math.sqrt(_trigamma_excess(alpha)) / (math.sqrt(alpha) * mu)
+    taken from `_trigamma_excess`; below alpha = 1, where 1/alpha may
+    overflow, as sqrt(1 - alpha + alpha^2 trigamma(alpha + 1))/(alpha mu)."""
+    if not (0.0 < alpha < math.inf and 0.0 < mu < math.inf):
+        raise DomainError("alpha and mu must be positive and finite")
+    if alpha < 1.0:
+        return (math.sqrt(1.0 - alpha + alpha * alpha * trigamma(alpha + 1.0))
+                * _reciprocal_product(alpha, mu))
+    return math.sqrt(_trigamma_excess(alpha)) * _reciprocal_product(
+        math.sqrt(alpha), mu)
 
 
 def stress_strength_prior(theta: float, psi: float) -> float:
@@ -214,9 +235,9 @@ def stress_strength_prior(theta: float, psi: float) -> float:
     reliability: 1 / {theta (1-theta) psi}."""
     if not (0.0 < theta < 1.0):
         raise SingularityError("theta must lie strictly in (0,1)")
-    if not (psi > 0.0):
-        raise SingularityError("psi must be positive")
-    return 1.0 / (theta * (1.0 - theta) * psi)
+    if not (0.0 < psi < math.inf):
+        raise SingularityError("psi must be positive and finite")
+    return _reciprocal_product(theta, 1.0 - theta, psi)
 
 
 def eta_to_theta_psi(eta1: float, eta2: float, m: int, n: int):
@@ -247,24 +268,29 @@ def theta_psi_to_eta(theta: float, psi: float, m: int, n: int):
 def right_haar_density(p: BvnParams, beta: float) -> float:
     """Right-Haar prior for the bivariate normal observed through the
     rotation by beta: the family interpolating pi_1 (beta = pi/2) and
-    pi_2 (beta = 0)."""
-    s, c = math.sin(beta), math.cos(beta)
-    num = (s * s * p.sigma1 ** 2 + c * c * p.sigma2 ** 2
-           + 2.0 * s * c * p.rho * p.sigma1 * p.sigma2)
-    return num / (p.sigma1 ** 2 * p.sigma2 ** 2 * (1.0 - p.rho ** 2))
+    pi_2 (beta = 0), for finite beta: with u = sin(beta)/sigma2 and
+    v = cos(beta)/sigma1, (u + rho v)^2/(1 - rho^2) + v^2."""
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
+    u, v = math.sin(beta) / p.sigma2, math.cos(beta) / p.sigma1
+    if math.isinf(u) or math.isinf(v):
+        return math.inf
+    w = u + p.rho * v
+    return w * w / (1.0 - p.rho ** 2) + v * v
 
 
 def haar_arithmetic_average(p: BvnParams) -> float:
     """Arithmetic average of the two standard right-Haar priors; equals
     the uniform-beta average of right_haar_density up to a constant."""
     d = 1.0 - p.rho ** 2
-    return 0.5 / (p.sigma1 ** 2 * d) + 0.5 / (p.sigma2 ** 2 * d)
+    return 0.5 * (_reciprocal_product(p.sigma1, p.sigma1, d)
+                  + _reciprocal_product(p.sigma2, p.sigma2, d))
 
 
 def haar_geometric_average(p: BvnParams) -> float:
     """Geometric average of the two right-Haar priors,
     1/[sigma1 sigma2 (1-rho^2)]: the recommended overall prior."""
-    return 1.0 / (p.sigma1 * p.sigma2 * (1.0 - p.rho ** 2))
+    return _reciprocal_product(p.sigma1, p.sigma2, 1.0 - p.rho ** 2)
 
 
 # name -> (callable over positional floats, argument description,

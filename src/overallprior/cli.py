@@ -6,7 +6,8 @@ browsing; outputs are plain CSV (with header rows) and JSON summaries
 (schema "v1"), suitable for any external plotter.
 
 Exit codes: 0 success, 1 usage/parse error, 2 I/O error,
-3 precondition violation.
+3 precondition violation or numerical failure.  Every package error
+(``OverallPriorError``) ends in one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalogue, hier, refdist, shrinkage
-from .exceptions import DomainError, PreconditionError
+from .exceptions import DomainError, OverallPriorError, PreconditionError
 
 __all__ = ["main"]
 
@@ -38,7 +39,7 @@ class _UsageError(Exception):
 
 
 def _parse_grid(spec: str):
-    """Parse "lo:hi:k" or "lo:hi:k:log" into an increasing grid."""
+    """Parse "lo:hi:k" or "lo:hi:k:log" into an increasing a-grid."""
     parts = spec.split(":")
     if len(parts) not in (3, 4):
         raise _UsageError(f"bad grid spec {spec!r}; expected lo:hi:k[:log]")
@@ -50,11 +51,9 @@ def _parse_grid(spec: str):
     log_flag = len(parts) == 4
     if log_flag and parts[3] != "log":
         raise _UsageError(f"bad grid spec {spec!r}; fourth field must be 'log'")
-    if not (lo < hi) or k < 2:
-        raise _UsageError("grid needs lo < hi and at least 2 points")
+    if not (0.0 < lo < hi < math.inf) or k < 2:
+        raise _UsageError("grid needs 0 < lo < hi < inf and k >= 2 points")
     if log_flag:
-        if lo <= 0.0:
-            raise _UsageError("log grid needs lo > 0")
         return np.exp(np.linspace(math.log(lo), math.log(hi), k))
     return np.linspace(lo, hi, k)
 
@@ -146,6 +145,7 @@ def cmd_refdist(args) -> int:
 
 
 def cmd_hier(args) -> int:
+    grid = _parse_grid(args.grid)
     table = hier.CountTable.from_sparse_text(Path(args.input).read_text())
     # First, so that a table with one occupied cell fails before any output.
     mode = hier.posterior_mode_a(table, prior=args.prior)
@@ -156,7 +156,6 @@ def cmd_hier(args) -> int:
     _write_csv(out / "chain.csv", ["iteration", "a"],
                enumerate(chain.a_samples.tolist()))
 
-    grid = _parse_grid(args.grid)
     prior_fn = (hier.reference_prior_exact if args.prior == "exact"
                 else hier.reference_prior_approx)
     _write_csv(out / "prior_curve.csv", ["a", "prior"],
@@ -296,18 +295,13 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (FileNotFoundError, PermissionError, IsADirectoryError) as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (PreconditionError,) as exc:
-        print(f"precondition violated: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except DomainError as exc:
+    except (_UsageError, OverallPriorError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        usage = isinstance(exc, (_UsageError, DomainError))
+        return EXIT_USAGE if usage else EXIT_PRECONDITION
 
 
 if __name__ == "__main__":

@@ -6,16 +6,16 @@ every formula built on top of them:
 
 - ``log_gamma`` is ``math.lgamma`` behind a domain check;
 - ``log_rising_ratio`` gives the log of a ratio of two rising
-  factorials for every j = 0..k in one numpy pass.  The reference
-  predictive and the expected loss take their log-gamma differences at
-  arguments an integer apart through it rather than as a difference of two
-  ``lgamma`` values, which cancels when the argument is much larger
-  than the step.  The hierarchical model needs neither: the marginal
-  likelihood is one weighted sum of log1p terms (see
-  ``hier.marginal_log_likelihood``), and the single-cell pmf follows
-  its ratio recurrence (see ``hier.marginal_pmf``);
+  factorials for every j = 0..k in one numpy pass: the log-gamma
+  differences of the reference predictive and the expected loss, at
+  arguments an integer apart, without the cancellation of two
+  ``lgamma`` values;
 - ``digamma`` (elementwise on arrays) and ``trigamma`` shift the
-  argument up with the recurrence and then sum the asymptotic series.
+  argument up with the recurrence and then sum the asymptotic series;
+  they return -inf and inf where psi and psi' leave the float range;
+- ``_gamma_kl`` is the one divergence kernel: ``kl_beta`` and the
+  normal-model risks ``refdist.d_sigma`` and ``refdist.d_mu`` are sums
+  and differences of it.
 """
 
 from __future__ import annotations
@@ -160,21 +160,23 @@ def digamma(x):
     # that lift y into the range of the asymptotic series.
     s = np.ceil(np.maximum(_SHIFT - y, 0.0))
     i = np.arange(_SHIFT)
-    acc = -np.where(i < s[..., None], 1.0 / (y[..., None] + i), 0.0).sum(-1)
+    with np.errstate(over="ignore"):  # 1/y overflows as psi(y) ~ -1/y does
+        acc = -np.where(i < s[..., None], 1 / (y[..., None] + i), 0.0).sum(-1)
     y = y + s
-    out = acc + np.log(y) - 0.5 / y - _series(_DIGAMMA_COEF, 1.0 / (y * y))
+    out = acc + np.log(y) - 0.5 / y - _series(_DIGAMMA_COEF, 1.0 / y / y)
     return float(out) if out.ndim == 0 else out
 
 
 def trigamma(x: float) -> float:
-    """Trigamma function psi'(x) for x > 0; absolute error below 1e-10."""
+    """Trigamma function psi'(x) for x > 0; absolute error below 1e-10.
+    It is inf below about 1e-154, where psi'(x) ~ 1/x^2 overflows."""
     x = float(x)
     if not (x > 0.0):
         raise DomainError(f"trigamma requires x > 0, got {x}")
     acc = 0.0
     y = x
     while y < _SHIFT:
-        acc += 1.0 / (y * y)
+        acc += 1.0 / y / y  # y * y would underflow to 0 first
         y += 1.0
     z = 1.0 / (y * y)
     series = _series(_TRIGAMMA_COEF, z)
@@ -191,25 +193,28 @@ def _trigamma_excess(alpha: float) -> float:
     return 0.5 / alpha + _series(_TRIGAMMA_COEF, 1.0 / (alpha * alpha))
 
 
+def _gamma_kl(x: float, x0: float) -> float:
+    """KL(Gamma(x) || Gamma(x0)) = lgamma(x0) - lgamma(x) - (x0 - x) psi(x)
+    for x, x0 > 0: the R(x, x0 - x) of ``kl_beta``, ``refdist.d_sigma``
+    and ``refdist.d_mu``.  Its terms cancel where |x0 - x| << x."""
+    return log_gamma(x0) - log_gamma(x) - (x0 - x) * digamma(x)
+
+
 def kl_beta(alpha0: float, beta0: float, alpha: float, beta: float) -> float:
     """Directed logarithmic divergence of Be(alpha0, beta0) from Be(alpha, beta).
 
     This is the expectation, under Be(alpha, beta), of the log-ratio of
     the Be(alpha, beta) density over the Be(alpha0, beta0) density.
-    Nonnegative, and zero iff the two parameter pairs coincide.
+    Nonnegative, and zero iff the two parameter pairs coincide.  It is
+    k(alpha, alpha0) + k(beta, beta0) - k(alpha + beta, alpha0 + beta0),
+    with k the gamma divergence ``_gamma_kl``.
     """
     for name, v in (("alpha0", alpha0), ("beta0", beta0),
                     ("alpha", alpha), ("beta", beta)):
         if not (float(v) > 0.0):
             raise DomainError(f"kl_beta requires {name} > 0, got {v}")
-    return (
-        log_gamma(alpha + beta) - log_gamma(alpha0 + beta0)
-        + log_gamma(alpha0) - log_gamma(alpha)
-        + log_gamma(beta0) - log_gamma(beta)
-        + (alpha - alpha0) * digamma(alpha)
-        + (beta - beta0) * digamma(beta)
-        - ((alpha + beta) - (alpha0 + beta0)) * digamma(alpha + beta)
-    )
+    return (_gamma_kl(alpha, alpha0) + _gamma_kl(beta, beta0)
+            - _gamma_kl(alpha + beta, alpha0 + beta0))
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))

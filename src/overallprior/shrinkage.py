@@ -43,6 +43,9 @@ class MeansData:
             raise DomainError("data must be a non-empty vector")
         if not np.all(np.isfinite(x)):
             raise DomainError("data must be finite")
+        with np.errstate(over="ignore"):
+            if not math.isfinite(float(x @ x)):
+                raise DomainError("the sum of squared data overflows a float")
         object.__setattr__(self, "x", x)
 
     @property

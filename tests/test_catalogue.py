@@ -318,3 +318,103 @@ def test_entries_registry():
     assert proper is False and nargs == 3
     assert fn([1.0, 1.0, 0.0]) == pytest.approx(1.0)
     assert ENTRIES["directional-multinomial"][3] is None
+
+
+# ------------------------------------------- extreme valid arguments
+
+_ONE_LESS = 1.0 - 2.0 ** -53   # the float just below 1
+
+
+def _mp_right_haar(beta, s1, s2, rho):
+    s, c = mpmath.sin(beta), mpmath.cos(beta)
+    return ((s * s * s1 ** 2 + c * c * s2 ** 2 + 2 * s * c * rho * s1 * s2)
+            / (s1 ** 2 * s2 ** 2 * (1 - rho ** 2)))
+
+
+# name -> (60-digit reference, points).  Points whose value leaves the
+# float range must give inf (or 0), as the reference does when rounded.
+_EXTREMES = {
+    "bivariate-binomial": (
+        lambda t1, t2: 1 / mpmath.sqrt(t1 * (1 - t1) * t2 * (1 - t2)),
+        [(1e-320, 1e-320), (5e-324, 0.5), (1e-300, 1e-300),
+         (_ONE_LESS, _ONE_LESS)]),
+    "directional-multinomial": (
+        lambda *xi: mpmath.fprod(1 / mpmath.sqrt(x * (1 - x)) for x in xi),
+        [(5e-324,), (1e-320, 1e-320), (1e-160, 0.5, _ONE_LESS)]),
+    "inverse-gaussian": (
+        lambda a, p: 1 / (a * mpmath.sqrt(p)),
+        [(1e-320, 1e-320), (5e-324, 1.0), (1e-300, 1e300),
+         (1.7e308, 1.7e308)]),
+    "gamma-expfam": (
+        lambda a, mu: mpmath.sqrt(a * mpmath.psi(1, a) - 1)
+        / (mpmath.sqrt(a) * mu),
+        [(1e-320, 1e-320), (1e-200, 1.0), (5e-324, 1.7e308),
+         (0.5, 5e-324), (3.0, 1e300)]),
+    "stress-strength": (
+        lambda t, p: 1 / (t * (1 - t) * p),
+        [(1e-320, 1e-320), (_ONE_LESS, 1e-300), (0.5, 1.7e308)]),
+    "right-haar": (
+        _mp_right_haar,
+        [(0.7, 1e-320, 1e-320, -0.5), (0.7, 1e-200, 1e-200, 0.5),
+         (0.0, 1e-200, 1.0, 0.0), (2.0, 5e-324, 1.7e308, _ONE_LESS),
+         (1e300, 1.0, 1.0, -_ONE_LESS), (1.0, 1e150, 1e-150, 0.3)]),
+    "arithmetic-average": (
+        lambda s1, s2, rho: (1 / s1 ** 2 + 1 / s2 ** 2) / (2 * (1 - rho ** 2)),
+        [(1e-200, 1.0, 0.0), (5e-324, 5e-324, _ONE_LESS),
+         (1.7e308, 1.7e308, 0.0), (1e150, 1e-150, -0.5)]),
+    "geometric-average": (
+        lambda s1, s2, rho: 1 / (s1 * s2 * (1 - rho ** 2)),
+        [(1e-200, 1e-200, 0.0), (5e-324, 1.7e308, -_ONE_LESS),
+         (1.7e308, 1.7e308, 0.5), (1e-160, 1e-150, 0.0)]),
+}
+
+
+def test_extremes_cover_every_entry():
+    assert set(_EXTREMES) == set(ENTRIES)
+
+
+@pytest.mark.parametrize("name", sorted(_EXTREMES))
+def test_entries_at_extreme_valid_arguments(name):
+    # Each point is valid; products of tiny factors used to underflow to 0
+    # and raise ZeroDivisionError.  A value past the float range is inf.
+    fn = ENTRIES[name][0]
+    ref_fn, points = _EXTREMES[name]
+    for point in points:
+        with mpmath.workdps(60):
+            ref = float(ref_fn(*(mpmath.mpf(v) for v in point)))
+        got = fn(list(point))
+        assert got == pytest.approx(ref, rel=1e-13, abs=0.0), point
+
+
+@pytest.mark.parametrize("family, g1, g2", [
+    ("normal", lambda t: 1 / (2 * t * t), lambda t: mpmath.mpf(2)),
+    ("inverse-gaussian", lambda t: 1 / (2 * t * t), lambda t: 2 / t ** 3),
+    ("gamma", lambda t: mpmath.psi(1, -t) + 1 / t, lambda t: 1 / (t * t)),
+])
+def test_expfam_prior_at_extreme_arguments(family, g1, g2):
+    # Each curvature is a float at these points, but their product
+    # underflows or overflows: it used to give 0 or inf.
+    curvatures = {"normal": normal_expfam_curvatures,
+                  "inverse-gaussian": inverse_gaussian_expfam_curvatures,
+                  "gamma": gamma_expfam_curvatures}[family]()
+    for t1, t2 in ((-1e100, 1e100), (-1e-100, 1e-100), (-3e-103, 3e-103)):
+        with mpmath.workdps(400):
+            t1m, t2m = mpmath.mpf(t1), mpmath.mpf(t2)
+            ref = float(mpmath.sqrt(g1(t1m) * g2(t2m)))
+        assert expfam_prior(*curvatures, t1, t2) == pytest.approx(
+            ref, rel=1e-13, abs=0.0), (t1, t2)
+
+
+@pytest.mark.parametrize("name, point", [
+    ("right-haar", (math.inf, 1.0, 1.0, 0.0)),
+    ("right-haar", (math.nan, 1.0, 1.0, 0.0)),
+    ("right-haar", (0.5, math.inf, 1.0, 0.0)),
+    ("arithmetic-average", (1.0, math.inf, 0.0)),
+    ("geometric-average", (1e-320, math.inf, 0.0)),
+    ("inverse-gaussian", (math.inf, 1.0)),
+    ("gamma-expfam", (1e-320, math.inf)),
+    ("stress-strength", (1e-320, math.inf)),
+])
+def test_entries_reject_non_finite_arguments(name, point):
+    with pytest.raises(DomainError):
+        ENTRIES[name][0](list(point))

@@ -275,3 +275,93 @@ def test_catalogue_directional_multinomial_takes_any_length(capsys):
 def test_usage_errors():
     assert _run() == 1
     assert _run("refdist", "--m", "10") == 1  # missing required args
+
+
+# ------------------------------------------------------ malformed input
+
+_COUNTS = "50 8\n0 4\n1 2\n2 1\n3 1\n"
+_RD = ("refdist", "--m", "10", "--n", "30")
+
+# (subcommand arguments, {input file name: text}, exit code).  Each run
+# must end in one "error:" line, never a traceback or a warning.
+_MALFORMED = {
+    "refdist-one-cell": (("refdist", "--m", "1", "--n", "5"), {}, 1),
+    "refdist-no-sample": (("refdist", "--m", "10", "--n", "0"), {}, 1),
+    "refdist-m-not-int": (("refdist", "--m", "x", "--n", "5"), {}, 1),
+    "refdist-grid-inf": (_RD + ("--grid", "0.001:inf:5:log"), {}, 1),
+    "refdist-grid-nan": (_RD + ("--grid", "nan:1:5"), {}, 1),
+    "refdist-grid-zero": (_RD + ("--grid", "0:1:5"), {}, 1),
+    "refdist-grid-one-point": (_RD + ("--grid", "1:2:1"), {}, 1),
+    "hier-grid-zero": (("hier", "--input", "c.txt", "--grid", "0:10:5"),
+                       {"c.txt": _COUNTS}, 1),
+    "hier-grid-text": (("hier", "--input", "c.txt", "--grid", "1:x:5"),
+                       {"c.txt": _COUNTS}, 1),
+    "hier-grid-negative-log": (
+        ("hier", "--input", "c.txt", "--grid", "-1:1:5:log"),
+        {"c.txt": _COUNTS}, 1),
+    "hier-missing-file": (("hier", "--input", "absent.txt"), {}, 2),
+    "hier-empty-file": (("hier", "--input", "c.txt"), {"c.txt": ""}, 1),
+    "hier-bad-count": (("hier", "--input", "c.txt"),
+                       {"c.txt": "10 5\n0 x\n"}, 1),
+    "hier-header-mismatch": (("hier", "--input", "c.txt"),
+                             {"c.txt": "10 5\n0 4\n"}, 1),
+    "hier-cell-out-of-range": (("hier", "--input", "c.txt"),
+                               {"c.txt": "10 1\n12 1\n"}, 1),
+    "hier-one-cell": (("hier", "--input", "c.txt"),
+                      {"c.txt": "100 4\n0 4\n"}, 3),
+    "hier-zero-chain": (("hier", "--input", "c.txt", "--chain", "0"),
+                        {"c.txt": _COUNTS}, 1),
+    "shrink-missing-file": (("shrink", "--input", "absent.txt"), {}, 2),
+    "shrink-empty-file": (("shrink", "--input", "x.txt"), {"x.txt": ""}, 1),
+    "shrink-text": (("shrink", "--input", "x.txt"), {"x.txt": "1 two 3"}, 1),
+    "shrink-nan": (("shrink", "--input", "x.txt"), {"x.txt": "nan 1 2"}, 1),
+    "shrink-two-means": (("shrink", "--input", "x.txt"), {"x.txt": "1 2"}, 3),
+    "shrink-zero-chain": (("shrink", "--input", "x.txt", "--chain", "0"),
+                          {"x.txt": "1 2 3"}, 1),
+    "shrink-square-overflows": (("shrink", "--input", "x.txt"),
+                                {"x.txt": "1e200 1e200 1e200"}, 1),
+    "shrink-draws-overflow": (("shrink", "--input", "x.txt", "--chain",
+                               "2000"), {"x.txt": "1.34e154 0 0"}, 3),
+    "catalogue-unknown": (("catalogue", "no-such-prior", "1"), {}, 1),
+    "catalogue-text": (("catalogue", "inverse-gaussian", "1", "x"), {}, 1),
+    "catalogue-arity": (("catalogue", "inverse-gaussian", "1"), {}, 1),
+    "catalogue-boundary": (("catalogue", "bivariate-binomial", "0", "0.5"),
+                           {}, 1),
+    "catalogue-beta-inf": (("catalogue", "right-haar", "inf", "1", "1", "0"),
+                           {}, 1),
+    "catalogue-rho-one": (("catalogue", "geometric-average", "1", "1", "1"),
+                          {}, 1),
+    "catalogue-scale-inf": (("catalogue", "inverse-gaussian", "inf", "1"),
+                            {}, 1),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_malformed_input_ends_in_one_error_line(case, tmp_path, capsys,
+                                                monkeypatch):
+    argv, files, code = _MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = ("--out", "out") if argv[0] != "catalogue" else ()
+    assert _run(*argv, *out) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(("error:", "I/O error:", "usage:", "unknown entry"))
+    # The arguments are checked before any output is written.
+    assert not (tmp_path / "out" / "chain.csv").exists()
+
+
+@pytest.mark.parametrize("data, code", [("1e200 1e200 1e200", 1),
+                                        ("1.34e154 0 0", 3)])
+def test_shrink_out_of_range_data_from_the_shell(tmp_path, data, code):
+    # Run as a user would: no traceback and no numpy warning on stderr.
+    inp = tmp_path / "x.txt"
+    inp.write_text(data)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "overallprior.cli", "shrink", "--input",
+         str(inp), "--chain", "2000", "--out", str(tmp_path / "s")],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == code
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1

@@ -667,6 +667,22 @@ def test_exact_prior_extreme_small_a_mpmath(a):
     assert reference_prior_exact(a, 60, 60) == pytest.approx(ref, rel=1e-15)
 
 
+@pytest.mark.parametrize("a", [1e-300, 3e-305, 1e-320, 5e-324])
+def test_tiny_a_closed_forms_at_huge_m(a):
+    # At a <= 1e-300 the likelihood is c0 + W . log J + (r0 - 1) log a and
+    # the prior root sqrt((m-1)/m H_{n-1} / a): both drop a against
+    # J >= 1/m, which holds while m a < 2^-53, so also at m = 1e12.
+    t = CountTable(m=10**12, counts={i: 1 + i % 4 for i in range(30)})
+    got = marginal_log_likelihood(t, a)
+    ref = _mll_mpmath(t, a)
+    assert float(abs((got - ref) / ref)) < 1e-14
+    assert marginal_log_likelihood(t, np.array([a]))[0] == pytest.approx(
+        got, rel=1e-15)
+    ref = float(mpmath.sqrt(_fisher_sum_mpmath(a, t.m, t.n)))
+    assert reference_prior_exact(a, t.m, t.n) == pytest.approx(ref,
+                                                              rel=1e-15)
+
+
 # (m, n): relative bound on the Fisher sum for a in [1e-300, 1e8].  Up
 # to m = 2000 the pmf row sets the error, and it grows with n (measured
 # 1.5e-14, 7.7e-15, 1.0e-14, 3.8e-13 and 8.2e-13, in order).  At

@@ -46,6 +46,18 @@ def test_trigamma_tiny_argument_relative():
                                            rel=1e-12)
 
 
+@pytest.mark.parametrize("fn, order", [(digamma, 0), (trigamma, 1)])
+@pytest.mark.parametrize("x", [5e-324, 1e-320, 1e-310, 1e-300, 1e-200,
+                               1e-160, 1e-150, 1e300])
+def test_polygamma_at_extreme_arguments(fn, order, x):
+    # psi(x) ~ -1/x and psi'(x) ~ 1/x^2 leave the float range at tiny x:
+    # the value is then -inf or inf, with no ZeroDivisionError or
+    # overflow warning on the way.
+    with mpmath.workdps(30):
+        ref = float(mpmath.psi(order, x))
+    assert fn(x) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
+
 @pytest.mark.parametrize("fn", [log_gamma, digamma, trigamma])
 @pytest.mark.parametrize("x", [0.0, -1.0, -0.5])
 def test_specials_reject_nonpositive(fn, x):
