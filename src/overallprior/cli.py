@@ -23,6 +23,7 @@ import numpy as np
 
 from . import catalogue, hier, refdist, shrinkage
 from .exceptions import DomainError, OverallPriorError, PreconditionError
+from .numerics import _check_seed
 
 __all__ = ["main"]
 
@@ -120,6 +121,13 @@ def _quantiles(x: np.ndarray, qs) -> list:
     return out
 
 
+def _check_chain_args(args) -> None:
+    """Check ``--chain`` and ``--seed`` before any output is written."""
+    if args.chain < 1:
+        raise _UsageError(f"--chain must be >= 1, got {args.chain}")
+    _check_seed(args.seed)
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -146,6 +154,7 @@ def cmd_refdist(args) -> int:
 
 def cmd_hier(args) -> int:
     grid = _parse_grid(args.grid)
+    _check_chain_args(args)
     table = hier.CountTable.from_sparse_text(Path(args.input).read_text())
     # First, so that a table with one occupied cell fails before any output.
     mode = hier.posterior_mode_a(table, prior=args.prior)
@@ -171,6 +180,7 @@ def cmd_hier(args) -> int:
         "sqrt2_over_m": math.sqrt(2.0) / table.m,
         "acceptance_rate": chain.acceptance_rate,
         "direct_prior_evals": chain.direct_prior_evals,
+        "target_evals": chain.target_evals,
         "r0": table.r0, "m": table.m, "n": table.n,
         "prior": args.prior, "seed": args.seed,
     }
@@ -186,6 +196,7 @@ def cmd_hier(args) -> int:
 
 
 def cmd_shrink(args) -> int:
+    _check_chain_args(args)
     raw = Path(args.input).read_text().split()
     try:
         x = np.array([float(tok) for tok in raw])

@@ -15,13 +15,14 @@ import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import length_hint
 from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from .exceptions import (AccuracyError, BoundaryModeError, DomainError,
                          PreconditionError)
-from .numerics import log_gamma, minimize_scalar
+from .numerics import _check_seed, log_gamma, minimize_scalar
 
 __all__ = [
     "CountTable",
@@ -59,6 +60,9 @@ _CHEB_NODES = 128
 # exp(-|t|/2) in both tails, so the mass outside is far below anything a
 # chain resolves; inside it, a, m a and a^1.5 stay finite floats.
 _LOG_A_LIMIT = math.log(1e200)
+
+# Uniforms per bulk draw of the slice sampler (``_uniform_stream``).
+_UNIFORM_BLOCK = 1024
 
 # Entries per temporary (rows of a x terms per row, 128 kB) when the
 # likelihood, the exact prior or its cache evaluate an array of a in
@@ -173,13 +177,15 @@ class HierChain:
 
     ``direct_prior_evals`` counts the exact-prior lookups that fell
     outside the prior table and were evaluated directly (0 under the
-    approximate prior, which has no table)."""
+    approximate prior, which has no table).  ``target_evals`` counts
+    the log-target evaluations, warm-up included."""
 
     a_samples: np.ndarray
     theta_samples: Optional[np.ndarray]
     seed: int
     acceptance_rate: float
     direct_prior_evals: int = 0
+    target_evals: int = 0
 
     def __post_init__(self):
         if np.any(self.a_samples <= 0.0):
@@ -251,6 +257,23 @@ def marginal_log_likelihood(x: CountTable, a):
     if a > _TINY_A:
         return x._lik_c0 + float(x._lik_w @ np.log1p(x._lik_j / a))
     return x._lik_c0 + x._lik_wlogj + (x.r0 - 1) * math.log(a)
+
+
+def _likelihood_kernel(x: CountTable, a_min: float):
+    """``marginal_log_likelihood(x, a)`` at one float a >= ``a_min``, bit
+    for bit, built once per table for the samplers and the mode search:
+    c0 + W . log1p(J / a) into a buffer of its own, with no validation or
+    dispatch per call.  Where ``a_min`` is not above ``_TINY_A`` (the
+    mode window at m beyond about 1e296) it is the validated function."""
+    if not a_min > _TINY_A:
+        return functools.partial(marginal_log_likelihood, x)
+    c0, j, dot = x._lik_c0, x._lik_j, x._lik_w.dot
+    buf = np.empty_like(j)
+    divide, log1p = np.divide, np.log1p
+
+    def log_lik(a: float) -> float:
+        return c0 + float(dot(log1p(divide(j, a, out=buf), out=buf)))
+    return log_lik
 
 
 def marginal_pmf(a, m: int, n: int) -> np.ndarray:
@@ -400,17 +423,36 @@ def reference_prior_approx(a, m: int, n: int):
     return 0.5 * c / (math.sqrt(a) * (a + c) ** 1.5)
 
 
-def _log_prior(a, m: int, n: int, prior: str):
-    if prior == "exact":
-        v = reference_prior_exact(a, m, n)
-    elif prior == "approx":
-        v = reference_prior_approx(a, m, n)
-    else:
+def _check_prior(prior: str) -> None:
+    if prior not in ("exact", "approx"):
         raise DomainError(f"unknown prior {prior!r}; use 'exact' or 'approx'")
+
+
+def _log_prior(a, m: int, n: int, prior: str):
+    _check_prior(prior)
+    v = (reference_prior_exact if prior == "exact"
+         else reference_prior_approx)(a, m, n)
     if isinstance(v, np.ndarray):
         with np.errstate(divide="ignore"):
             return np.log(v)
     return math.log(v) if v > 0.0 else -math.inf
+
+
+def _scalar_log_prior(m: int, n: int, prior: str):
+    """``_log_prior(a, m, n, prior)`` at one float a > 0, bit for bit,
+    bound once: the exact prior is the validated function, and the
+    approximate one the same float operations with 0.5 n/m precomputed
+    and no validation; -inf where the prior underflows."""
+    _check_prior(prior)
+    if prior == "exact":
+        return functools.partial(_log_prior, m=m, n=n, prior=prior)
+    c = n / m
+    half_c, sqrt, log, neg_inf = 0.5 * c, math.sqrt, math.log, -math.inf
+
+    def log_prior(a: float) -> float:
+        v = half_c / (sqrt(a) * (a + c) ** 1.5)
+        return log(v) if v > 0.0 else neg_inf
+    return log_prior
 
 
 def posterior_log_density_a(a, x: CountTable, prior: str = "exact"):
@@ -425,18 +467,32 @@ def _mode_window(m: int) -> tuple:
     return min(_MODE_BRACKET[0], _MODE_LO_TIMES_M / m), _MODE_BRACKET[1]
 
 
-def _log_mode(neg_log_density, m: int) -> float:
-    """Minimize ``neg_log_density`` of a over the mode search window for
-    m cells: a 240-point scan uniform in log a, made as one array call,
-    then scalar refinement in log a around the best point."""
-    lo, hi = _mode_window(m)
+def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
+    """Maximize log p(x|a), plus the log of hyperprior ``prior`` unless
+    it is None, over the mode search window for the table: a 240-point
+    scan uniform in log a, made as one array call, then scalar
+    refinement in log a around the best point on the bound likelihood
+    kernel and prior, which give the floats of the public functions."""
+    lo, hi = _mode_window(x.m)
     grid = np.linspace(math.log(lo), math.log(hi), 240)
-    k = int(np.argmin(neg_log_density(np.exp(grid))))
+    scan = np.exp(grid)
+    log_density = marginal_log_likelihood(x, scan)
+    log_lik, exp = _likelihood_kernel(x, lo), math.exp
+    if prior is None:
+        def neg_log_density(t: float) -> float:
+            return -log_lik(exp(t))
+    else:
+        log_density += _log_prior(scan, x.m, x.n, prior)
+        log_prior = _scalar_log_prior(x.m, x.n, prior)
+
+        def neg_log_density(t: float) -> float:
+            a = exp(t)
+            return -(log_lik(a) + log_prior(a))
+    k = int(np.argmax(log_density))
     left = grid[max(k - 1, 0)]
     right = grid[min(k + 1, len(grid) - 1)]
-    res = minimize_scalar(lambda t: neg_log_density(math.exp(t)),
-                          left, right, tol=1e-12)
-    return math.exp(res.argmin)
+    return exp(minimize_scalar(neg_log_density, left, right,
+                               tol=1e-12).argmin)
 
 
 def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
@@ -448,7 +504,7 @@ def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
     if x.r0 <= 1:
         raise BoundaryModeError(
             "posterior mode is at a=0 when only one cell is occupied")
-    return _log_mode(lambda a: -posterior_log_density_a(a, x, prior), x.m)
+    return _log_mode(x, prior)
 
 
 def likelihood_mode_a(x: CountTable) -> float:
@@ -457,7 +513,7 @@ def likelihood_mode_a(x: CountTable) -> float:
     The marginal likelihood is bounded away from zero at infinity, so
     an interior maximizer need not exist; when every cell is occupied
     the likelihood is increasing in a and this raises."""
-    a_hat = _log_mode(lambda a: -marginal_log_likelihood(x, a), x.m)
+    a_hat = _log_mode(x)
     if a_hat > 0.5 * _MODE_BRACKET[1]:
         raise BoundaryModeError("marginal likelihood has no interior mode")
     return a_hat
@@ -568,25 +624,55 @@ class _ExactPriorCache:
 
 
 def _log_target(x: CountTable, log_prior):
-    """The samplers' log target in t = log a: log likelihood plus
-    ``log_prior`` of a plus the Jacobian t, and -inf outside the support
-    window |t| <= ``_LOG_A_LIMIT``."""
+    """The samplers' log target in t = log a: log likelihood (the bound
+    kernel) plus ``log_prior`` of a plus the Jacobian t, and -inf outside
+    the support window |t| <= ``_LOG_A_LIMIT``.  Returns the target and a
+    function that gives the number of calls made to it so far."""
     lo, hi = -_LOG_A_LIMIT, _LOG_A_LIMIT  # closure cells: cheaper reads
+    log_lik = _likelihood_kernel(x, math.exp(lo))
+    exp, neg_inf = math.exp, -math.inf
+    calls = 0
 
     def log_target(t: float) -> float:
+        nonlocal calls
+        calls += 1
         if not lo <= t <= hi:
-            return -math.inf
-        a = math.exp(t)
-        return marginal_log_likelihood(x, a) + log_prior(a) + t
-    return log_target
+            return neg_inf
+        a = exp(t)
+        return log_lik(a) + log_prior(a) + t
+    return log_target, lambda: calls
 
 
-def _slice_step(log_target, rng, t: float, lt: float):
+def _uniform_stream(rng: np.random.Generator):
+    """The uniforms that successive ``rng.random()`` calls would give,
+    drawn ``_UNIFORM_BLOCK`` at a time.  Returns a zero-argument source
+    and a function that puts the generator back where those scalar calls
+    would have left it: saved state, advanced by the uniforms used.  That
+    is exact for PCG64, which spends one 64-bit word per double."""
+    state = rng.bit_generator.state
+    drawn, block = 0, iter(())
+
+    def blocks():
+        nonlocal drawn, block
+        while True:
+            block = iter(rng.random(_UNIFORM_BLOCK).tolist())
+            drawn += _UNIFORM_BLOCK
+            yield from block
+
+    def restore():
+        rng.bit_generator.state = state
+        rng.bit_generator.advance(drawn - length_hint(block))
+    return blocks().__next__, restore
+
+
+def _slice_step(log_target, uniform, t: float, lt: float):
     """One slice-sampling update of t, whose log target is lt: step out
     by 2 at most 200 times a side, then shrink the bracket until a
-    proposal lands in the slice.  Returns the new t and its target."""
-    ly = lt + math.log(rng.random())
-    left = t - 2.0 * rng.random()
+    proposal lands in the slice (Neal, Ann. Statist. 31:705, 2003).
+    ``uniform`` is a zero-argument source of uniforms on [0, 1).
+    Returns the new t and its target."""
+    ly = lt + math.log(uniform())
+    left = t - 2.0 * uniform()
     right = left + 2.0
     steps = 200
     while steps > 0 and log_target(left) > ly:
@@ -597,8 +683,8 @@ def _slice_step(log_target, rng, t: float, lt: float):
         right += 2.0
         steps -= 1
     while True:
-        # rng.uniform(left, right) to the bit, at a third the cost
-        prop = left + (right - left) * rng.random()
+        # rng.uniform(left, right) to the bit
+        prop = left + (right - left) * uniform()
         lprop = log_target(prop)
         if lprop >= ly:
             return prop, lprop
@@ -625,6 +711,11 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     x_m+a) draw of the cell probabilities.
 
     Chains are reproducible: a fixed seed yields an identical chain.
+    The log target is one kernel bound to the table and the prior
+    (``_log_target``), with no validation per call, and the slice
+    sampler draws its uniforms in bulk (``_uniform_stream``); the chain,
+    and the theta draws after it, are those of one ``rng.random()`` call
+    per uniform.  ``target_evals`` counts the log-target calls.
     """
     if length < 1:
         raise DomainError("chain length must be >= 1")
@@ -632,14 +723,14 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         raise DomainError("warmup must be >= 0")
     if method not in ("mh", "slice"):
         raise DomainError(f"unknown method {method!r}")
+    _check_seed(seed)
     cache = None
     if prior == "exact":
         cache = _ExactPriorCache(x.m, x.n)
         log_prior = cache.log_value
     else:
-        def log_prior(a: float) -> float:
-            return _log_prior(a, x.m, x.n, prior)
-    log_target = _log_target(x, log_prior)
+        log_prior = _scalar_log_prior(x.m, x.n, prior)
+    log_target, target_evals = _log_target(x, log_prior)
 
     rng = np.random.default_rng(seed)
     t = math.log(x.n / x.m) if x.n < x.m else 0.0  # start near prior median scale
@@ -647,14 +738,18 @@ def sample_posterior(x: CountTable, length: int, seed: int,
 
     draws = np.empty(length)
     mh = method == "mh"
+    if mh:
+        normal, uniform = rng.standard_normal, rng.random
+    else:
+        uniform, restore_rng = _uniform_stream(rng)
     first = -warmup if mh else -min(warmup, 200)
     scale = 1.0
     accepted = 0
     for i in range(first, length):
         if mh:
-            prop = t + scale * rng.standard_normal()
+            prop = t + scale * normal()
             lprop = log_target(prop)
-            if math.log(rng.random()) < lprop - lt:
+            if math.log(uniform()) < lprop - lt:
                 t, lt = prop, lprop
                 accepted += 1
             if i < 0 and (i - first + 1) % 50 == 0:
@@ -663,12 +758,14 @@ def sample_posterior(x: CountTable, length: int, seed: int,
                 scale = min(max(scale, 1e-3), 50.0)
                 accepted = 0
         else:
-            t, lt = _slice_step(log_target, rng, t, lt)
+            t, lt = _slice_step(log_target, uniform, t, lt)
         if i >= 0:
             draws[i] = math.exp(t)
         elif i == -1:  # end of warm-up: drop an unfinished 50-draw block
             accepted = 0
 
+    if not mh:
+        restore_rng()
     theta_draws = None
     if thetas:
         dense = np.zeros(x.m)
@@ -680,7 +777,8 @@ def sample_posterior(x: CountTable, length: int, seed: int,
 
     return HierChain(a_samples=draws, theta_samples=theta_draws, seed=seed,
                      acceptance_rate=accepted / length if mh else 1.0,
-                     direct_prior_evals=cache.direct if cache else 0)
+                     direct_prior_evals=cache.direct if cache else 0,
+                     target_evals=target_evals())
 
 
 @functools.lru_cache(maxsize=64)

@@ -217,6 +217,19 @@ def kl_beta(alpha0: float, beta0: float, alpha: float, beta: float) -> float:
             - _gamma_kl(alpha + beta, alpha0 + beta0))
 
 
+def _check_seed(seed):
+    """Return a sampler's ``seed`` for ``np.random.default_rng`` if it is
+    a non-negative integer; otherwise raise DomainError, where numpy
+    would raise a bare ValueError or TypeError."""
+    try:
+        ok = operator.index(seed) >= 0
+    except TypeError:
+        ok = False
+    if not ok:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
+
+
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _MINIMIZE_MAX_ITER = 500
 

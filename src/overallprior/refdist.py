@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DegenerateDataError, DomainError
-from .numerics import (Grid1D, OptimResult, _gamma_kl, log_gamma,
-                       log_rising_ratio, minimize_scalar)
+from .numerics import (Grid1D, OptimResult, _check_seed, _gamma_kl,
+                       log_gamma, log_rising_ratio, minimize_scalar)
 
 __all__ = [
     "RefDistConfig",
@@ -148,7 +148,9 @@ def optimal_a(cfg: RefDistConfig) -> OptimResult:
     """Minimize expected_loss over a, searching in log(a) space.
 
     The optimum scales like 1/m, so the bracket is [1e-4/m, 10] on the
-    original scale.
+    original scale.  a* is resolved only to about 2e-7 relative:
+    ``minimize_scalar``'s tolerance acts on log a, and near the minimum
+    its parabolic steps follow the 1e-16 rounding of the loss.
     """
     lo = math.log(_A_BRACKET_LO_TIMES_M / cfg.m)
     hi = math.log(_A_BRACKET_HI)
@@ -240,7 +242,7 @@ def normal_posterior_sample(data: Sequence[float], a: float, size: int,
     s2 = float(np.mean((x - xbar) ** 2))
     if s2 <= 0.0:
         raise DegenerateDataError("constant data: posterior degenerates")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     shape = 0.5 * (n + a - 2.0)
     rate = 0.5 * n * s2
     lam = rng.gamma(shape, 1.0 / rate, size=size)

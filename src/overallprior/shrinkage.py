@@ -19,7 +19,7 @@ import numpy as np
 
 from .exceptions import (AccuracyError, DomainError, PreconditionError,
                          SingularityError)
-from .numerics import integrate
+from .numerics import _check_seed, integrate
 
 __all__ = [
     "MeansData",
@@ -141,7 +141,7 @@ def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
         raise PreconditionError("gibbs_sample requires m >= 3")
     if length < 1:
         raise DomainError("chain length must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_seed(seed))
     m = data.m
     xx = float(data.x @ data.x)
     draws = (rng.standard_normal(length), rng.chisquare(m - 1, length),

@@ -113,9 +113,12 @@ def test_hier_reports_direct_prior_evaluations(tmp_path, capsys):
         assert _run("hier", "--input", inp, "--chain", "2000", "--seed", "4",
                     "--prior", prior, "--out", str(out)) == 0
         chain = hier.sample_posterior(table, 2000, seed=4, prior=prior)
-        reported = _read_json(out / "mode.json")["direct_prior_evals"]
+        summary = _read_json(out / "mode.json")
+        reported = summary["direct_prior_evals"]
         assert reported == chain.direct_prior_evals
         assert (reported > 0) == (prior == "exact")
+        # MH: the start, 2000 warm-up steps and 2000 draws.
+        assert summary["target_evals"] == chain.target_evals == 4001
     assert "direct_prior_evals" not in capsys.readouterr().out
 
 
@@ -311,6 +314,8 @@ _MALFORMED = {
                       {"c.txt": "100 4\n0 4\n"}, 3),
     "hier-zero-chain": (("hier", "--input", "c.txt", "--chain", "0"),
                         {"c.txt": _COUNTS}, 1),
+    "hier-negative-seed": (("hier", "--input", "c.txt", "--seed", "-1"),
+                           {"c.txt": _COUNTS}, 1),
     "shrink-missing-file": (("shrink", "--input", "absent.txt"), {}, 2),
     "shrink-empty-file": (("shrink", "--input", "x.txt"), {"x.txt": ""}, 1),
     "shrink-text": (("shrink", "--input", "x.txt"), {"x.txt": "1 two 3"}, 1),
@@ -318,6 +323,8 @@ _MALFORMED = {
     "shrink-two-means": (("shrink", "--input", "x.txt"), {"x.txt": "1 2"}, 3),
     "shrink-zero-chain": (("shrink", "--input", "x.txt", "--chain", "0"),
                           {"x.txt": "1 2 3"}, 1),
+    "shrink-negative-seed": (("shrink", "--input", "x.txt", "--seed", "-1"),
+                             {"x.txt": "1 2 3"}, 1),
     "shrink-square-overflows": (("shrink", "--input", "x.txt"),
                                 {"x.txt": "1e200 1e200 1e200"}, 1),
     "shrink-draws-overflow": (("shrink", "--input", "x.txt", "--chain",
@@ -350,6 +357,18 @@ def test_malformed_input_ends_in_one_error_line(case, tmp_path, capsys,
     assert err.startswith(("error:", "I/O error:", "usage:", "unknown entry"))
     # The arguments are checked before any output is written.
     assert not (tmp_path / "out" / "chain.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["hier-zero-chain", "hier-negative-seed",
+                                  "shrink-zero-chain", "shrink-negative-seed"])
+def test_bad_chain_arguments_leave_no_output_directory(case, tmp_path,
+                                                       monkeypatch):
+    argv, files, code = _MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert _run(*argv, "--out", "out/run") == code
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("data, code", [("1e200 1e200 1e200", 1),

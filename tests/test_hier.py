@@ -593,6 +593,65 @@ def test_theta_draws_pinned():
          16.842101049877517, 72.03073617241313], rtol=1e-12)
 
 
+# Recorded before the samplers moved to the bound kernel and bulk slice
+# uniforms: the theta draws follow the chain in the random stream, so
+# they pin where the generator is left after the slice sampler.
+_PINNED_SLICE_THETAS = {
+    # prior: (th[0, 0], th[-1, 1], th[:, :5].sum(), (th**2).sum(), sum(a))
+    "approx": (0.0035761253800857275, 0.00035611662458561935,
+               20.393626392686976, 15.10671520789571, 88.78881506634477),
+    "exact": (1.5081747100806627e-10, 0.020579986553689165,
+              20.836110398946012, 15.261954923826426, 85.88366361225602),
+}
+
+
+@pytest.mark.parametrize("prior", sorted(_PINNED_SLICE_THETAS))
+def test_slice_theta_draws_pinned(prior):
+    chain = sample_posterior(_synthetic_table(), 200, seed=11, warmup=200,
+                             method="slice", prior=prior, thetas=True)
+    th = chain.theta_samples
+    assert [th[0, 0], th[-1, 1], th[:, :5].sum(), (th ** 2).sum(),
+            chain.a_samples.sum()] == list(_PINNED_SLICE_THETAS[prior])
+
+
+def test_modes_pinned():
+    # Recorded with the modes' scalar refinement on the public functions.
+    t = _synthetic_table()
+    assert posterior_mode_a(t, prior="approx") == 0.2378709002776063
+    assert likelihood_mode_a(t) == 0.33882739435244236
+
+
+@pytest.mark.parametrize("method", ["mh", "slice"])
+def test_chain_counts_target_evaluations(method, monkeypatch):
+    seen = []
+    bound = hier._log_target
+
+    def recording(x, log_prior):
+        target, evals = bound(x, log_prior)
+
+        def log_target(t):
+            seen.append(t)
+            return target(t)
+        return log_target, evals
+
+    monkeypatch.setattr(hier, "_log_target", recording)
+    chain = sample_posterior(_synthetic_table(), 100, seed=5, prior="approx",
+                             method=method, warmup=50)
+    assert chain.target_evals == len(seen)
+    if method == "mh":  # the start, then one proposal per step
+        assert len(seen) == 151
+    else:  # at least the two step-out ends and one proposal per step
+        assert len(seen) >= 451
+
+
+def test_samplers_reject_bad_seeds():
+    t = _synthetic_table()
+    for seed in (-1, 1.5, "7", None):
+        with pytest.raises(DomainError, match="seed"):
+            sample_posterior(t, 10, seed=seed)
+    assert sample_posterior(t, 10, seed=np.int64(3)).seed == 3
+
+
 def test_exact_prior_sampler_needs_two_draws():
     # The exact hyperprior is identically zero when n = 1.
     with pytest.raises(PreconditionError):
@@ -836,7 +895,7 @@ def test_sampler_target_window(prior):
     t = CountTable(m=10, counts={0: 5})
     log_prior = (_ExactPriorCache(t.m, t.n).log_value if prior == "exact"
                  else lambda a: hier._log_prior(a, t.m, t.n, prior))
-    target = hier._log_target(t, log_prior)
+    target, _ = hier._log_target(t, log_prior)
     edge = hier._LOG_A_LIMIT
     # Past either edge the target is -inf, not an OverflowError from
     # exp(t) or a DomainError from a = 0, so MH proposals there are
@@ -852,8 +911,51 @@ def test_sampler_target_window(prior):
     for u in (finite[0], finite[-1]):
         lt = target(u)
         for _ in range(5):
-            u, lt = hier._slice_step(target, rng, u, lt)
+            u, lt = hier._slice_step(target, rng.random, u, lt)
             assert -edge <= u <= edge and math.isfinite(lt)
+
+
+_KERNEL_TABLES = {
+    "synthetic": _synthetic_table,
+    # r0 = 24 cells, six of them holding 2 (n = 30)
+    "sparse-1000x30": lambda: CountTable(
+        m=1000, counts={7 * i: 1 + (i < 6) for i in range(24)}),
+    "huge-m": lambda: CountTable(m=10**10, counts={0: 1, 1: 1}),
+}
+# The samplers' window edges, and log a on a grid between them.
+_KERNEL_A = [1e-200, 1e200] + np.exp(np.linspace(-hier._LOG_A_LIMIT,
+                                                 hier._LOG_A_LIMIT,
+                                                 301)).tolist()
+
+
+@pytest.mark.parametrize("prior", ["exact", "approx"])
+@pytest.mark.parametrize("name", sorted(_KERNEL_TABLES))
+def test_bound_kernel_matches_public_functions(name, prior):
+    # The samplers and the mode refinement evaluate the likelihood and
+    # the prior through kernels bound once per table; they must give
+    # the floats of the validated public functions, bit for bit.
+    t = _KERNEL_TABLES[name]()
+    log_lik = hier._likelihood_kernel(t, 1e-200)
+    log_prior = hier._scalar_log_prior(t.m, t.n, prior)
+    for a in _KERNEL_A:
+        lik = log_lik(a)
+        assert lik == marginal_log_likelihood(t, a)
+        assert lik + log_prior(a) == posterior_log_density_a(a, t, prior)
+    if prior == "approx":
+        target, _ = hier._log_target(t, log_prior)
+        for u in np.linspace(-hier._LOG_A_LIMIT, hier._LOG_A_LIMIT, 301):
+            assert target(u) == posterior_log_density_a(math.exp(u), t,
+                                                        prior) + u
+
+
+def test_bound_kernels_guard_their_domain():
+    # A window reaching down to _TINY_A would overflow J/a in the kernel,
+    # so it falls back to the validated function there.
+    t = _synthetic_table()
+    log_lik = hier._likelihood_kernel(t, hier._TINY_A)
+    assert log_lik(1e-310) == marginal_log_likelihood(t, 1e-310)
+    with pytest.raises(DomainError):
+        hier._scalar_log_prior(t.m, t.n, "flat")
 
 
 # ----------------------------------------------------------- large-m limit

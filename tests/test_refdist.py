@@ -309,6 +309,12 @@ def test_normal_posterior_reproducible():
     assert np.array_equal(d1.mu, d2.mu) and np.array_equal(d1.sigma, d2.sigma)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+def test_normal_posterior_rejects_bad_seed(seed):
+    with pytest.raises(DomainError, match="seed"):
+        normal_posterior_sample(_data(), 1.0, size=10, seed=seed)
+
+
 def test_normal_posterior_rejects_constant_data():
     with pytest.raises(DegenerateDataError):
         normal_posterior_sample([1.0, 1.0, 1.0], 1.0, size=10, seed=0)

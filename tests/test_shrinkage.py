@@ -230,6 +230,12 @@ def test_gibbs_requires_three_means():
         gibbs_sample(MeansData(np.array([1.0, 2.0, 3.0])), 0, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "3"])
+def test_gibbs_rejects_bad_seed(seed):
+    with pytest.raises(DomainError, match="seed"):
+        gibbs_sample(MeansData(np.array([1.0, 2.0, 3.0])), 10, seed=seed)
+
+
 def test_gibbs_reproducible():
     data = MeansData(np.array([1.0, -2.0, 0.5, 3.0]))
     c1 = gibbs_sample(data, 300, seed=17)
