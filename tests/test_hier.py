@@ -932,15 +932,23 @@ _KERNEL_A = [1e-200, 1e200] + np.exp(np.linspace(-hier._LOG_A_LIMIT,
 @pytest.mark.parametrize("name", sorted(_KERNEL_TABLES))
 def test_bound_kernel_matches_public_functions(name, prior):
     # The samplers and the mode refinement evaluate the likelihood and
-    # the prior through kernels bound once per table; they must give
-    # the floats of the validated public functions, bit for bit.
+    # the approximate prior through kernels bound once per table; they
+    # must give the floats of the validated public functions, bit for
+    # bit.  The exact prior is read from the table: the direct function
+    # outside its window, and to the table's accuracy inside it.
     t = _KERNEL_TABLES[name]()
     log_lik = hier._likelihood_kernel(t, 1e-200)
-    log_prior = hier._scalar_log_prior(t.m, t.n, prior)
+    table = t._exact_prior
+    log_prior = (table.log_value if prior == "exact"
+                 else hier._approx_log_prior(t.m, t.n))
     for a in _KERNEL_A:
         lik = log_lik(a)
         assert lik == marginal_log_likelihood(t, a)
-        assert lik + log_prior(a) == posterior_log_density_a(a, t, prior)
+        if prior == "exact" and table.lo <= a <= table.hi:
+            assert lik + log_prior(a) == pytest.approx(
+                posterior_log_density_a(a, t, prior), rel=0.0, abs=5e-9)
+        else:
+            assert lik + log_prior(a) == posterior_log_density_a(a, t, prior)
     if prior == "approx":
         target, _ = hier._log_target(t, log_prior)
         for u in np.linspace(-hier._LOG_A_LIMIT, hier._LOG_A_LIMIT, 301):
@@ -955,7 +963,7 @@ def test_bound_kernels_guard_their_domain():
     log_lik = hier._likelihood_kernel(t, hier._TINY_A)
     assert log_lik(1e-310) == marginal_log_likelihood(t, 1e-310)
     with pytest.raises(DomainError):
-        hier._scalar_log_prior(t.m, t.n, "flat")
+        posterior_mode_a(t, prior="flat")
 
 
 # ----------------------------------------------------------- large-m limit
