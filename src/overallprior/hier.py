@@ -62,8 +62,11 @@ _CHEB_NODES = 128
 # chain resolves; inside it, a, m a and a^1.5 stay finite floats.
 _LOG_A_LIMIT = math.log(1e200)
 
-# Uniforms per bulk draw of the slice sampler (``_uniform_stream``).
-_UNIFORM_BLOCK = 1024
+# Variates per bulk draw of the samplers: the slice sampler's uniforms
+# (``_uniform_stream``), and the MH sampler's normals and log-uniforms
+# (``_mh_variates``).  A fixed size, so that a chain is a prefix of any
+# longer chain with the same seed and warm-up.
+_VARIATE_BLOCK = 1024
 
 # Entries per temporary (rows of a x terms per row, 128 kB) when the
 # likelihood, the exact prior or its cache evaluate an array of a in
@@ -182,10 +185,12 @@ class CountTable:
 class HierChain:
     """MCMC draws from the hierarchical posterior.
 
-    ``direct_prior_evals`` counts the exact-prior lookups that fell
-    outside the prior table and were evaluated directly (0 under the
-    approximate prior, which has no table).  ``target_evals`` counts
-    the log-target evaluations, warm-up included."""
+    ``direct_prior_evals`` counts this chain's exact-prior lookups that
+    fell outside the prior table and were evaluated directly (0 under the
+    approximate prior, which has no table); the table is shared with the
+    mode search and other chains on the same ``CountTable``, whose
+    lookups are not counted here.  ``target_evals`` counts the log-target
+    evaluations, warm-up included."""
 
     a_samples: np.ndarray
     theta_samples: Optional[np.ndarray]
@@ -508,6 +513,13 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
 def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
     """Empirical-Bayes mode of the hyperposterior of a.
 
+    Under the exact prior the search reads the prior from the table's
+    exact-prior table (see ``sample_posterior``), built once per
+    ``CountTable`` and shared with its chains, so it has the table's
+    accuracy: within 5e-12 of the log prior on moderate tables and about
+    2e-9 at m = 1e12.  The mode then lies within 1e-6 relative of the
+    one on the directly evaluated prior on the tables tested.
+
     Requires at least two nonzero cells; with a single occupied cell
     the mode sits at the unusable a = 0 boundary.
     """
@@ -622,14 +634,19 @@ class _ExactPriorCache:
         # The step times the slope in t, which is dy/dx / half
         hd = h / half * np.concatenate((v[3, ::-1], v[1]))
         # On interval i, at s = (t - t_i)/h in [0, 1], the interpolant is
-        # y_i + s (hd_i + s (c2_i + s c3_i)): one flat array of these four
-        # per interval, whose lookups box one float per read.
+        # y_i + s (hd_i + s (c2_i + s c3_i)).  The four per interval go in
+        # one flat array of doubles, a quarter of the memory of a list of
+        # Python floats.
         dy, d0, d1 = np.diff(ys), hd[:-1], hd[1:]
         self._coef = array("d", np.stack(
             (ys[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy),
             axis=1).tobytes())
         self._t0, self._h, self._last = t0, h, _CACHE_SIZE - 2
         self.log_value, self._direct = self.reader()
+
+    def __reduce__(self):
+        # Its readers are closures, which do not pickle: rebuild instead.
+        return _ExactPriorCache, (self.m, self.n)
 
     @property
     def direct(self) -> int:
@@ -640,9 +657,8 @@ class _ExactPriorCache:
         """A lookup of the log prior at one float a > 0, and a function
         that gives the number of direct evaluations it has made."""
         lo, hi, m, n = self.lo, self.hi, self.m, self.n
-        coef, t0, h, last, log = self._coef, self._t0, self._h, self._last, \
-            math.log
-        direct = 0
+        coef, t0, h, last = self._coef, self._t0, self._h, self._last
+        log, direct = math.log, 0
 
         def log_value(a: float) -> float:
             nonlocal direct
@@ -689,7 +705,7 @@ def _log_target(x: CountTable, log_prior):
 
 def _uniform_stream(rng: np.random.Generator):
     """The uniforms that successive ``rng.random()`` calls would give,
-    drawn ``_UNIFORM_BLOCK`` at a time.  Returns a zero-argument source
+    drawn ``_VARIATE_BLOCK`` at a time.  Returns a zero-argument source
     and a function that puts the generator back where those scalar calls
     would have left it: saved state, advanced by the uniforms used.  That
     is exact for PCG64, which spends one 64-bit word per double."""
@@ -699,14 +715,24 @@ def _uniform_stream(rng: np.random.Generator):
     def blocks():
         nonlocal drawn, block
         while True:
-            block = iter(rng.random(_UNIFORM_BLOCK).tolist())
-            drawn += _UNIFORM_BLOCK
+            block = iter(rng.random(_VARIATE_BLOCK).tolist())
+            drawn += _VARIATE_BLOCK
             yield from block
 
     def restore():
         rng.bit_generator.state = state
         rng.bit_generator.advance(drawn - length_hint(block))
     return blocks().__next__, restore
+
+
+def _mh_variates(rng: np.random.Generator):
+    """The pairs (z, log u) of a standard normal and the log of a uniform
+    that successive MH steps use, drawn ``_VARIATE_BLOCK`` of each at a
+    time: normals first, then log u as -E, E standard exponential, which
+    has the law of log u and never takes the log of 0."""
+    while True:
+        yield from zip(rng.standard_normal(_VARIATE_BLOCK).tolist(),
+                       (-rng.standard_exponential(_VARIATE_BLOCK)).tolist())
 
 
 def _slice_step(log_target, uniform, t: float, lt: float):
@@ -754,12 +780,17 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     ``thetas=True`` each a is augmented by a Dirichlet(x_1+a, ..,
     x_m+a) draw of the cell probabilities.
 
-    Chains are reproducible: a fixed seed yields an identical chain.
-    The log target is one kernel bound to the table and the prior
-    (``_log_target``), with no validation per call, and the slice
-    sampler draws its uniforms in bulk (``_uniform_stream``); the chain,
-    and the theta draws after it, are those of one ``rng.random()`` call
-    per uniform.  ``target_evals`` counts the log-target calls.
+    Chains are reproducible: a fixed seed yields an identical chain,
+    and a chain is the start of any longer one with the same seed and
+    warm-up.  The log target is one kernel bound to the table and the
+    prior (``_log_target``), with no validation per call.  The exact
+    prior is read from a table built once per ``CountTable``
+    (``_ExactPriorCache``) and shared with ``posterior_mode_a``.  MH
+    draws its normals and log-uniforms in fixed-size blocks
+    (``_mh_variates``).  The slice sampler draws its uniforms in bulk
+    (``_uniform_stream``); the chain, and the theta draws after it, are
+    those of one ``rng.random()`` call per uniform.  ``target_evals``
+    counts the log-target calls.
     """
     if length < 1:
         raise DomainError("chain length must be >= 1")
@@ -782,7 +813,7 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     draws = np.empty(length)
     mh = method == "mh"
     if mh:
-        normal, uniform = rng.standard_normal, rng.random
+        variates = _mh_variates(rng).__next__
     else:
         uniform, restore_rng = _uniform_stream(rng)
     first = -warmup if mh else -min(warmup, 200)
@@ -790,9 +821,10 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     accepted = 0
     for i in range(first, length):
         if mh:
-            prop = t + scale * normal()
+            z, log_u = variates()
+            prop = t + scale * z
             lprop = log_target(prop)
-            if math.log(uniform()) < lprop - lt:
+            if log_u < lprop - lt:
                 t, lt = prop, lprop
                 accepted += 1
             if i < 0 and (i - first + 1) % 50 == 0:

@@ -116,6 +116,10 @@ def test_hier_reports_direct_prior_evaluations(tmp_path, capsys):
         summary = _read_json(out / "mode.json")
         reported = summary["direct_prior_evals"]
         assert reported == chain.direct_prior_evals
+        # The command runs the mode search and then the chain on one
+        # table; a second chain on a shared table counts only its own.
+        again = hier.sample_posterior(table, 2000, seed=4, prior=prior)
+        assert again.direct_prior_evals == reported
         assert (reported > 0) == (prior == "exact")
         # MH: the start, 2000 warm-up steps and 2000 draws.
         assert summary["target_evals"] == chain.target_evals == 4001

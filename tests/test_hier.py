@@ -1,7 +1,9 @@
 """Hierarchical multinomial prior: marginal likelihood, hyperpriors,
 modes, MCMC, large-m limit, and the hypergeometric reduction."""
 
+import functools
 import math
+import pickle
 import warnings
 from collections import Counter
 
@@ -531,15 +533,16 @@ def test_theta_draws_rao_blackwell():
 
 
 # Recorded values: how the prior table is read or how theta is drawn
-# must not change the chain for a given seed.
+# must not change the chain for a given seed.  The MH values were
+# recorded again when MH moved to block-drawn variates.
 _PINNED_CHAINS = {
     # (prior, method): (a[0], a[99], a[-1], sum(a), acceptance rate)
-    ("exact", "mh"): (0.5286074359396418, 0.24934568041123117,
-                      0.27134555115253406, 72.03073617241313, 0.355),
+    ("exact", "mh"): (0.36109242647598344, 0.12213093196843938,
+                      0.41631104220400467, 78.75475802230245, 0.365),
     ("exact", "slice"): (0.11005940018244767, 0.320763293096854,
                          2.9963588519938247, 85.88366361225602, 1.0),
-    ("approx", "mh"): (0.5038142705769901, 0.271031274647888,
-                       1.286464711364696, 76.65283257602567, 0.365),
+    ("approx", "mh"): (0.34814165773040945, 0.1701568772730317,
+                       0.8589671627986674, 77.5898650409917, 0.36),
     ("approx", "slice"): (0.4364293631850667, 0.21569259525528214,
                           0.3259610185402397, 88.78881506634477, 1.0),
 }
@@ -560,14 +563,14 @@ def test_chain_pinned(prior, method):
 # block must not reach the acceptance rate of the kept draws.
 _PINNED_WARMUP_CHAINS = {
     # (prior, warmup): (a[0], a[99], a[-1], sum(a), acceptance rate)
-    ("approx", 0): (0.41391362399374165, 0.24496353311797373,
-                    0.435795839446071, 99.68105446097033, 0.565),
-    ("approx", 75): (0.2183257976656546, 0.25224725824404204,
-                     0.380393520450768, 93.8827923737872, 0.445),
-    ("exact", 0): (0.41391362399374165, 0.24496353311797373,
-                   0.42069270238370926, 94.79046076599678, 0.6),
-    ("exact", 75): (0.2183257976656546, 0.5147920334063809,
-                    0.38560105164466946, 91.37376177160294, 0.515),
+    ("approx", 0): (0.41391362399374165, 0.28218937942801714,
+                    0.43217160063184185, 80.80291049759225, 0.575),
+    ("approx", 75): (0.8860827258645458, 0.7308301040258873,
+                     0.3421205473066073, 80.89416238230655, 0.54),
+    ("exact", 0): (0.41391362399374165, 0.2857303217484188,
+                   0.3872635804306716, 80.01482960216428, 0.57),
+    ("exact", 75): (0.59937434159179, 0.7533354343827124,
+                    0.34621360599721906, 85.34583101450531, 0.535),
 }
 
 
@@ -589,8 +592,8 @@ def test_theta_draws_pinned():
     np.testing.assert_allclose(
         [th[0, 0], th[-1, 1], th[:, :5].sum(), (th ** 2).sum(),
          chain.a_samples.sum()],
-        [0.00017263792183384448, 0.00018060344964977633, 20.325430464449152,
-         16.842101049877517, 72.03073617241313], rtol=1e-12)
+        [0.00011770321764859436, 0.0002562700781001468, 19.55347699710378,
+         15.073986784295904, 78.75475802230245], rtol=1e-12)
 
 
 # Recorded before the samplers moved to the bound kernel and bulk slice
@@ -817,7 +820,8 @@ def test_exact_prior_cache_raises_below_cancellation_floor(monkeypatch):
         _ExactPriorCache(10, 5)
 
 
-def test_exact_prior_table_takes_128_fisher_sums(monkeypatch):
+def _count_fisher_sums(monkeypatch):
+    """Record the number of a values of each ``_fisher_sum`` call."""
     values = []
     real = hier._fisher_sum
 
@@ -826,7 +830,21 @@ def test_exact_prior_table_takes_128_fisher_sums(monkeypatch):
         return real(a, m, n)
 
     monkeypatch.setattr(hier, "_fisher_sum", counted)
+    return values
+
+
+def test_exact_prior_table_takes_128_fisher_sums(monkeypatch):
+    values = _count_fisher_sums(monkeypatch)
     _ExactPriorCache(60, 60)
+    assert sum(values) == 128
+
+
+def test_mode_and_chain_share_one_exact_prior_table(monkeypatch):
+    values = _count_fisher_sums(monkeypatch)
+    t = _synthetic_table()
+    posterior_mode_a(t, prior="exact")
+    chain = sample_posterior(t, 500, seed=1, prior="exact")
+    assert chain.direct_prior_evals == 0
     assert sum(values) == 128
 
 
@@ -875,6 +893,82 @@ def test_exact_chain_stays_on_table_at_huge_m():
     assert 1e-14 < a.min() and a.max() < 1e4
     assert 1e-11 < np.median(a) < 1e-9
     assert chain.direct_prior_evals < 0.1 * (warmup + length)
+
+
+def test_count_table_pickles_after_building_its_prior_table():
+    t = _synthetic_table()
+    mode = posterior_mode_a(t, prior="exact")
+    again = pickle.loads(pickle.dumps(t))
+    assert again == t
+    assert posterior_mode_a(again, prior="exact") == mode
+
+
+def test_direct_prior_evals_count_each_chain_alone():
+    # The table is shared by every chain on a CountTable, so each chain
+    # counts its own direct lookups.  On this table (see
+    # test_exact_chain_stays_on_table_at_huge_m) MH proposals reach below
+    # the table; the mode search stays on it.
+    def table():
+        return CountTable(m=10**10, counts={0: 1, 1: 1})
+
+    t = table()
+    posterior_mode_a(t, prior="exact")
+    assert t._exact_prior.direct == 0
+    for seed in (4, 5):
+        alone = sample_posterior(table(), 2000, seed=seed).direct_prior_evals
+        assert alone > 0
+        assert sample_posterior(t, 2000, seed=seed).direct_prior_evals == alone
+
+
+@pytest.mark.parametrize("prior", ["exact", "approx"])
+@pytest.mark.parametrize("warmup", [0, 75, 2000])
+def test_mh_chain_is_a_prefix_of_a_longer_chain(prior, warmup):
+    # MH variates come in fixed-size blocks, whatever the length and the
+    # warm-up, so a chain is the start of a longer chain with its seed;
+    # 1500 draws after the warm-up cross at least one block boundary.
+    t = _synthetic_table()
+    short, long = (sample_posterior(t, length, seed=8, prior=prior,
+                                    warmup=warmup).a_samples
+                   for length in (1500, 3000))
+    assert np.array_equal(short, long[:1500])
+
+
+def _direct_exact_mode(t):
+    """The exact-prior mode search on the validated public density: the
+    240-point scan of the window, then Brent's refinement in log a."""
+    lo, hi = hier._mode_window(t.m)
+    grid = np.linspace(math.log(lo), math.log(hi), 240)
+    k = int(np.argmax(posterior_log_density_a(np.exp(grid), t, "exact")))
+    res = minimize_scalar(
+        lambda u: -posterior_log_density_a(math.exp(u), t, "exact"),
+        grid[max(k - 1, 0)], grid[min(k + 1, 239)], tol=1e-12)
+    return math.exp(res.argmin)
+
+
+_EXACT_MODE_TABLES = {
+    "60x60": lambda: _synthetic_table(60, 60),
+    "1000x30": lambda: _synthetic_table(1000, 30),
+    "2x300": lambda: _synthetic_table(2, 300),
+    "20x1000": lambda: _synthetic_table(20, 1000),
+    # the perfbench hier-dense table at seed 0: m = n = 60, r0 = 26
+    "hier-dense": lambda: CountTable(m=60, counts={
+        1: 3, 4: 5, 6: 1, 11: 1, 14: 7, 16: 3, 17: 3, 19: 5, 20: 1, 21: 3,
+        25: 1, 27: 3, 29: 2, 32: 1, 33: 1, 35: 3, 39: 2, 40: 3, 44: 1, 45: 1,
+        46: 1, 51: 1, 52: 4, 54: 1, 55: 1, 56: 2}),
+    **{f"{m:.0e}": functools.partial(CountTable, m=m,
+                                      counts={0: 2, 1: 1, 2: 1})
+       for m in (10**8, 10**10, 10**12)},
+}
+
+
+@pytest.mark.parametrize("name", list(_EXACT_MODE_TABLES))
+def test_exact_mode_from_table_matches_direct_prior(name):
+    # The mode search reads the exact prior from the table; the mode
+    # must stay within the CLI's --pin tolerance, 1e-6 relative, of the
+    # one found on the directly evaluated prior.
+    t = _EXACT_MODE_TABLES[name]()
+    assert posterior_mode_a(t, prior="exact") == pytest.approx(
+        _direct_exact_mode(t), rel=1e-6)
 
 
 def test_chain_counts_direct_prior_evaluations():
