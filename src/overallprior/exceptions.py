@@ -21,16 +21,7 @@ class EvaluationError(OverallPriorError, RuntimeError):
 
 
 class AccuracyError(OverallPriorError, RuntimeError):
-    """A numerical routine failed to reach the requested tolerance.
-
-    ``best_estimate`` holds the most accurate value obtained before
-    giving up, ``error_estimate`` the associated error bound.
-    """
-
-    def __init__(self, message, best_estimate=None, error_estimate=None):
-        super().__init__(message)
-        self.best_estimate = best_estimate
-        self.error_estimate = error_estimate
+    """A numerical routine failed to reach the requested tolerance."""
 
 
 class PreconditionError(OverallPriorError, ValueError):

@@ -1,4 +1,4 @@
-"""Special functions, divergences, quadrature and 1-D minimization.
+"""Special functions, divergences and 1-D minimization.
 
 Everything in this module is a pure function of its inputs and safe to
 call concurrently.  The special functions set the accuracy floor for
@@ -20,15 +20,14 @@ every formula built on top of them:
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .exceptions import AccuracyError, DomainError, EvaluationError
+from .exceptions import DomainError, EvaluationError
 
 __all__ = [
     "Grid1D",
@@ -39,7 +38,6 @@ __all__ = [
     "trigamma",
     "kl_beta",
     "minimize_scalar",
-    "integrate",
 ]
 
 # B_{2k} / (2k) for digamma.
@@ -309,151 +307,3 @@ def minimize_scalar(f: Callable[[float], float], lo: float, hi: float,
                 v, fv = u, fu
     return OptimResult(argmin=x, min_value=fx, iterations=iterations,
                        converged=converged)
-
-
-# Gauss-Kronrod 15-point rule on [-1, 1]: Kronrod nodes/weights and the
-# embedded 7-point Gauss weights (on the odd-indexed nodes).
-_GK_NODES = (
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-)
-_GK_WEIGHTS = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-)
-_G_WEIGHTS = (
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-)
-
-
-def _gk15(f: Callable[[float], float], a: float, b: float):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fk = []
-    for t in _GK_NODES:
-        x = mid + half * t
-        v = f(x)
-        if not math.isfinite(v):
-            raise EvaluationError(
-                f"integrand returned non-finite value at x={x}", x)
-        fk.append(v)
-    kronrod = half * sum(w * v for w, v in zip(_GK_WEIGHTS, fk))
-    gauss = half * sum(w * fk[2 * i + 1] for i, w in enumerate(_G_WEIGHTS))
-    return kronrod, abs(kronrod - gauss)
-
-
-def _adaptive(f, a, b, tol_abs, max_panels=2000):
-    """Globally adaptive subdivision: repeatedly bisect the panel with
-    the worst error estimate until the total meets ``tol_abs`` or the
-    panel budget runs out.  The budget bounds the cost when part of the
-    range is dominated by floating-point noise (e.g. a far tail whose
-    true contribution is below machine precision)."""
-    est, err = _gk15(f, a, b)
-    panels = [(-err, a, b, est, err)]
-    while len(panels) < max_panels:
-        err_total = sum(p[4] for p in panels)
-        if err_total <= tol_abs:
-            break
-        neg_err, pa, pb, pest, perr = heapq.heappop(panels)
-        if neg_err == 0.0:
-            # Worst remaining panel is already unsplittable.
-            heapq.heappush(panels, (neg_err, pa, pb, pest, perr))
-            break
-        if (pb - pa) < 1e-14 * (abs(pa) + abs(pb) + 1.0):
-            # Can't subdivide further; keep as-is with its error.
-            heapq.heappush(panels, (0.0, pa, pb, pest, perr))
-            continue
-        mid = 0.5 * (pa + pb)
-        le, lerr = _gk15(f, pa, mid)
-        re, rerr = _gk15(f, mid, pb)
-        heapq.heappush(panels, (-lerr, pa, mid, le, lerr))
-        heapq.heappush(panels, (-rerr, mid, pb, re, rerr))
-    return (sum(p[3] for p in panels), sum(p[4] for p in panels))
-
-
-def _finite_at(f, x):
-    try:
-        return math.isfinite(f(x))
-    except (OverflowError, ValueError, ZeroDivisionError):
-        return False
-
-
-def integrate(f: Callable[[float], float], lo: float, hi: float,
-              tol: float = 1e-10) -> float:
-    """Adaptive Gauss-Kronrod estimate of the integral of f over (lo, hi).
-
-    ``hi`` may be ``math.inf``; the tail is mapped to a finite interval
-    with u = x / (1 + x), which flattens the O(x^{-1/2}) and heavy-tail
-    endpoint behaviors this package encounters.  Integrable endpoint
-    singularities on finite panels are removed by a square-root
-    substitution.  Raises AccuracyError (with the best estimate
-    attached) if the error estimate does not meet ``tol``.
-    """
-    lo = float(lo)
-    hi = float(hi)
-    if not (hi > lo):
-        raise DomainError("integrate requires hi > lo")
-    if math.isinf(lo):
-        raise DomainError("lower limit must be finite")
-
-    panels = []
-    if math.isinf(hi):
-        # Split at lo + 1; map [lo + 1, inf) through x = lo + u/(1-u).
-        panels.append((f, lo, lo + 1.0))
-
-        def tail(u, _f=f, _lo=lo):
-            x = _lo + u / (1.0 - u)
-            return _f(x) / (1.0 - u) ** 2
-
-        # Seed the subdivision with panels reaching far into the tail
-        # so a distant peak cannot be missed by a single rule pass.
-        for ua, ub in ((0.5, 0.9), (0.9, 0.99), (0.99, 0.999),
-                       (0.999, 0.9999), (0.9999, 1.0)):
-            panels.append((tail, ua, ub))
-    else:
-        panels.append((f, lo, hi))
-
-    total = 0.0
-    err_total = 0.0
-    for g, a, b in panels:
-        # Remove endpoint singularities by substitution before recursing.
-        if not _finite_at(g, a):
-            width = b - a
-
-            def g_lo(t, _g=g, _a=a):
-                x = _a + t * t
-                if x <= _a:  # t*t underflowed onto the singular endpoint
-                    return 0.0
-                return 2.0 * t * _g(x)
-
-            g, a, b = g_lo, 0.0, math.sqrt(width)
-        if not _finite_at(g, b):
-            width = b - a
-
-            def g_hi(t, _g=g, _b=b):
-                x = _b - t * t
-                if x >= _b:  # t*t underflowed onto the singular endpoint
-                    return 0.0
-                return 2.0 * t * _g(x)
-
-            g, a, b = g_hi, 0.0, math.sqrt(width)
-        rough, _ = _gk15(g, a, b)
-        tol_abs = 0.25 * tol * max(1.0, abs(rough))
-        est, err = _adaptive(g, a, b, tol_abs)
-        total += est
-        err_total += err
-    if err_total > max(tol, tol * abs(total)) * 4.0:
-        raise AccuracyError(
-            f"integrate did not reach tol={tol} (error estimate {err_total})",
-            best_estimate=total, error_estimate=err_total)
-    return total

@@ -12,6 +12,7 @@ variate is drawn in bulk before its loop.  The |mu|-reference prior
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .exceptions import (AccuracyError, DomainError, PreconditionError,
                          SingularityError)
-from .numerics import _check_seed, integrate
+from .numerics import _check_seed
 
 __all__ = [
     "MeansData",
@@ -30,6 +31,10 @@ __all__ = [
     "gibbs_sample",
     "theta_posterior_samples",
 ]
+
+_EULER = 0.5772156649015329
+_CF_MAX_TERMS = 1000  # where it is used, the fraction takes under 100
+
 
 @dataclass(frozen=True)
 class MeansData:
@@ -78,45 +83,108 @@ def flat_prior_theta_mean(data: MeansData) -> float:
     return 1.0 + float(np.mean(data.x ** 2))
 
 
+def _exp(x: float) -> float:
+    """exp(x), or inf where it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _log_sq_norm(mu: Sequence[float]) -> tuple[int, float]:
+    """(m, log |mu|^2) for a finite, nonzero vector mu of length m.
+
+    The squares are summed after dividing by max |mu_i|, so that no
+    |mu_i|^2 overflows or underflows.  Raises DomainError on a
+    non-finite entry and SingularityError at mu = 0, the one point
+    outside the domain of both densities.
+    """
+    v = np.asarray(mu, dtype=float)
+    if v.ndim != 1 or v.size < 1:
+        raise DomainError("mu must be a non-empty vector")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("mu must be finite")
+    big = float(np.max(np.abs(v)))
+    if big == 0.0:
+        raise SingularityError("the prior density is singular at mu = 0")
+    u = v / big
+    return v.size, 2.0 * math.log(big) + math.log(float(u @ u))
+
+
+def _log_f(m: int, z: float, log_z: float) -> float:
+    """log F(m/2, z), F(b, z) = int_0^inf e^{-z t} (1 + t)^{-b} dt
+    = z^{b-1} e^z Gamma(1 - b, z) (DLMF 8.6.5), for z > 0 given with
+    its log; z may have overflowed to inf or underflowed to 0."""
+    b = 0.5 * m
+    if z == math.inf:
+        return -log_z  # F = (1 - O(b/z))/z
+    if z >= 1.0 or m >= 40:
+        # 1/F = z + b - 1 b/(z + b + 2 - 2 (b + 1)/(z + b + 4 - ...)), the
+        # even form of Legendre's fraction (DLMF 8.9.2), summed by
+        # modified Lentz; its denominators stay positive.
+        den = z + b
+        cf = c = den
+        d = 0.0
+        for n in range(1, _CF_MAX_TERMS):
+            a = -n * (n - 1.0 + b)
+            den += 2.0
+            d = 1.0 / (den + a * d)
+            c = den + a / c
+            cf *= c * d
+            if abs(c * d - 1.0) <= 2.0 * sys.float_info.epsilon:
+                return -math.log(cf)
+        raise AccuracyError(f"continued fraction for b={b}, z={z} did "
+                            f"not converge in {_CF_MAX_TERMS} terms")
+    # Small z and m: the fraction needs thousands of terms here, so
+    # recur upward from b = 1/2 or 1 with F(b, z) = (1 - z F(b-1, z))/(b-1),
+    # which scales an error by z/(b-1) per step.  The recurrence runs in
+    # logs and reads z through log z, so it holds as z underflows.
+    if m % 2:
+        c = 0.5
+        log_f = (z + 0.5 * (math.log(math.pi) - log_z)
+                 + math.log(math.erfc(math.sqrt(z))))
+    else:
+        # e^z E_1(z), E_1 by its power series (DLMF 6.6.2), whose terms
+        # fall below 1e-18 by k = 19 for z < 1.
+        c, term, total = 1.0, 1.0, 0.0
+        for k in range(1, 20):
+            term *= -z / k
+            total += term / k
+        log_f = z + math.log(-_EULER - log_z - total)
+    while c < b:
+        log_f = math.log1p(-math.exp(log_z + log_f)) - math.log(c)
+        c += 1.0
+    return log_f
+
+
 def hierarchical_prior_density(mu: Sequence[float]) -> float:
     """Marginal overall prior density of mu (unnormalized, improper):
 
         integral over tau^2 of (2 pi tau^2)^{-m/2}
-            exp(-|mu|^2 / (2 tau^2)) / (1 + tau^2).
+            exp(-|mu|^2 / (2 tau^2)) / (1 + tau^2)
+        = (2 pi)^{-m/2} Gamma(m/2) e^z Gamma(1 - m/2, z),  z = |mu|^2/2.
 
     Depends on mu only through its norm; tail slope in log|mu| is
-    -m, one power steeper than the |mu|-reference prior.
-"""
-    v = np.asarray(mu, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise DomainError("mu must be a non-empty vector")
-    m = v.size
-    s = float(v @ v)
-    if s == 0.0:
-        raise SingularityError("hierarchical prior density diverges at mu=0")
-
-    # Substituting w = |mu|^2 / (2 tau^2) turns the integral into
-    # (pi s)^{-m/2} s * int w^{m/2-1} e^{-w} / (2w + s) dw, whose
-    # integrand peaks at w = O(m) for every |mu| (the original tau^2
-    # form peaks at |mu|^2/m, which adaptive panels can miss).
-    log_front = -0.5 * m * math.log(math.pi * s) + math.log(s)
-
-    def integrand(w: float) -> float:
-        return math.exp(log_front + (0.5 * m - 1.0) * math.log(w) - w) \
-            / (2.0 * w + s)
-
-    return integrate(integrand, 0.0, math.inf, tol=1e-9)
+    -m, one power steeper than the |mu|-reference prior.  Evaluated in
+    logs, with the incomplete gamma function from a continued fraction
+    where z >= 1 or m >= 40 and from an upward recurrence elsewhere.
+    Against 50-digit mpmath the relative error is below 5e-13 for
+    m <= 500 wherever the value is a normal float, and below m * 1e-15
+    beyond, from the rounding of log Gamma(m/2).  A value past the
+    float range is returned as inf or 0.0.
+    """
+    m, log_s = _log_sq_norm(mu)
+    b = 0.5 * m
+    log_z = log_s - math.log(2.0)
+    return _exp(-b * math.log(2.0 * math.pi) + math.lgamma(b)
+                + (1.0 - b) * log_z + _log_f(m, _exp(log_z), log_z))
 
 
 def reference_prior_density(mu: Sequence[float]) -> float:
-    """Reference prior for |mu| as quantity of interest: |mu|^{-(m-1)}."""
-    v = np.asarray(mu, dtype=float)
-    if v.ndim != 1 or v.size < 1:
-        raise DomainError("mu must be a non-empty vector")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise SingularityError("reference prior is singular at mu = 0")
-    return norm ** (-(v.size - 1))
+    """Reference prior for |mu| as quantity of interest: |mu|^{-(m-1)}.
+    A value past the float range is returned as inf or 0.0."""
+    m, log_s = _log_sq_norm(mu)
+    return _exp(-0.5 * (m - 1) * log_s)
 
 
 def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:

@@ -30,7 +30,6 @@ from overallprior.hier import (CountTable, LimitProfile,
                                marginal_log_likelihood, mode_asymptotic,
                                posterior_log_density_a,
                                reference_prior_exact, sample_posterior)
-from overallprior.numerics import integrate
 from overallprior.refdist import (CountVector, RefDistConfig,
                                   dirichlet_posterior_means, d_mu, d_sigma,
                                   expected_loss, optimal_a)
@@ -107,8 +106,9 @@ def test_criterion_04_sparse_table_means():
 
 
 def _normalizer(m, n, upper):
-    z = integrate(lambda a: reference_prior_exact(a, m, n), 0.0, upper,
-                  tol=1e-6)
+    z, _ = scipy.integrate.quad(lambda a: reference_prior_exact(a, m, n),
+                                0.0, upper, epsrel=1e-10, epsabs=0.0,
+                                limit=200)
     return z + reference_prior_exact(upper, m, n) * upper
 
 

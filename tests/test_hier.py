@@ -10,6 +10,7 @@ from collections import Counter
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.optimize
 import scipy.special as sp
 import scipy.stats
@@ -29,7 +30,7 @@ from overallprior.hier import (CountTable, LimitProfile, _ExactPriorCache,
                                mode_asymptotic, posterior_log_density_a,
                                posterior_mode_a, reference_prior_approx,
                                reference_prior_exact, sample_posterior)
-from overallprior.numerics import integrate, minimize_scalar
+from overallprior.numerics import minimize_scalar
 
 # ---------------------------------------------------------------- tables
 
@@ -317,9 +318,13 @@ def test_priors_array_match_scalar_calls(mn):
             prior(np.array([1.0, -1.0]), m, n)
 
 
+def _quad(f, lo, hi):
+    return scipy.integrate.quad(f, lo, hi, epsrel=1e-10, epsabs=0.0,
+                                limit=200)[0]
+
+
 def normalizer(m, n, upper):
-    z = integrate(lambda a: reference_prior_exact(a, m, n), 0.0, upper,
-                  tol=1e-7)
+    z = _quad(lambda a: reference_prior_exact(a, m, n), 0.0, upper)
     return z + reference_prior_exact(upper, m, n) * upper
 
 
@@ -337,8 +342,7 @@ def test_exact_prior_proper_and_stable(mn):
 
 def test_approx_prior_integrates_to_one():
     for m, n in ((10, 5), (500, 10)):
-        z = integrate(lambda a: reference_prior_approx(a, m, n),
-                      0.0, math.inf, tol=1e-10)
+        z = _quad(lambda a: reference_prior_approx(a, m, n), 0.0, math.inf)
         assert z == pytest.approx(1.0, abs=1e-8)
 
 
@@ -348,16 +352,14 @@ def test_approx_prior_is_beta_half_one_in_phi():
     c = n / m
     for p in (0.1, 0.5, 0.9):
         a_cut = p * c / (1 - p)
-        mass = integrate(lambda a: reference_prior_approx(a, m, n),
-                         0.0, a_cut, tol=1e-10)
+        mass = _quad(lambda a: reference_prior_approx(a, m, n), 0.0, a_cut)
         assert mass == pytest.approx(math.sqrt(p), abs=1e-7)
 
 
 def test_approx_prior_median():
     m, n = 20, 10
     median = (n / m) / 3.0  # phi median 1/4 => a = (n/m)/3
-    mass = integrate(lambda a: reference_prior_approx(a, m, n),
-                     0.0, median, tol=1e-10)
+    mass = _quad(lambda a: reference_prior_approx(a, m, n), 0.0, median)
     assert mass == pytest.approx(0.5, abs=1e-8)
 
 

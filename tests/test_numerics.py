@@ -1,4 +1,4 @@
-"""Special functions, optimization, and quadrature against independent
+"""Special functions and optimization against independent
 oracles (scipy/mpmath) plus property-based checks."""
 
 import math
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from overallprior.exceptions import (AccuracyError, DomainError,
                                      EvaluationError)
-from overallprior.numerics import (Grid1D, digamma, integrate, kl_beta,
+from overallprior.numerics import (Grid1D, digamma, kl_beta,
                                    log_gamma, log_rising_ratio,
                                    minimize_scalar, trigamma)
 
@@ -207,50 +207,6 @@ def test_minimize_nonsmooth():
 def test_minimize_rejects_nonfinite_objective():
     with pytest.raises(EvaluationError):
         minimize_scalar(lambda t: math.nan, 0.0, 1.0)
-
-
-# ---------------------------------------------------------------- integrate
-
-
-def test_integrate_polynomial_exact():
-    assert integrate(lambda x: 3 * x * x, 0, 10, tol=1e-12) == \
-        pytest.approx(1000.0, rel=1e-12)
-
-
-def test_integrate_endpoint_singularity():
-    assert integrate(lambda x: x ** -0.5, 0, 1, tol=1e-10) == \
-        pytest.approx(2.0, rel=1e-9)
-
-
-def test_integrate_improper_exponential():
-    assert integrate(lambda x: math.exp(-x), 0, math.inf, tol=1e-12) == \
-        pytest.approx(1.0, rel=1e-10)
-
-
-def test_integrate_heavy_tail():
-    # 1/(1+x)^2 integrates to 1 over the half line.
-    assert integrate(lambda x: (1 + x) ** -2, 0, math.inf, tol=1e-11) == \
-        pytest.approx(1.0, rel=1e-9)
-
-
-@pytest.mark.parametrize("center,width", [(30, 5), (100, 10), (999, 30)])
-def test_integrate_distant_peak_not_missed(center, width):
-    # Gaussian bumps well away from the origin on the half line.
-    val = integrate(lambda x: math.exp(-0.5 * ((x - center) / width) ** 2),
-                    0, math.inf, tol=1e-9)
-    assert val == pytest.approx(width * math.sqrt(2 * math.pi), rel=1e-6)
-
-
-def test_integrate_reports_failure_with_best_estimate():
-    rng = np.random.default_rng(1)
-    with pytest.raises(AccuracyError) as exc:
-        integrate(lambda x: float(rng.normal()), 0, 1, tol=1e-14)
-    assert exc.value.best_estimate is not None
-
-
-def test_integrate_rejects_bad_interval():
-    with pytest.raises(DomainError):
-        integrate(lambda x: x, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------- Grid1D

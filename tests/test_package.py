@@ -43,11 +43,16 @@ def test_runtime_imports_are_numpy_and_stdlib():
 
 
 def test_gibbs_sample_runs_without_test_only_packages():
-    # A lazy import inside a sampler would not show at import time: run
-    # the Gibbs chain once, then look for the test-only oracles.
+    # A lazy import inside a sampler or a density would not show at
+    # import time: run the Gibbs chain once and both prior densities at
+    # small and large |mu|^2 (each branch of the closed form), then look
+    # for the test-only oracles.
     code = ("import sys, numpy, overallprior.cli; "
-            "from overallprior.shrinkage import MeansData, gibbs_sample; "
+            "from overallprior.shrinkage import (MeansData, gibbs_sample, "
+            "hierarchical_prior_density as h, reference_prior_density); "
             "gibbs_sample(MeansData(numpy.arange(5.0)), 50, seed=0); "
+            "[f(mu) for f in (h, reference_prior_density) for mu in "
+            "([0.1, 0.0], [0.1, 0.0, 0.0], [30.0, 0.0, 0.0])]; "
             "print(' '.join(sorted(sys.modules)))")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     loaded = subprocess.run([sys.executable, "-c", code], env=env,

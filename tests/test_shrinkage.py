@@ -2,6 +2,7 @@
 and posterior summaries of theta = |mu|^2 / m."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -92,17 +93,116 @@ def test_hierarchical_density_decreasing_in_norm():
 def test_hierarchical_density_tail_slope_is_minus_m():
     # Pinned resolution: the mixture tail decays as |mu|^{-m}, one
     # power steeper than the |mu|-reference prior |mu|^{-(m-1)}.
-    m = 5
-    lo, hi = 30.0, 100.0
-    f = lambda r: hierarchical_prior_density([r] + [0.0] * (m - 1))
-    slope = (math.log(f(hi)) - math.log(f(lo))) / (math.log(hi)
-                                                   - math.log(lo))
-    assert slope == pytest.approx(-m, abs=0.01)
+    for m, lo, hi in ((5, 30.0, 100.0), (100, 300.0, 1000.0)):
+        f = lambda r: hierarchical_prior_density([r] + [0.0] * (m - 1))
+        slope = (math.log(f(hi)) - math.log(f(lo))) / (math.log(hi)
+                                                       - math.log(lo))
+        assert slope == pytest.approx(-m, abs=0.01)
 
 
 def test_hierarchical_density_singular_at_origin():
     with pytest.raises(SingularityError):
         hierarchical_prior_density([0.0, 0.0, 0.0])
+
+
+def _hier_density_mp(m, x):
+    """50-digit value of the density at mu = (x, ..., x) of length m:
+    (2 pi)^{-b} Gamma(b) z^{1-b} F(b, z), b = m/2, z = |mu|^2/2, with
+    F(b, z) = int_0^inf e^{-zt} (1+t)^{-b} dt by quadrature.
+    (mpmath.gammainc is not used: at 50 digits it returns -3.5e-767
+    for Gamma(-249, 500).)"""
+    with mpmath.workdps(50):
+        b = mpmath.mpf(m) / 2
+        z = b * mpmath.mpf(x) ** 2
+        f = mpmath.quad(lambda t: mpmath.exp(-z * t) * (1 + t) ** -b,
+                        [0, 1 / (z + b), mpmath.inf])
+        return (2 * mpmath.pi) ** -b * mpmath.gamma(b) * z ** (1 - b) * f
+
+
+# |mu|^2 over [1e-12, 1e6], either side of z = 1 (where m < 40 switches
+# from the recurrence to the continued fraction), and the bands where
+# the density at m = 500 and m = 1e4 is a normal float, which the
+# coarse grid barely meets.
+_SWEEP = {m: list(np.geomspace(1e-12, 1e6, 7)) + [1.9, 2.1]
+          for m in (1, 2, 3, 5, 8, 20, 40, 100, 500, 10000)}
+_SWEEP[500] += list(np.geomspace(3.0, 700.0, 4))
+_SWEEP[10000] += list(np.linspace(520.0, 660.0, 4))
+
+
+@pytest.mark.parametrize("m", sorted(_SWEEP))
+def test_hierarchical_density_mpmath_sweep(m):
+    # Relative error 5e-13 wherever the density is a normal float; for
+    # m > 500 the rounding of log Gamma(m/2), about 3.8e4 at m = 1e4,
+    # allows m * 1e-15.  Past the float range the value is inf or 0.0.
+    tol = max(5e-13, m * 1e-15)
+    for sq_norm in _SWEEP[m]:
+        x = math.sqrt(sq_norm / m)
+        got = hierarchical_prior_density(np.full(m, x))
+        want = _hier_density_mp(m, x)
+        if want > sys.float_info.max:
+            assert got == math.inf
+        elif want < sys.float_info.min:
+            assert got < sys.float_info.min
+        else:
+            assert got == pytest.approx(float(want), rel=tol, abs=0.0), \
+                sq_norm
+
+
+@pytest.mark.parametrize("density", [hierarchical_prior_density,
+                                     reference_prior_density])
+@pytest.mark.parametrize("mu", [[math.nan, 0.0, 0.0], [1.0, -math.inf],
+                                [math.inf]])
+def test_prior_densities_reject_non_finite_mu(density, mu):
+    with pytest.raises(DomainError):
+        density(mu)
+
+
+@pytest.mark.parametrize("density", [hierarchical_prior_density,
+                                     reference_prior_density])
+def test_prior_densities_singular_only_at_zero(density):
+    # A tiny nonzero mu is inside the domain: |mu|^2 is formed after
+    # scaling by max |mu_i|, so it does not underflow to 0.
+    for mu in ([1e-170, 0.0, 0.0], [1e-200], [0.0, 5e-324]):
+        assert density(mu) > 0.0
+    with pytest.raises(SingularityError):
+        density([0.0, -0.0])
+
+
+@pytest.mark.parametrize("mu,hier,ref", [
+    ([1e200, 0.0, 0.0], 0.0, 0.0),          # both about 1e-400
+    ([1e-170, 0.0, 0.0], 1.0 / (2.0 * math.pi * 1e-170), math.inf),
+    ([1e-4] + [0.0] * 99, math.inf, math.inf),  # hierarchical 8.6e427
+    ([1.0] + [0.0] * 499, math.inf, 1.0),
+])
+def test_prior_densities_past_float_range(mu, hier, ref):
+    # Values past the float range come back as inf or 0.0, with no
+    # OverflowError or RuntimeWarning.
+    assert hierarchical_prior_density(mu) == pytest.approx(hier, rel=1e-14,
+                                                           abs=0.0)
+    assert reference_prior_density(mu) == ref
+
+
+def test_hierarchical_density_where_z_leaves_the_float_range():
+    # Below |mu| of about 1e-154, z = |mu|^2/2 underflows and F is read
+    # through log z; above about 1.9e154 z overflows and F = 1/z.  The
+    # leading terms as mu -> 0 are exact to double precision there.
+    # m = 1: the density tends to sqrt(pi/2) at 0 and to 1/|mu| far out.
+    for r in (1e-150, 1e-160, 1e-300):
+        assert hierarchical_prior_density([r]) == pytest.approx(
+            math.sqrt(0.5 * math.pi), rel=1e-14)
+    for r in (1e150, 1e160, 1e300):
+        assert hierarchical_prior_density([r]) * r == pytest.approx(
+            1.0, rel=1e-14)
+    # m = 2: -(gamma + log z)/(2 pi).
+    for r in (1e-150, 1e-160, 1e-300):
+        log_z = 2.0 * math.log(r) - math.log(2.0)
+        assert hierarchical_prior_density([r, 0.0]) == pytest.approx(
+            -(0.5772156649015329 + log_z) / (2.0 * math.pi), rel=1e-14)
+    # m = 3: 1/(2 pi |mu|).  For m > 3 the density there is past the
+    # float range.
+    for r in (1e-150, 1e-160, 1e-300):
+        assert hierarchical_prior_density([r, 0.0, 0.0]) * r == \
+            pytest.approx(0.5 / math.pi, rel=1e-14)
 
 
 def test_reference_prior_examples():
