@@ -3,7 +3,8 @@
 Subcommands cover the three constructions (reference-distance,
 hierarchical multinomial, normal-means shrinkage) plus catalogue
 browsing; outputs are plain CSV (with header rows) and JSON summaries
-(schema "v1"), suitable for any external plotter.
+(schema "v1"), suitable for any external plotter.  Each subcommand
+imports only the package module it runs.
 
 Exit codes: 0 success, 1 usage/parse error, 2 I/O error,
 3 precondition violation or numerical failure.  Every package error
@@ -21,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalogue, hier, refdist, shrinkage
 from .exceptions import DomainError, OverallPriorError, PreconditionError
 from .numerics import _check_seed
 
@@ -135,6 +135,8 @@ def _outdir(args) -> Path:
 
 
 def cmd_refdist(args) -> int:
+    from . import refdist
+
     cfg = refdist.RefDistConfig(m=args.m, n=args.n)
     grid = _parse_grid(args.grid)
     curve = refdist.loss_curve(cfg, grid)
@@ -153,6 +155,8 @@ def cmd_refdist(args) -> int:
 
 
 def cmd_hier(args) -> int:
+    from . import hier
+
     grid = _parse_grid(args.grid)
     _check_chain_args(args)
     table = hier.CountTable.from_sparse_text(Path(args.input).read_text())
@@ -196,6 +200,8 @@ def cmd_hier(args) -> int:
 
 
 def cmd_shrink(args) -> int:
+    from . import shrinkage
+
     _check_chain_args(args)
     raw = Path(args.input).read_text().split()
     try:
@@ -230,6 +236,8 @@ def cmd_shrink(args) -> int:
 
 
 def cmd_catalogue(args) -> int:
+    from . import catalogue
+
     if args.list or args.entry is None:
         for name, (_, domain, proper, _) in sorted(catalogue.ENTRIES.items()):
             print(f"{name:26s} args: {domain:26s} "

@@ -92,12 +92,13 @@ def _exp(x: float) -> float:
 
 
 def _log_sq_norm(mu: Sequence[float]) -> tuple[int, float]:
-    """(m, log |mu|^2) for a finite, nonzero vector mu of length m.
+    """(m, log |mu|^2) for a finite vector mu of length m.
 
     The squares are summed after dividing by max |mu_i|, so that no
     |mu_i|^2 overflows or underflows.  Raises DomainError on a
-    non-finite entry and SingularityError at mu = 0, the one point
-    outside the domain of both densities.
+    non-finite entry.  At mu = 0 it returns log |mu|^2 = -inf for m = 1,
+    where both densities are finite, and raises SingularityError for
+    m >= 2, where both are singular.
     """
     v = np.asarray(mu, dtype=float)
     if v.ndim != 1 or v.size < 1:
@@ -106,6 +107,8 @@ def _log_sq_norm(mu: Sequence[float]) -> tuple[int, float]:
         raise DomainError("mu must be finite")
     big = float(np.max(np.abs(v)))
     if big == 0.0:
+        if v.size == 1:
+            return 1, -math.inf
         raise SingularityError("the prior density is singular at mu = 0")
     u = v / big
     return v.size, 2.0 * math.log(big) + math.log(float(u @ u))
@@ -171,9 +174,12 @@ def hierarchical_prior_density(mu: Sequence[float]) -> float:
     Against 50-digit mpmath the relative error is below 5e-13 for
     m <= 500 wherever the value is a normal float, and below m * 1e-15
     beyond, from the rounding of log Gamma(m/2).  A value past the
-    float range is returned as inf or 0.0.
+    float range is returned as inf or 0.0.  At mu = 0 the density is
+    sqrt(pi/2) for m = 1 and singular (SingularityError) for m >= 2.
     """
     m, log_s = _log_sq_norm(mu)
+    if log_s == -math.inf:
+        return math.sqrt(0.5 * math.pi)  # m = 1: e^z erfc(sqrt z) -> 1
     b = 0.5 * m
     log_z = log_s - math.log(2.0)
     return _exp(-b * math.log(2.0 * math.pi) + math.lgamma(b)
@@ -182,9 +188,11 @@ def hierarchical_prior_density(mu: Sequence[float]) -> float:
 
 def reference_prior_density(mu: Sequence[float]) -> float:
     """Reference prior for |mu| as quantity of interest: |mu|^{-(m-1)}.
-    A value past the float range is returned as inf or 0.0."""
+    A value past the float range is returned as inf or 0.0.  At mu = 0
+    it is 1.0 for m = 1 (the density is flat) and singular
+    (SingularityError) for m >= 2."""
     m, log_s = _log_sq_norm(mu)
-    return _exp(-0.5 * (m - 1) * log_s)
+    return 1.0 if m == 1 else _exp(-0.5 * (m - 1) * log_s)
 
 
 def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:

@@ -209,19 +209,15 @@ def test_quantiles_of_a_chain_match_numpy():
         np.quantile(theta, [0.05, 0.95]).tolist()
 
 
-def test_shrink_loads_no_numpy_ma(tmp_path):
+def test_shrink_loads_no_numpy_ma(tmp_path, loaded_modules):
     # np.quantile imports numpy.ma, which took over 10 ms of every shrink
     # command: the interval comes from np.sort and numpy's linear rule.
     inp = tmp_path / "x.txt"
     inp.write_text("1.0 -2.0 0.5\n3.0 0.0\n")
-    code = ("import sys; from overallprior.cli import main; "
+    code = ("from overallprior.cli import main; "
             f"main(['shrink', '--input', {str(inp)!r}, '--chain', '300', "
-            f"'--out', {str(tmp_path / 's')!r}]); "
-            "print(' '.join(sorted(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env,
-                            check=True, capture_output=True,
-                            text=True).stdout.split()
+            f"'--out', {str(tmp_path / 's')!r}])")
+    loaded = loaded_modules(code)
     assert "overallprior.shrinkage" in loaded
     assert not [m for m in loaded if m.split(".")[:2] == ["numpy", "ma"]]
 

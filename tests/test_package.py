@@ -1,6 +1,6 @@
-"""Package layout: every exported name exists, and the runtime needs
+"""Package layout: every exported name exists, the runtime needs
 numpy and the standard library only (scipy, mpmath and hypothesis are
-test-only oracles)."""
+test-only oracles), and a process loads only the submodules it uses."""
 
 import importlib
 import math
@@ -15,6 +15,7 @@ import pytest
 
 MODULES = ["overallprior"] + [f"overallprior.{name}" for name in (
     "catalogue", "cli", "hier", "numerics", "refdist", "shrinkage")]
+SUBMODULES = {"catalogue", "hier", "numerics", "refdist", "shrinkage"}
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,13 +27,10 @@ def test_all_names_exist(name):
     assert missing == []
 
 
-def test_runtime_imports_are_numpy_and_stdlib():
-    code = ("import sys, overallprior, overallprior.cli; "
-            "print(' '.join(sorted(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env,
-                            check=True, capture_output=True,
-                            text=True).stdout.split()
+def test_runtime_imports_are_numpy_and_stdlib(loaded_modules):
+    # Every module by name: importing the package alone loads none of
+    # its submodules.
+    loaded = loaded_modules("import " + ", ".join(MODULES))
     assert "overallprior.cli" in loaded
     for name in ("scipy", "mpmath", "hypothesis", "pytest"):
         assert not [m for m in loaded
@@ -42,22 +40,18 @@ def test_runtime_imports_are_numpy_and_stdlib():
     assert project["dependencies"] == ["numpy>=1.24"]
 
 
-def test_gibbs_sample_runs_without_test_only_packages():
+def test_gibbs_sample_runs_without_test_only_packages(loaded_modules):
     # A lazy import inside a sampler or a density would not show at
     # import time: run the Gibbs chain once and both prior densities at
     # small and large |mu|^2 (each branch of the closed form), then look
     # for the test-only oracles.
-    code = ("import sys, numpy, overallprior.cli; "
+    code = ("import numpy, overallprior.cli; "
             "from overallprior.shrinkage import (MeansData, gibbs_sample, "
             "hierarchical_prior_density as h, reference_prior_density); "
             "gibbs_sample(MeansData(numpy.arange(5.0)), 50, seed=0); "
             "[f(mu) for f in (h, reference_prior_density) for mu in "
-            "([0.1, 0.0], [0.1, 0.0, 0.0], [30.0, 0.0, 0.0])]; "
-            "print(' '.join(sorted(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env,
-                            check=True, capture_output=True,
-                            text=True).stdout.split()
+            "([0.1, 0.0], [0.1, 0.0, 0.0], [30.0, 0.0, 0.0])]")
+    loaded = loaded_modules(code)
     assert "overallprior.shrinkage" in loaded
     for name in ("scipy", "mpmath"):
         assert not [m for m in loaded
@@ -78,17 +72,54 @@ def test_readme_examples_run():
     assert float(lines[2]) == pytest.approx(math.sqrt(2) / 1000, rel=0.01)
 
 
-def test_exact_prior_table_loads_no_numpy_polynomial():
+def test_exact_prior_table_loads_no_numpy_polynomial(loaded_modules):
     # numpy.polynomial costs milliseconds to import, which every command
     # would pay: the exact-prior table sums its Chebyshev series itself.
-    code = ("import sys, overallprior.cli; "
+    code = ("import overallprior.cli; "
             "from overallprior.hier import CountTable, sample_posterior; "
             "sample_posterior(CountTable(m=5, counts={0: 2, 1: 1}), 5, "
-            "seed=0, warmup=0); "
-            "print(' '.join(sorted(sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    loaded = subprocess.run([sys.executable, "-c", code], env=env,
-                            check=True, capture_output=True,
-                            text=True).stdout.split()
+            "seed=0, warmup=0)")
+    loaded = loaded_modules(code)
     assert "overallprior.hier" in loaded
     assert not [m for m in loaded if m.startswith("numpy.polynomial")]
+
+
+def _package_modules(loaded):
+    return {m for m in loaded if m.startswith("overallprior.")}
+
+
+def test_import_loads_submodules_on_first_use(loaded_modules):
+    # Each route to a prior is imported when first touched, so a process
+    # pays only for the ones it uses.
+    assert _package_modules(loaded_modules("import overallprior")) == {
+        "overallprior.exceptions"}
+    assert "overallprior.hier" in loaded_modules(
+        "import overallprior; overallprior.hier")
+    listed = loaded_modules(
+        "import overallprior\n"
+        f"assert {SUBMODULES!r} <= set(dir(overallprior)), dir(overallprior)")
+    assert _package_modules(listed) == {"overallprior.exceptions"}
+
+
+@pytest.mark.parametrize("command, module", [
+    ("refdist", "refdist"), ("hier", "hier"), ("shrink", "shrinkage"),
+    ("catalogue", "catalogue")])
+def test_cli_command_loads_only_its_module(tmp_path, loaded_modules,
+                                           command, module):
+    counts, means = tmp_path / "counts.txt", tmp_path / "x.txt"
+    counts.write_text("4 5\n0 3\n2 2\n")
+    means.write_text("1.0 -2.0 0.5 3.0\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "refdist": ["--m", "3", "--n", "5", "--grid", "0.1:1:3",
+                    "--out", out],
+        "hier": ["--input", str(counts), "--chain", "20",
+                 "--grid", "0.1:1:3", "--out", out],
+        "shrink": ["--input", str(means), "--chain", "20", "--out", out],
+        "catalogue": ["--list"],
+    }[command]
+    loaded = loaded_modules("from overallprior.cli import main\n"
+                            f"assert main({[command, *argv]!r}) == 0")
+    others = {"hier", "refdist", "shrinkage", "catalogue"} - {module}
+    assert f"overallprior.{module}" in loaded
+    assert not loaded & {f"overallprior.{m}" for m in others}

@@ -186,8 +186,9 @@ def test_hierarchical_density_where_z_leaves_the_float_range():
     # Below |mu| of about 1e-154, z = |mu|^2/2 underflows and F is read
     # through log z; above about 1.9e154 z overflows and F = 1/z.  The
     # leading terms as mu -> 0 are exact to double precision there.
-    # m = 1: the density tends to sqrt(pi/2) at 0 and to 1/|mu| far out.
-    for r in (1e-150, 1e-160, 1e-300):
+    # m = 1: the density tends to sqrt(pi/2) at 0, takes that value at
+    # 0, and tends to 1/|mu| far out.
+    for r in (1e-150, 1e-160, 1e-300, 0.0):
         assert hierarchical_prior_density([r]) == pytest.approx(
             math.sqrt(0.5 * math.pi), rel=1e-14)
     for r in (1e150, 1e160, 1e300):
@@ -211,6 +212,9 @@ def test_reference_prior_examples():
         5.0 ** -2)
     with pytest.raises(SingularityError):
         reference_prior_density([0.0, 0.0])
+    # m = 1: |mu|^0, flat, and finite at 0 too.
+    for mu in ([0.0], [-0.0], [1e-300], [-3.0], [1e300]):
+        assert reference_prior_density(mu) == 1.0
 
 
 def test_reference_prior_scaling():
