@@ -11,9 +11,8 @@ pays only for the routes it uses.
 import importlib as _importlib
 
 from .exceptions import (AccuracyError, BoundaryModeError,
-                         DegenerateDataError, DomainError, EvaluationError,
-                         OverallPriorError, PreconditionError,
-                         SingularityError)
+                         DegenerateDataError, DomainError, OverallPriorError,
+                         PreconditionError, SingularityError)
 
 __version__ = "0.1.0"
 
@@ -21,7 +20,7 @@ _SUBMODULES = ("catalogue", "hier", "numerics", "refdist", "shrinkage")
 
 __all__ = [
     *_SUBMODULES,
-    "OverallPriorError", "DomainError", "EvaluationError", "AccuracyError",
+    "OverallPriorError", "DomainError", "AccuracyError",
     "PreconditionError", "BoundaryModeError", "SingularityError",
     "DegenerateDataError",
     "__version__",

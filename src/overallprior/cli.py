@@ -81,7 +81,12 @@ def _check_pins(pin_path: Path, values: dict) -> int:
         print(f"pinned {len(values)} values to {pin_path}")
         return EXIT_OK
     with pin_path.open() as fh:
-        pinned = json.load(fh)
+        try:
+            pinned = json.load(fh)
+        except ValueError as exc:
+            raise _UsageError(f"{pin_path} is not JSON: {exc}") from exc
+    if not isinstance(pinned, dict):
+        raise _UsageError(f"{pin_path} must hold a JSON object")
     for key, val in values.items():
         if key not in pinned:
             print(f"pin mismatch: {key} missing from {pin_path}",
@@ -89,6 +94,9 @@ def _check_pins(pin_path: Path, values: dict) -> int:
             return EXIT_USAGE
         old = pinned[key]
         if isinstance(val, float):
+            if isinstance(old, bool) or not isinstance(old, (int, float)):
+                raise _UsageError(
+                    f"{pin_path} pins {key} to {old!r}, not a number")
             if abs(val - old) > _PIN_RTOL * max(1.0, abs(old)):
                 print(f"pin regression: {key} = {val}, pinned {old}",
                       file=sys.stderr)

@@ -9,17 +9,6 @@ class DomainError(OverallPriorError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class EvaluationError(OverallPriorError, RuntimeError):
-    """A user-supplied callable returned a non-finite value.
-
-    Carries the offending abscissa in ``abscissa``.
-    """
-
-    def __init__(self, message, abscissa):
-        super().__init__(message)
-        self.abscissa = abscissa
-
-
 class AccuracyError(OverallPriorError, RuntimeError):
     """A numerical routine failed to reach the requested tolerance."""
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .exceptions import (AccuracyError, BoundaryModeError, DomainError,
                          PreconditionError)
-from .numerics import _check_seed, log_gamma, minimize_scalar
+from .numerics import _check_seed, _find_root, log_gamma
 
 __all__ = [
     "CountTable",
@@ -273,10 +273,10 @@ def marginal_log_likelihood(x: CountTable, a):
 
 def _likelihood_kernel(x: CountTable, a_min: float):
     """``marginal_log_likelihood(x, a)`` at one float a >= ``a_min``, bit
-    for bit, built once per table for the samplers and the mode search:
-    c0 + W . log1p(J / a) into a buffer of its own, with no validation or
-    dispatch per call.  Where ``a_min`` is not above ``_TINY_A`` (the
-    mode window at m beyond about 1e296) it is the validated function."""
+    for bit, built once per table for the samplers: c0 + W . log1p(J / a)
+    into a buffer of its own, with no validation or dispatch per call.
+    Where ``a_min`` is not above ``_TINY_A`` it is the validated
+    function."""
     if not a_min > _TINY_A:
         return functools.partial(marginal_log_likelihood, x)
     c0, j, dot = x._lik_c0, x._lik_j, x._lik_w.dot
@@ -478,47 +478,58 @@ def _mode_window(m: int) -> tuple:
 def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
     """Maximize log p(x|a), plus the log of hyperprior ``prior`` unless
     it is None, over the mode search window for the table: a 240-point
-    scan uniform in log a, made as one array call, then scalar
-    refinement in log a around the best point on the bound likelihood
-    kernel, which gives the floats of the public function.  The exact
-    prior is read from the table's exact-prior table, whose window is
-    the search window; the approximate one is bound as the samplers
-    bind it."""
+    scan uniform in t = log a, made as one array call, then the zero of
+    the slope in t between the grid points either side of the best one
+    (``numerics._find_root``), or the window's edge where the slope has
+    one sign there.  The slopes are closed forms: -W . (J / (a + J))
+    over the table's stored J and W for the likelihood (r0 - 1 as
+    a -> 0, with no overflow), -1/2 - (3/2) a/(a + n/m) for the
+    approximate prior, and the slope of the exact-prior table's cubic
+    piece, whose window is the search window."""
     lo, hi = _mode_window(x.m)
     grid = np.linspace(math.log(lo), math.log(hi), 240)
     scan = np.exp(grid)
     log_density = marginal_log_likelihood(x, scan)
-    log_lik, exp = _likelihood_kernel(x, lo), math.exp
-    if prior is None:
-        def neg_log_density(t: float) -> float:
-            return -log_lik(exp(t))
-    else:
-        if prior == "exact":
-            log_density += x._exact_prior.log_values_at(grid)
-            log_prior = x._exact_prior.log_value
-        else:
-            log_density += _log_prior(scan, x.m, x.n, prior)
-            log_prior = _approx_log_prior(x.m, x.n)
+    j, dot, buf = x._lik_j, x._lik_w.dot, np.empty_like(x._lik_j)
+    exp, add, divide, c = math.exp, np.add, np.divide, x.n / x.m
 
-        def neg_log_density(t: float) -> float:
+    def lik_slope(a: float) -> float:
+        return -float(dot(divide(j, add(j, a, out=buf), out=buf)))
+
+    if prior is None:
+        def slope(t: float) -> float:
+            return lik_slope(exp(t))
+    elif prior == "exact":
+        log_density += x._exact_prior.log_values_at(grid)
+        table_slope = x._exact_prior.slope_at
+
+        def slope(t: float) -> float:
+            return lik_slope(exp(t)) + table_slope(t)
+    else:
+        log_density += _log_prior(scan, x.m, x.n, prior)
+
+        def slope(t: float) -> float:
             a = exp(t)
-            return -(log_lik(a) + log_prior(a))
+            return lik_slope(a) - 0.5 - 1.5 * a / (a + c)
     k = int(np.argmax(log_density))
     left = grid[max(k - 1, 0)]
     right = grid[min(k + 1, len(grid) - 1)]
-    return exp(minimize_scalar(neg_log_density, left, right,
-                               tol=1e-12).argmin)
+    s_left, s_right = slope(left), slope(right)
+    if s_left * s_right > 0.0:
+        return exp(right if s_left > 0.0 else left)
+    return exp(_find_root(slope, left, right, s_left, s_right)[0])
 
 
 def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
     """Empirical-Bayes mode of the hyperposterior of a.
 
-    Under the exact prior the search reads the prior from the table's
-    exact-prior table (see ``sample_posterior``), built once per
-    ``CountTable`` and shared with its chains, so it has the table's
-    accuracy: within 5e-12 of the log prior on moderate tables and about
-    2e-9 at m = 1e12.  The mode then lies within 1e-6 relative of the
-    one on the directly evaluated prior on the tables tested.
+    The zero of the slope of the log density in log a (``_log_mode``).
+    Under the approximate prior it is within 3e-14 relative of the
+    40-digit mpmath root on the tables tested, m up to 1e12.  Under the
+    exact prior the slope is read from the table's exact-prior table
+    (see ``sample_posterior``), built once per ``CountTable`` and shared
+    with its chains; the mode is within 6e-9 relative of the one on the
+    directly evaluated prior on the tables tested.
 
     Requires at least two nonzero cells; with a single occupied cell
     the mode sits at the unusable a = 0 boundary.
@@ -532,6 +543,8 @@ def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
 def likelihood_mode_a(x: CountTable) -> float:
     """Type-II maximum likelihood value of a (no hyperprior).
 
+    The zero of the likelihood's slope in log a, within 3e-15 relative
+    of the 40-digit mpmath root on the tables tested, m up to 1e12.
     The marginal likelihood is bounded away from zero at infinity, so
     an interior maximizer need not exist; when every cell is occupied
     the likelihood is increasing in a and this raises."""
@@ -592,11 +605,11 @@ class _ExactPriorCache:
     (1000, 30), (10, 2) and (2000, 10029), and 1.3e-9 on (2, 300), where
     the interpolant sets the error; at m = 1e12 the Fisher sums at the
     nodes set it, 2.2e-9.  Outside the window they evaluate the prior
-    directly.
-
-    ``reader()`` gives a lookup with its own count of direct
-    evaluations, so that each chain counts its own; the table keeps one
-    as ``log_value``, read by the mode search, with count ``direct``.
+    directly.  ``reader()`` gives a lookup with its own count of direct
+    evaluations, so that each chain counts its own.  The mode search
+    reads ``slope_at``, the derivative of the cubic piece in t: against
+    the mpmath derivative of the log prior it is within 1e-9 on the
+    first four tables, 1.3e-8 on (2, 300), and 4e-9 at m = 1e10, 1e12.
     """
 
     def __init__(self, m: int, n: int):
@@ -642,16 +655,6 @@ class _ExactPriorCache:
             (ys[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy),
             axis=1).tobytes())
         self._t0, self._h, self._last = t0, h, _CACHE_SIZE - 2
-        self.log_value, self._direct = self.reader()
-
-    def __reduce__(self):
-        # Its readers are closures, which do not pickle: rebuild instead.
-        return _ExactPriorCache, (self.m, self.n)
-
-    @property
-    def direct(self) -> int:
-        """The direct evaluations made by ``log_value``."""
-        return self._direct()
 
     def reader(self):
         """A lookup of the log prior at one float a > 0, and a function
@@ -681,6 +684,13 @@ class _ExactPriorCache:
         s = x - i
         c = np.frombuffer(self._coef).reshape(-1, 4)[i].T
         return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
+
+    def slope_at(self, t: float) -> float:
+        """(hd + 2 s c2 + 3 s^2 c3) / h at one t = log a in the window."""
+        x = (t - self._t0) / self._h
+        i = min(int(x), self._last)
+        s, c = x - i, self._coef[4 * i + 1:4 * i + 4]
+        return (c[0] + s * (2.0 * c[1] + 3.0 * s * c[2])) / self._h
 
 
 def _log_target(x: CountTable, log_prior):
@@ -861,21 +871,17 @@ def _limit_log_scale(n: int, r0: int) -> float:
     """Log of the maximum over v of v^{r0-3/2} prod_{i<n} (1 + v/i)^{-1},
     reached where sum_{i<n} v/(v+i) = r0 - 3/2; 0 at r0 = 1, where the
     product decreases in v.  The sum lies between (n-1) v/(v+n-1) and
-    v H_{n-1}, whose roots bracket the bisection in log v."""
+    v H_{n-1}, whose roots bracket the root in log v."""
     c = r0 - 1.5
     if c < 0.0:
         return 0.0
     i = np.arange(1, n, dtype=float)
-    lo = math.log(c / float(np.sum(1.0 / i)))
-    hi = math.log(c * (n - 1) / (n - 1 - c))
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if float(np.sum(1.0 / (1.0 + i * math.exp(-mid)))) < c:
-            lo = mid
-        else:
-            hi = mid
-    v = math.exp(0.5 * (lo + hi))
-    return c * math.log(v) - float(np.sum(np.log1p(v / i)))
+    log_v, _ = _find_root(
+        lambda u: float(np.sum(1.0 / (1.0 + i * math.exp(-u)))) - c,
+        math.log(c / float(np.sum(1.0 / i))),
+        math.log(c * (n - 1) / (n - 1 - c)))
+    v = math.exp(log_v)
+    return c * log_v - float(np.sum(np.log1p(v / i)))
 
 
 def limit_density_psi(v: float, profile: LimitProfile) -> float:
@@ -904,15 +910,12 @@ def limit_density_psi(v: float, profile: LimitProfile) -> float:
 
 
 def _solve_cstar(ratio: float) -> float:
-    """Root of c log(1 + 1/c) = ratio on (0, inf); monotone increasing."""
-    lo, hi = 1e-12, 1e12
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if mid * math.log1p(1.0 / mid) < ratio:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
+    """Root of c log(1 + 1/c) = ratio, found in log c over
+    [1e-12, 1e12]; the left side increases from 0 to 1."""
+    log_c, _ = _find_root(
+        lambda u: math.exp(u) * math.log1p(math.exp(-u)) - ratio,
+        math.log(1e-12), math.log(1e12))
+    return math.exp(log_c)
 
 
 def mode_asymptotic(profile: LimitProfile, regime: str = "auto") -> float:

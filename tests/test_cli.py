@@ -64,6 +64,23 @@ def test_refdist_pin_cycle(tmp_path):
     assert _run(*args) == 1          # drift is an error
 
 
+@pytest.mark.parametrize("text", [
+    "{not json", '{"a_star": "x", "d_star": 1.0}',
+    '{"a_star": true, "d_star": 1.0}', "[1, 2]",
+], ids=["not-json", "string-pin", "bool-pin", "array"])
+def test_refdist_bad_pins_file_is_one_error_line(tmp_path, capsys, text):
+    # A pins file that is not a JSON object of numbers is a usage error
+    # naming the file, not a traceback.
+    out = tmp_path / "rd"
+    out.mkdir()
+    (out / "pins.json").write_text(text)
+    assert _run("refdist", "--m", "4", "--n", "12",
+                "--grid", "0.05:2:10:log", "--out", str(out), "--pin") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(out / "pins.json") in err[0]
+
+
 # ------------------------------------------------------------------ hier
 
 

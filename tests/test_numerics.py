@@ -1,4 +1,4 @@
-"""Special functions and optimization against independent
+"""Special functions and the root finder against independent
 oracles (scipy/mpmath) plus property-based checks."""
 
 import math
@@ -11,11 +11,9 @@ import scipy.special as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overallprior.exceptions import (AccuracyError, DomainError,
-                                     EvaluationError)
-from overallprior.numerics import (Grid1D, digamma, kl_beta,
-                                   log_gamma, log_rising_ratio,
-                                   minimize_scalar, trigamma)
+from overallprior.exceptions import AccuracyError, DomainError
+from overallprior.numerics import (Grid1D, _find_root, digamma, kl_beta,
+                                   log_gamma, log_rising_ratio, trigamma)
 
 # ---------------------------------------------------------------- specials
 
@@ -189,24 +187,45 @@ def test_kl_beta_rejects_nonpositive_parameters():
         kl_beta(0.0, 1.0, 1.0, 1.0)
 
 
-# ---------------------------------------------------------------- optimize
+# ------------------------------------------------------------- root finder
 
 
-def test_minimize_quadratic():
-    res = minimize_scalar(lambda t: (t - 1.25) ** 2 + 3.0, -10, 10, tol=1e-10)
-    assert res.converged
-    assert res.argmin == pytest.approx(1.25, abs=1e-7)
-    assert res.min_value == pytest.approx(3.0, abs=1e-12)
+@pytest.mark.parametrize("f, lo, hi, root", [
+    (math.cos, 1.0, 2.0, math.pi / 2),
+    (lambda x: x ** 3 - 2.0, 0.0, 3.0, 2.0 ** (1.0 / 3.0)),
+    (lambda x: math.exp(x) - 3.0, -5.0, 5.0, math.log(3.0)),
+    (lambda x: math.tanh(x - 0.7), -30.0, 30.0, 0.7),
+], ids=["cos", "cube", "exp", "tanh"])
+def test_find_root_to_two_ulp(f, lo, hi, root):
+    x, evals = _find_root(f, lo, hi)
+    assert abs(x - root) <= 2 * math.ulp(root)
+    assert 0 < evals < 30
 
 
-def test_minimize_nonsmooth():
-    res = minimize_scalar(lambda t: abs(t - 0.3), -2, 2, tol=1e-9)
-    assert res.argmin == pytest.approx(0.3, abs=1e-6)
+def test_find_root_takes_given_end_values_and_zero_ends():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x - 0.25
+
+    assert _find_root(f, 0.0, 1.0, -0.25, 0.75)[0] == 0.25
+    assert 0.0 not in calls and 1.0 not in calls
+    assert _find_root(f, 0.25, 1.0) == (0.25, 2)
 
 
-def test_minimize_rejects_nonfinite_objective():
-    with pytest.raises(EvaluationError):
-        minimize_scalar(lambda t: math.nan, 0.0, 1.0)
+def test_find_root_rejects_bracket_without_sign_change():
+    with pytest.raises(AccuracyError):
+        _find_root(lambda x: x * x + 1.0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_find_root_rejects_nonfinite_values(value):
+    with pytest.raises(AccuracyError):
+        _find_root(lambda x: value, 0.0, 1.0)
+    # A non-finite value inside the bracket stops the search too.
+    with pytest.raises(AccuracyError):
+        _find_root(lambda x: x - 0.3 if x in (0.0, 1.0) else value, 0.0, 1.0)
 
 
 # ---------------------------------------------------------------- Grid1D

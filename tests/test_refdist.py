@@ -143,6 +143,27 @@ def test_optimal_a_published_values():
     assert res.argmin == pytest.approx(0.00076, rel=0.10)
 
 
+# 40-digit mpmath argmins of d(a | m, n), to 16 digits: the zero of
+# mpmath.diff of d(a), summed from its definition (the predictive mean
+# of the KL divergence between the two beta posteriors of a cell), by
+# mpmath.findroot.
+_OPTIMAL_A_MPMATH = {(10, 100): 0.08343687738298266,
+                     (100, 1000): 0.007792165362322067,
+                     (1000, 100): 0.0007682228189578834}
+
+
+@pytest.mark.parametrize("mn", sorted(_OPTIMAL_A_MPMATH),
+                         ids=lambda mn: f"{mn[0]}x{mn[1]}")
+def test_optimal_a_matches_mpmath_argmin(mn):
+    # Measured: 1.0e-15, 2.4e-14 and 4.4e-16 relative, in 18, 17 and 13
+    # slope evaluations.
+    cfg = RefDistConfig(*mn)
+    res = optimal_a(cfg)
+    assert res.argmin == pytest.approx(_OPTIMAL_A_MPMATH[mn], rel=1e-12)
+    assert res.converged and res.iterations <= 20
+    assert res.min_value == expected_loss(res.argmin, cfg)
+
+
 def test_optimal_a_two_cells_is_half():
     res = optimal_a(RefDistConfig(m=2, n=40))
     assert res.argmin == pytest.approx(0.5, rel=1e-4)
