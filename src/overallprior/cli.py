@@ -14,7 +14,6 @@ Exit codes: 0 success, 1 usage/parse error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -33,6 +32,9 @@ EXIT_IO = 2
 EXIT_PRECONDITION = 3
 
 _PIN_RTOL = 1e-6
+
+# Rows per formatting pass of ``_write_csv``.
+_CSV_BLOCK = 1024
 
 
 class _UsageError(Exception):
@@ -59,11 +61,21 @@ def _parse_grid(spec: str):
     return np.linspace(lo, hi, k)
 
 
-def _write_csv(path: Path, header, rows):
+def _write_csv(path: Path, header, columns):
+    """Write equal-length ``columns`` (each an ndarray, range or tuple of
+    Python numbers) under ``header``, formatting ``_CSV_BLOCK`` rows at a
+    time.  Each field is its repr and each line ends in CRLF: for
+    plain-identifier headers, ints and floats (inf too), byte for byte
+    what ``csv.writer`` writes.  Arrays go through ``tolist()``, never
+    their numpy scalars, whose repr is not a plain number."""
+    line = ",".join(["%r"] * len(columns)) + "\r\n"
     with path.open("w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        for k in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [c[k:k + _CSV_BLOCK] for c in columns]
+            block = [c.tolist() if isinstance(c, np.ndarray) else c
+                     for c in block]
+            fh.write("".join([line % row for row in zip(*block)]))
 
 
 def _write_json(path: Path, payload: dict):
@@ -151,7 +163,7 @@ def cmd_refdist(args) -> int:
     res = refdist.optimal_a(cfg)
     out = _outdir(args)
     _write_csv(out / "loss_curve.csv", ["a", "expected_loss"],
-               zip(curve.grid.points, curve.grid.values))
+               (curve.grid.points, curve.grid.values))
     summary = {"a_star": res.argmin, "d_star": res.min_value,
                "m": args.m, "n": args.n}
     _write_json(out / "summary.json", summary)
@@ -175,12 +187,12 @@ def cmd_hier(args) -> int:
     chain = hier.sample_posterior(table, args.chain, seed=args.seed,
                                   prior=args.prior)
     _write_csv(out / "chain.csv", ["iteration", "a"],
-               enumerate(chain.a_samples.tolist()))
+               (range(chain.a_samples.size), chain.a_samples))
 
     prior_fn = (hier.reference_prior_exact if args.prior == "exact"
                 else hier.reference_prior_approx)
     _write_csv(out / "prior_curve.csv", ["a", "prior"],
-               zip(grid.tolist(), prior_fn(grid, table.m, table.n).tolist()))
+               (grid, prior_fn(grid, table.m, table.n)))
 
     try:
         lik_mode = hier.likelihood_mode_a(table)
@@ -221,8 +233,7 @@ def cmd_shrink(args) -> int:
     chain = shrinkage.gibbs_sample(data, args.chain, seed=args.seed)
     theta = shrinkage.theta_posterior_samples(chain)
     _write_csv(out / "chain.csv", ["iteration", "tau2", "theta"],
-               zip(range(theta.size), chain.tau2_samples.tolist(),
-                   theta.tolist()))
+               (range(theta.size), chain.tau2_samples, theta))
     burn = min(len(theta) // 10, 1000)
     kept = theta[burn:]
     lo, hi = _quantiles(kept, (0.05, 0.95))

@@ -70,7 +70,7 @@ _VARIATE_BLOCK = 1024
 
 # Entries per temporary (rows of a x terms per row, 128 kB) when the
 # likelihood, the exact prior or its cache evaluate an array of a in
-# 2-D passes.
+# 2-D passes, and when ``sample_posterior`` draws its theta rows.
 _CACHE_CHUNK = 1 << 14
 
 # At or below this a, J/a in the likelihood and the Fisher sum (of
@@ -271,14 +271,11 @@ def marginal_log_likelihood(x: CountTable, a):
     return x._lik_c0 + x._lik_wlogj + (x.r0 - 1) * math.log(a)
 
 
-def _likelihood_kernel(x: CountTable, a_min: float):
-    """``marginal_log_likelihood(x, a)`` at one float a >= ``a_min``, bit
-    for bit, built once per table for the samplers: c0 + W . log1p(J / a)
-    into a buffer of its own, with no validation or dispatch per call.
-    Where ``a_min`` is not above ``_TINY_A`` it is the validated
-    function."""
-    if not a_min > _TINY_A:
-        return functools.partial(marginal_log_likelihood, x)
+def _likelihood_kernel(x: CountTable):
+    """``marginal_log_likelihood(x, a)`` at one float a > ``_TINY_A``,
+    bit for bit, built once per table for the samplers: c0 + W .
+    log1p(J / a) into a buffer of its own, with no validation or
+    dispatch per call."""
     c0, j, dot = x._lik_c0, x._lik_j, x._lik_w.dot
     buf = np.empty_like(j)
     divide, log1p = np.divide, np.log1p
@@ -699,7 +696,7 @@ def _log_target(x: CountTable, log_prior):
     the support window |t| <= ``_LOG_A_LIMIT``.  Returns the target and a
     function that gives the number of calls made to it so far."""
     lo, hi = -_LOG_A_LIMIT, _LOG_A_LIMIT  # closure cells: cheaper reads
-    log_lik = _likelihood_kernel(x, math.exp(lo))
+    log_lik = _likelihood_kernel(x)  # exp(lo) = 1e-200 > _TINY_A
     exp, neg_inf = math.exp, -math.inf
     calls = 0
 
@@ -799,8 +796,10 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     draws its normals and log-uniforms in fixed-size blocks
     (``_mh_variates``).  The slice sampler draws its uniforms in bulk
     (``_uniform_stream``); the chain, and the theta draws after it, are
-    those of one ``rng.random()`` call per uniform.  ``target_evals``
-    counts the log-target calls.
+    those of one ``rng.random()`` call per uniform.  The theta rows are
+    drawn straight into the result, a block of rows at a time, and equal
+    one ``rng.gamma`` call over all of them.  ``target_evals`` counts
+    the log-target calls.
     """
     if length < 1:
         raise DomainError("chain length must be >= 1")
@@ -856,9 +855,14 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         dense = np.zeros(x.m)
         for idx, c in x.counts.items():
             dense[idx] = c
-        # One row per draw, generated in the same order as row-by-row calls.
-        theta_draws = rng.gamma(dense + draws[:, None])
-        theta_draws /= theta_draws.sum(axis=1, keepdims=True)
+        # One row per draw, generated in the same order as row-by-row
+        # calls, a block of at most _CACHE_CHUNK entries at a time.
+        theta_draws = np.empty((length, x.m))
+        rows = max(1, _CACHE_CHUNK // x.m)
+        for k in range(0, length, rows):
+            block = theta_draws[k:k + rows]
+            rng.standard_gamma(dense + draws[k:k + rows, None], out=block)
+            block /= block.sum(axis=1, keepdims=True)
 
     return HierChain(a_samples=draws, theta_samples=theta_draws, seed=seed,
                      acceptance_rate=accepted / length if mh else 1.0,

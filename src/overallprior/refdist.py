@@ -131,9 +131,12 @@ def expected_loss(a: float, cfg: RefDistConfig) -> float:
     """
     if not (a > 0.0):
         raise DomainError(f"hyperparameter a must be positive, got {a}")
-    m, n = cfg.m, cfg.n
+    return _expected_loss(a, cfg.m, cfg.n, _predictive_row(cfg.n))
+
+
+def _expected_loss(a: float, m: int, n: int, predictive: np.ndarray) -> float:
+    """``expected_loss`` at a valid a, given ``_predictive_row(n)``."""
     b = (m - 1) * a
-    predictive = _predictive_row(n)
     return float(
         log_rising_ratio(1.0, m * a, n)[-1]
         + log_gamma(a) + log_gamma(b) - log_gamma(m * a) - math.log(math.pi)
@@ -179,9 +182,10 @@ def optimal_a(cfg: RefDistConfig) -> OptimResult:
 def loss_curve(cfg: RefDistConfig, a_grid: Sequence[float]) -> LossCurve:
     """Tabulate d(a | m, n) on the given positive increasing grid."""
     pts = [float(a) for a in a_grid]
-    if any(a <= 0 for a in pts):
+    if not all(a > 0.0 for a in pts):
         raise DomainError("grid values must be positive")
-    vals = [expected_loss(a, cfg) for a in pts]
+    predictive = _predictive_row(cfg.n)
+    vals = [_expected_loss(a, cfg.m, cfg.n, predictive) for a in pts]
     return LossCurve(grid=Grid1D(points=tuple(pts), values=tuple(vals)),
                      m=cfg.m, n=cfg.n)
 

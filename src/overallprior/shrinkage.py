@@ -35,6 +35,10 @@ __all__ = [
 _EULER = 0.5772156649015329
 _CF_MAX_TERMS = 1000  # where it is used, the fraction takes under 100
 
+# Draws per slice of the Gibbs loop: its variates become Python floats,
+# and its results go into the chain's arrays, this many at a time.
+_DRAW_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class MeansData:
@@ -209,9 +213,11 @@ def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
     Walker, JRSS B 61:331, 1999).  Each draw thus takes one each of four
     variates, which are drawn in bulk before the loop, so the loop is
     plain float arithmetic, O(1) in m.  Requires m >= 3, the case the
-    paper treats.  Memory is O(length); a fixed seed gives a
-    bit-identical chain.  Raises AccuracyError if a tau^2 or theta draw
-    is not a positive finite float.
+    paper treats.  Memory per draw is the 16 bytes of the chain kept
+    (theta and tau^2) and 32 bytes of up-front variates; the loop holds
+    Python floats for ``_DRAW_BLOCK`` draws at a time.  A fixed seed
+    gives a bit-identical chain.  Raises AccuracyError if a tau^2 or
+    theta draw is not a positive finite float.
     """
     if data.m < 3:
         raise PreconditionError("gibbs_sample requires m >= 3")
@@ -223,17 +229,21 @@ def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
     draws = (rng.standard_normal(length), rng.chisquare(m - 1, length),
              rng.standard_gamma(0.5 * m, length),
              rng.standard_exponential(length))
-    sq_norms, tau2s = [], []
+    theta_draws, tau2_draws = np.empty(length), np.empty(length)
     tau2 = 1.0
-    for z, c, g, e in zip(*(d.tolist() for d in draws)):
-        shrink = tau2 / (1.0 + tau2)
-        u = z + math.sqrt(shrink * xx)
-        sq_norm = shrink * (u * u + c)
-        tau2 = (0.5 * sq_norm + shrink * e) / g
-        sq_norms.append(sq_norm)
-        tau2s.append(tau2)
-    theta_draws = np.array(sq_norms) / m
-    tau2_draws = np.array(tau2s)
+    for k in range(0, length, _DRAW_BLOCK):
+        block = slice(k, k + _DRAW_BLOCK)
+        sq_norms, tau2s = [], []
+        for z, c, g, e in zip(*(d[block].tolist() for d in draws)):
+            shrink = tau2 / (1.0 + tau2)
+            u = z + math.sqrt(shrink * xx)
+            sq_norm = shrink * (u * u + c)
+            tau2 = (0.5 * sq_norm + shrink * e) / g
+            sq_norms.append(sq_norm)
+            tau2s.append(tau2)
+        theta_draws[block] = sq_norms
+        tau2_draws[block] = tau2s
+    theta_draws /= m
     if not all(np.all((d > 0.0) & (d < math.inf))
                for d in (theta_draws, tau2_draws)):
         raise AccuracyError("a tau^2 or theta draw is not a positive "

@@ -3,6 +3,7 @@ reproducibility."""
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from overallprior import hier, shrinkage
-from overallprior.cli import _quantiles, main
+from overallprior.cli import _quantiles, _write_csv, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -207,6 +208,27 @@ def test_shrink_outputs_reproducible_and_exact(tmp_path):
     assert [int(i) for i, _, _ in rows] == list(range(300))
     assert [float(t2) for _, t2, _ in rows] == chain.tau2_samples.tolist()
     assert [float(th) for _, _, th in rows] == chain.theta_samples.tolist()
+
+
+_CSV_VALUES = [0.1, 1e-05, 1e16, 5e-324, 1.7976931348623157e308, math.inf,
+               -2.5, 0.0]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 1023, 1024, 1025])
+def test_write_csv_matches_csv_writer(tmp_path, rows):
+    # The block writer formats ints and floats as csv.writer does, on
+    # each side of a 1024-row block edge, for every column type the
+    # commands pass: range, tuple of floats and ndarray.
+    header = ["iteration", "tau2", "theta"]
+    array = np.resize(np.array(_CSV_VALUES), rows)
+    values = tuple(np.resize(np.array(_CSV_VALUES[::-1]), rows).tolist())
+    _write_csv(tmp_path / "new.csv", header, (range(rows), values, array))
+    with (tmp_path / "old.csv").open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(range(rows), values, array.tolist()))
+    assert (tmp_path / "new.csv").read_bytes() == \
+        (tmp_path / "old.csv").read_bytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 20, 21, 1000, 9001])

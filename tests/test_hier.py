@@ -4,6 +4,7 @@ modes, MCMC, large-m limit, and the hypergeometric reduction."""
 import functools
 import math
 import pickle
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -629,6 +630,71 @@ def test_slice_theta_draws_pinned(prior):
             chain.a_samples.sum()] == list(_PINNED_SLICE_THETAS[prior])
 
 
+class _ThetaWatch:
+    """A generator that records its state when the theta draws begin."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.state = None
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+    def _first(self, draw, *args, **kwargs):
+        if self.state is None:
+            self.state = self.rng.bit_generator.state
+        return draw(*args, **kwargs)
+
+    def gamma(self, *args, **kwargs):
+        return self._first(self.rng.gamma, *args, **kwargs)
+
+    def standard_gamma(self, *args, **kwargs):
+        return self._first(self.rng.standard_gamma, *args, **kwargs)
+
+
+@pytest.mark.parametrize("method", ["mh", "slice"])
+def test_theta_blocks_match_one_gamma_call(method, monkeypatch):
+    # At m = 1000 the theta rows are drawn 16 at a time, so 40 draws
+    # cross two block edges.  They must equal one rng.gamma call over
+    # all rows from the same state, which they must leave behind too.
+    t = _synthetic_table(m=1000, n=30, seed=4)
+    assert hier._CACHE_CHUNK // t.m < 40 // 2
+    real = np.random.default_rng
+    watches = []
+
+    def watched(seed):
+        watches.append(_ThetaWatch(real(seed)))
+        return watches[-1]
+    monkeypatch.setattr(hier.np.random, "default_rng", watched)
+    chain = sample_posterior(t, 40, seed=6, prior="approx", method=method,
+                             warmup=100, thetas=True)
+    rng = real()
+    rng.bit_generator.state = watches[0].state
+    dense = np.zeros(t.m)
+    for i, c in t.counts.items():
+        dense[i] = c
+    want = rng.gamma(dense + chain.a_samples[:, None])
+    want /= want.sum(axis=1, keepdims=True)
+    assert np.array_equal(chain.theta_samples, want)
+    assert watches[0].rng.bit_generator.state == rng.bit_generator.state
+
+
+def test_theta_draws_peak_memory():
+    # The rows go straight into the result: working memory is one block,
+    # not a second array as large as the output.
+    t = _synthetic_table(m=1000, n=30, seed=4)
+    length = 3000
+    marginal_log_likelihood(t, 1.0)  # the table's cached terms
+    tracemalloc.start()
+    try:
+        chain = sample_posterior(t, length, seed=6, prior="approx",
+                                 thetas=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= chain.theta_samples.nbytes + (1 << 20)
+
+
 def test_modes_pinned():
     # Recorded with the modes found as zeros of their closed-form slopes.
     t = _synthetic_table()
@@ -1107,7 +1173,7 @@ def test_bound_kernel_matches_public_functions(name, prior):
     # of the validated public functions, bit for bit.  The exact prior is read from the table: the direct function
     # outside its window, and to the table's accuracy inside it.
     t = _KERNEL_TABLES[name]()
-    log_lik = hier._likelihood_kernel(t, 1e-200)
+    log_lik = hier._likelihood_kernel(t)
     table = t._exact_prior
     log_prior = (table.reader()[0] if prior == "exact"
                  else hier._approx_log_prior(t.m, t.n))
@@ -1127,11 +1193,10 @@ def test_bound_kernel_matches_public_functions(name, prior):
 
 
 def test_bound_kernels_guard_their_domain():
-    # A window reaching down to _TINY_A would overflow J/a in the kernel,
-    # so it falls back to the validated function there.
+    # The samplers' window stays above _TINY_A, where J/a in the kernel
+    # cannot overflow; an unknown prior is refused.
     t = _synthetic_table()
-    log_lik = hier._likelihood_kernel(t, hier._TINY_A)
-    assert log_lik(1e-310) == marginal_log_likelihood(t, 1e-310)
+    assert math.exp(-hier._LOG_A_LIMIT) > hier._TINY_A
     with pytest.raises(DomainError):
         posterior_mode_a(t, prior="flat")
 

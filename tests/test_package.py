@@ -123,3 +123,4 @@ def test_cli_command_loads_only_its_module(tmp_path, loaded_modules,
     others = {"hier", "refdist", "shrinkage", "catalogue"} - {module}
     assert f"overallprior.{module}" in loaded
     assert not loaded & {f"overallprior.{m}" for m in others}
+    assert "csv" not in loaded  # the CLI formats its CSV files itself

@@ -187,9 +187,22 @@ def test_loss_curve_minimum_matches_optimizer():
     assert min(curve.grid.values) >= res.min_value - 1e-12
 
 
+def test_loss_curve_values_are_expected_loss():
+    # The curve computes the reference predictive once; its values are
+    # expected_loss's, bit for bit.
+    cfg = RefDistConfig(m=100, n=1000)
+    grid = np.exp(np.linspace(math.log(1e-3), math.log(10.0), 60)).tolist()
+    curve = loss_curve(cfg, grid)
+    assert curve.grid.points == tuple(grid)
+    assert list(curve.grid.values) == [expected_loss(a, cfg) for a in grid]
+    res = optimal_a(cfg)
+    assert res.min_value == expected_loss(res.argmin, cfg)
+
+
 def test_loss_curve_rejects_nonpositive_grid():
-    with pytest.raises(DomainError):
-        loss_curve(RefDistConfig(3, 5), [0.0, 1.0])
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(DomainError):
+            loss_curve(RefDistConfig(3, 5), [bad, 1.0])
 
 
 # --------------------------------------------- Dirichlet posterior summaries

@@ -3,6 +3,7 @@ and posterior summaries of theta = |mu|^2 / m."""
 
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -397,6 +398,51 @@ def test_gibbs_chain_memory_is_linear_in_length():
     held = sum(v.nbytes for v in vars(chain).values()
                if isinstance(v, np.ndarray))
     assert held <= 16 * length
+
+
+def _list_gibbs(data, length, seed):
+    """The Gibbs loop in one pass over the whole chain: every variate a
+    Python float up front, the draws kept in two lists."""
+    rng = np.random.default_rng(seed)
+    m, xx = data.m, float(data.x @ data.x)
+    draws = (rng.standard_normal(length), rng.chisquare(m - 1, length),
+             rng.standard_gamma(0.5 * m, length),
+             rng.standard_exponential(length))
+    sq_norms, tau2s = [], []
+    tau2 = 1.0
+    for z, c, g, e in zip(*(d.tolist() for d in draws)):
+        shrink = tau2 / (1.0 + tau2)
+        u = z + math.sqrt(shrink * xx)
+        sq_norm = shrink * (u * u + c)
+        tau2 = (0.5 * sq_norm + shrink * e) / g
+        sq_norms.append(sq_norm)
+        tau2s.append(tau2)
+    return np.array(sq_norms) / m, np.array(tau2s)
+
+
+@pytest.mark.parametrize("length", [1, 1023, 1024, 1025, 5000])
+def test_gibbs_blocks_match_list_loop(length):
+    # The chain is run in 1024-draw blocks; it must equal the one-pass
+    # loop bit for bit, on each side of a block edge.
+    data = MeansData(np.random.default_rng(3).normal(size=500))
+    theta, tau2 = _list_gibbs(data, length, seed=5)
+    chain = gibbs_sample(data, length, seed=5)
+    assert np.array_equal(chain.theta_samples, theta)
+    assert np.array_equal(chain.tau2_samples, tau2)
+
+
+def test_gibbs_peak_memory_per_draw():
+    # 16 bytes kept and 32 of up-front variates per draw; Python floats
+    # are held for one block at a time, not for the whole chain.
+    data = MeansData(np.random.default_rng(3).normal(size=500))
+    length = 50000
+    tracemalloc.start()
+    try:
+        gibbs_sample(data, length, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * length
 
 
 def test_gibbs_recovers_theta_scale():
