@@ -234,12 +234,10 @@ def cmd_shrink(args) -> int:
     theta = shrinkage.theta_posterior_samples(chain)
     _write_csv(out / "chain.csv", ["iteration", "tau2", "theta"],
                (range(theta.size), chain.tau2_samples, theta))
-    burn = min(len(theta) // 10, 1000)
-    kept = theta[burn:]
-    lo, hi = _quantiles(kept, (0.05, 0.95))
+    lo, hi = _quantiles(theta, (0.05, 0.95))
     summary = {
         "flat_theta_mean": shrinkage.flat_prior_theta_mean(data),
-        "hier_theta_mean": float(kept.mean()),
+        "hier_theta_mean": float(theta.mean()),
         "hier_theta_90_interval": [lo, hi],
         "rejection_rate": chain.rejection_rate,
         "m": data.m, "seed": args.seed,

@@ -16,7 +16,6 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import length_hint
 from typing import Dict, Optional, Sequence
 
 import numpy as np
@@ -422,14 +421,30 @@ def reference_prior_exact(a, m: int, n: int):
 def reference_prior_approx(a, m: int, n: int):
     """Proper closed-form approximation to the exact hyperprior:
     (1/2)(n/m) a^{-1/2} (a + n/m)^{-3/2}, i.e. a/(a + n/m) ~ Be(1/2, 1).
-    Integrates to 1 exactly.  Elementwise for an array of a."""
+    Integrates to 1 exactly.  Elementwise for an array of a.  Where
+    sqrt(a) (a + n/m)^1.5 overflows, above a of about 1.3e154, the value
+    is formed as (n/m)/(2(a + n/m)) / (sqrt(a) sqrt(a + n/m)), so it is
+    0.0 only where it underflows."""
     array = _is_array(a)
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and n >= 1")
     c = n / m
     if array:
-        return 0.5 * c / (np.sqrt(a) * (a + c) ** 1.5)
-    return 0.5 * c / (math.sqrt(a) * (a + c) ** 1.5)
+        with np.errstate(over="ignore"):
+            v = 0.5 * c / (np.sqrt(a) * (a + c) ** 1.5)
+        return np.where(v > 0.0, v, _approx_prior_far(a, c, np.sqrt))
+    a = float(a)
+    try:
+        v = 0.5 * c / (math.sqrt(a) * (a + c) ** 1.5)
+    except OverflowError:  # (a + c)^1.5 past the float range
+        v = 0.0
+    return v if v > 0.0 else _approx_prior_far(a, c, math.sqrt)
+
+
+def _approx_prior_far(a, c: float, sqrt):
+    """The approximate prior at a where sqrt(a) (a + c)^1.5 overflows,
+    c = n/m; ``sqrt`` is math.sqrt for a float, np.sqrt for an array."""
+    return 0.5 * c / (a + c) / (sqrt(a) * sqrt(a + c))
 
 
 def _check_prior(prior: str) -> None:
@@ -456,6 +471,9 @@ def _approx_log_prior(m: int, n: int):
 
     def log_prior(a: float) -> float:
         v = half_c / (sqrt(a) * (a + c) ** 1.5)
+        if v > 0.0:
+            return log(v)
+        v = _approx_prior_far(a, c, sqrt)
         return log(v) if v > 0.0 else neg_inf
     return log_prior
 
@@ -552,14 +570,20 @@ def likelihood_mode_a(x: CountTable) -> float:
 
 
 def approx_posterior_curvature(a: float, x: CountTable) -> float:
-    """Closed-form second derivative of log[p(x|a) pi*(a|m,n)] in a."""
+    """Closed-form second derivative of log[p(x|a) pi*(a|m,n)] in a:
+    sum_{j<n} [1/(a + j/m)^2 - R_j/(a + j)^2] + 1/(2a^2)
+    + 3/(2(a + n/m)^2), with R_j the number of cells whose count
+    exceeds j.  The j = 0 terms are taken together, as (1.5 - r0)/a^2,
+    and the others are formed as squared ratios, so the value is +-inf
+    only where it leaves the float range, and 0.0 where it underflows."""
     if not (a > 0.0):
         raise DomainError("a must be positive")
+    a = float(a)
     m, n = x.m, x.n
-    j = np.arange(n, dtype=float)
-    out = float(np.sum(m * m / (m * a + j) ** 2)
-                - np.sum(x._exceed / (a + j) ** 2))
-    return out + 0.5 / a ** 2 + 1.5 / (a + n / m) ** 2
+    j = np.arange(1.0, n)
+    rest = float(np.sum((1.0 / (a + j / m)) ** 2
+                        - x._exceed[1:] * (1.0 / (a + j)) ** 2))
+    return (1.5 - x.r0) / a / a + rest + 1.5 * (1.0 / (a + n / m)) ** 2
 
 
 def log_concavity_certificate(x: CountTable,
@@ -711,25 +735,10 @@ def _log_target(x: CountTable, log_prior):
 
 
 def _uniform_stream(rng: np.random.Generator):
-    """The uniforms that successive ``rng.random()`` calls would give,
-    drawn ``_VARIATE_BLOCK`` at a time.  Returns a zero-argument source
-    and a function that puts the generator back where those scalar calls
-    would have left it: saved state, advanced by the uniforms used.  That
-    is exact for PCG64, which spends one 64-bit word per double."""
-    state = rng.bit_generator.state
-    drawn, block = 0, iter(())
-
-    def blocks():
-        nonlocal drawn, block
-        while True:
-            block = iter(rng.random(_VARIATE_BLOCK).tolist())
-            drawn += _VARIATE_BLOCK
-            yield from block
-
-    def restore():
-        rng.bit_generator.state = state
-        rng.bit_generator.advance(drawn - length_hint(block))
-    return blocks().__next__, restore
+    """The uniforms on [0, 1) that successive slice steps use, drawn
+    ``_VARIATE_BLOCK`` at a time."""
+    while True:
+        yield from rng.random(_VARIATE_BLOCK).tolist()
 
 
 def _mh_variates(rng: np.random.Generator):
@@ -794,9 +803,9 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     prior is read from a table built once per ``CountTable``
     (``_ExactPriorCache``) and shared with ``posterior_mode_a``.  MH
     draws its normals and log-uniforms in fixed-size blocks
-    (``_mh_variates``).  The slice sampler draws its uniforms in bulk
-    (``_uniform_stream``); the chain, and the theta draws after it, are
-    those of one ``rng.random()`` call per uniform.  The theta rows are
+    (``_mh_variates``), and the slice sampler its uniforms
+    (``_uniform_stream``); the slice chain is that of one
+    ``rng.random()`` call per uniform.  The theta rows are
     drawn straight into the result, a block of rows at a time, and equal
     one ``rng.gamma`` call over all of them.  ``target_evals`` counts
     the log-target calls.
@@ -824,7 +833,7 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     if mh:
         variates = _mh_variates(rng).__next__
     else:
-        uniform, restore_rng = _uniform_stream(rng)
+        uniform = _uniform_stream(rng).__next__
     first = -warmup if mh else -min(warmup, 200)
     scale = 1.0
     accepted = 0
@@ -848,8 +857,6 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         elif i == -1:  # end of warm-up: drop an unfinished 50-draw block
             accepted = 0
 
-    if not mh:
-        restore_rng()
     theta_draws = None
     if thetas:
         dense = np.zeros(x.m)

@@ -133,9 +133,11 @@ def log_rising_ratio(x: float, y: float, k: int) -> np.ndarray:
         raise DomainError(f"log_rising_ratio requires x, y > 0, "
                           f"got {x}, {y}")
     u = (x - y) / (y + i)
-    terms = np.log1p(u)
-    # Near u = -1 the rounding of u dominates; take the ratio directly.
+    # Near u = -1 the rounding of u dominates; take the ratio directly,
+    # and keep log1p off those entries, where u may round to -1.
     near = u < -0.5
+    u[near] = 0.0
+    terms = np.log1p(u)
     terms[near] = np.log((x + i[near]) / (y + i[near]))
     out = np.zeros(i.size + 1)
     out[1:] = np.add.accumulate(terms)

@@ -4,9 +4,11 @@ Observations x_i ~ N(mu_i, 1); the quantity of interest is the average
 squared mean theta = |mu|^2 / m.  The flat prior on mu is badly
 inconsistent for theta (posterior mean theta_T + 2); the recommended
 overall prior is the scale mixture mu_i | tau^2 ~ N(0, tau^2) with
-pi(tau^2) = 1/(1 + tau^2), sampled by a Gibbs scheme whose every
-variate is drawn in bulk before its loop.  The |mu|-reference prior
-|mu|^{-(m-1)} is provided for comparison (tails one power apart).
+pi(tau^2) = 1/(1 + tau^2), whose posterior is drawn exactly: with mu
+integrated out, s = 1/(1 + tau^2) is a gamma variate truncated to
+(0, 1), drawn by rejection, and |mu|^2 given s is a scaled noncentral
+chi-square.  The |mu|-reference prior |mu|^{-(m-1)} is provided for
+comparison (tails one power apart).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ __all__ = [
 _EULER = 0.5772156649015329
 _CF_MAX_TERMS = 1000  # where it is used, the fraction takes under 100
 
-# Draws per slice of the Gibbs loop: its variates become Python floats,
-# and its results go into the chain's arrays, this many at a time.
+# Proposals per bulk draw of the rejection sampler for s.  A fixed size,
+# so that a chain is the start of any longer chain with the same seed.
 _DRAW_BLOCK = 1024
 
 
@@ -64,10 +66,11 @@ class MeansData:
 
 @dataclass(frozen=True)
 class ShrinkChain:
-    """Gibbs draws of theta = |mu|^2 / m and tau^2.  mu itself is never
-    drawn: the Rao-Blackwellised mean of mu is x * mean(tau2 / (1 + tau2)).
-    The tau^2 step has no rejection, so ``rejection_rate`` is always 0.0;
-    it stays for the readers of the CLI's summary.json."""
+    """Independent posterior draws of theta = |mu|^2 / m and tau^2.  mu
+    itself is never drawn: the Rao-Blackwellised mean of mu is
+    x * mean(tau2 / (1 + tau2)).  ``rejection_rate`` is the share of
+    the rejection sampler's proposals for tau^2 that it rejected, up to
+    the last draw kept."""
 
     theta_samples: np.ndarray
     tau2_samples: np.ndarray
@@ -199,57 +202,86 @@ def reference_prior_density(mu: Sequence[float]) -> float:
     return 1.0 if m == 1 else _exp(-0.5 * (m - 1) * log_s)
 
 
-def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
-    """Gibbs sampler for the hierarchical posterior of (mu, tau^2).
+def _log_shrink_draws(rng: np.random.Generator, b: float, lam: float,
+                      length: int) -> tuple:
+    """``length`` independent draws of y = -log s, where s has density
+    proportional to s^{b-1} e^{-lam s} on (0, 1), b >= 1, by rejection
+    from proposals drawn ``_DRAW_BLOCK`` at a time.  Returns the draws
+    and the number of proposals spent up to the last one kept."""
+    if lam >= b:
+        # s = G/lam with G ~ Gamma(b), kept if s < 1.
+        def block():
+            g = rng.standard_gamma(b, _DRAW_BLOCK)
+            keep = np.flatnonzero(g < lam)
+            g = g[keep]
+            return keep, np.log1p((lam - g) / g)
+    else:
+        # y has density e^{-b y - lam e^{-y}} on y > 0; propose it from
+        # Exp(r) and keep it if log U <= top - d y - lam e^{-y}, with
+        # d = b - r and top = d (1 + log(lam/d)) the minimum over y of
+        # d y + lam e^{-y}.  r solves r^2 - (b - lam) r - lam = 0, so
+        # d = lam (1 - 1/r) lies in [0, lam), log(lam/d) is
+        # -log1p(-1/r), and at lam = 0 every proposal is kept.  e is
+        # -log U, an Exp(1) variate.
+        q = b - lam
+        r = 0.5 * (q + math.sqrt(q * q + 4.0 * lam))
+        d = lam * (1.0 - 1.0 / r)
+        top = d * (1.0 - math.log1p(-1.0 / r))
 
-    Given tau^2, mu_i | x ~ N(s x_i, s) with s = tau^2/(1+tau^2), and the
-    tau^2 step reads mu only through |mu|^2 = s chi'^2_m(s |x|^2), drawn
-    as s ((z + sqrt(s |x|^2))^2 + c), z ~ N(0, 1), c ~ chi^2_{m-1}.  The
-    precision lam = 1/tau^2 has conditional density
-    lam^{m/2-1} exp(-lam |mu|^2/2) / (1+lam); writing 1/(1+lam) as the
-    integral of exp(-v (1+lam)) over v > 0 adds an auxiliary variable
-    with v | lam ~ Exp(1+lam), i.e. v = s e with e ~ Exp(1), and
-    lam | mu, v ~ Gamma(m/2, rate |mu|^2/2 + v) (Damien, Wakefield and
-    Walker, JRSS B 61:331, 1999).  Each draw thus takes one each of four
-    variates, which are drawn in bulk before the loop, so the loop is
-    plain float arithmetic, O(1) in m.  Requires m >= 3, the case the
-    paper treats.  Memory per draw is the 16 bytes of the chain kept
-    (theta and tau^2) and 32 bytes of up-front variates; the loop holds
-    Python floats for ``_DRAW_BLOCK`` draws at a time.  A fixed seed
-    gives a bit-identical chain.  Raises AccuracyError if a tau^2 or
-    theta draw is not a positive finite float.
+        def block():
+            y, e = rng.standard_exponential((2, _DRAW_BLOCK))
+            y /= r
+            keep = np.flatnonzero(e >= d * y + lam * np.exp(-y) - top)
+            return keep, y[keep]
+    y = np.empty(length)
+    filled = spent = 0
+    while filled < length:
+        keep, kept = block()
+        take = min(keep.size, length - filled)
+        y[filled:filled + take] = kept[:take]
+        filled += take
+        spent += int(keep[take - 1]) + 1 if filled == length else _DRAW_BLOCK
+    return y, spent
+
+
+def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
+    """Independent draws from the posterior of (tau^2, theta).
+
+    With mu integrated out, x_i | tau^2 ~ N(0, 1 + tau^2), so
+    s = 1/(1 + tau^2) given x is Gamma(b = m/2, rate lam = |x|^2/2)
+    truncated to (0, 1), drawn by rejection with at least half the
+    proposals kept (Devroye 1986, Non-Uniform Random Variate Generation,
+    ch. II; Philippe, Stat. Comput. 7:173, 1997).  Given s, theta reads
+    mu ~ N((1 - s) x, (1 - s) I) only through
+    |mu|^2 = (1 - s) chi'^2_m((1 - s) |x|^2): one noncentral chi-square
+    call for the whole chain.  The two come from two generators spawned
+    from ``seed``, in fixed blocks, so a seed gives a bit-identical
+    chain, and a chain is the start of any longer one with the same
+    seed.  (The name is kept for its callers.)  Requires m >= 3, the
+    case the paper treats.  Memory per draw: the 16 bytes of theta and
+    tau^2 kept, and 16 of chi-square arguments and variates.  Raises
+    AccuracyError if a tau^2 or theta draw is not a positive finite
+    float.
     """
     if data.m < 3:
         raise PreconditionError("gibbs_sample requires m >= 3")
     if length < 1:
         raise DomainError("chain length must be >= 1")
-    rng = np.random.default_rng(_check_seed(seed))
+    s_rng, theta_rng = (np.random.default_rng(child) for child in
+                        np.random.SeedSequence(_check_seed(seed)).spawn(2))
     m = data.m
     xx = float(data.x @ data.x)
-    draws = (rng.standard_normal(length), rng.chisquare(m - 1, length),
-             rng.standard_gamma(0.5 * m, length),
-             rng.standard_exponential(length))
-    theta_draws, tau2_draws = np.empty(length), np.empty(length)
-    tau2 = 1.0
-    for k in range(0, length, _DRAW_BLOCK):
-        block = slice(k, k + _DRAW_BLOCK)
-        sq_norms, tau2s = [], []
-        for z, c, g, e in zip(*(d[block].tolist() for d in draws)):
-            shrink = tau2 / (1.0 + tau2)
-            u = z + math.sqrt(shrink * xx)
-            sq_norm = shrink * (u * u + c)
-            tau2 = (0.5 * sq_norm + shrink * e) / g
-            sq_norms.append(sq_norm)
-            tau2s.append(tau2)
-        theta_draws[block] = sq_norms
-        tau2_draws[block] = tau2s
-    theta_draws /= m
-    if not all(np.all((d > 0.0) & (d < math.inf))
-               for d in (theta_draws, tau2_draws)):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        y, spent = _log_shrink_draws(s_rng, 0.5 * m, 0.5 * xx, length)
+        theta = -np.expm1(-y)  # 1 - s, then theta
+        tau2 = np.expm1(y, out=y)  # e^y - 1: never rounds to 0
+        theta *= theta_rng.noncentral_chisquare(m, theta * xx)
+        theta /= m
+    if not all(np.all((d > 0.0) & (d < math.inf)) for d in (theta, tau2)):
         raise AccuracyError("a tau^2 or theta draw is not a positive "
                             "finite float")
-    return ShrinkChain(theta_samples=theta_draws, tau2_samples=tau2_draws,
-                       seed=seed, rejection_rate=0.0)
+    return ShrinkChain(theta_samples=theta, tau2_samples=tau2, seed=seed,
+                       rejection_rate=1.0 - length / spent)
 
 
 def theta_posterior_samples(chain: ShrinkChain) -> np.ndarray:

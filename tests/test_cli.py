@@ -243,7 +243,7 @@ def test_quantiles_match_numpy_bit_for_bit(n):
 def test_quantiles_of_a_chain_match_numpy():
     x = np.array([1.0, -2.0, 0.5, 3.0, 0.0, 1.5])
     theta = shrinkage.gibbs_sample(shrinkage.MeansData(x), 10000,
-                                   seed=3).theta_samples[1000:]
+                                   seed=3).theta_samples
     assert _quantiles(theta, (0.05, 0.95)) == \
         np.quantile(theta, [0.05, 0.95]).tolist()
 

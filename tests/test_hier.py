@@ -4,6 +4,7 @@ modes, MCMC, large-m limit, and the hypergeometric reduction."""
 import functools
 import math
 import pickle
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
@@ -363,6 +364,29 @@ def test_approx_prior_median():
     assert mass == pytest.approx(0.5, abs=1e-8)
 
 
+@pytest.mark.parametrize("a", [1e100, 1e154, 1.5e154, 1e160, 1e200, 1e250,
+                               1e300, 1.7e308])
+def test_approx_prior_far_tail(a):
+    # Past a of about 1.3e154, sqrt(a) (a + n/m)^1.5 overflows: the prior
+    # is still a float there, 0.0 only where it underflows, with no
+    # OverflowError or RuntimeWarning, for a float and an array.  Where
+    # that product is finite, the value is that of the direct form.
+    for m, n in ((2, 10 ** 6), (60, 60)):
+        c = n / m
+        with mpmath.workdps(50):
+            am = mpmath.mpf(a)
+            want = float(c / 2 / (mpmath.sqrt(am) * (am + c) ** 1.5))
+        got = reference_prior_approx(a, m, n)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-323)
+        assert reference_prior_approx(np.array([a]), m, n)[0] == got
+        if a < 1e154:
+            assert got == 0.5 * c / (math.sqrt(a) * (a + c) ** 1.5)
+    t = _synthetic_table()
+    assert posterior_log_density_a(a, t, "approx") < 0.0
+    assert posterior_log_density_a(np.array([a]), t, "approx")[0] == \
+        posterior_log_density_a(a, t, "approx")
+
+
 def test_exact_vs_approx_prior_pin():
     # The paper claims the closed form approximates the exact prior
     # well for large sparse tables; no tolerance is given, so the
@@ -465,6 +489,29 @@ def test_curvature_matches_finite_differences():
               + posterior_log_density_a(a - h, t, "approx")) / h ** 2
         closed = approx_posterior_curvature(a, t)
         assert closed == pytest.approx(fd, rel=1e-5, abs=1e-5)
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-150, 1e150, 1e300])
+def test_curvature_mpmath_at_extreme_a(a):
+    # The closed form against 50-digit mpmath: -inf where the true value
+    # is below -max float (a = 1e-300), 0.0 where it underflows
+    # (a = 1e300), and no ZeroDivisionError, OverflowError or numpy
+    # warning on the way.
+    for t in (_synthetic_table(), CountTable.from_dense([5, 3, 2, 0, 0, 0])):
+        m, n, exceed = t.m, t.n, t.r_profile
+        with mpmath.workdps(50):
+            am = mpmath.mpf(a)
+            want = (sum(m * m / (m * am + j) ** 2 - exceed[j] / (am + j) ** 2
+                        for j in range(n))
+                    + 1 / (2 * am ** 2) + mpmath.mpf(3) / 2
+                    / (am + mpmath.mpf(n) / m) ** 2)
+        got = approx_posterior_curvature(a, t)
+        if abs(want) > sys.float_info.max:
+            assert got == math.copysign(math.inf, want)
+        elif abs(want) < sys.float_info.min:
+            assert abs(got) < sys.float_info.min
+        else:
+            assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_certificate_requires_three_cells():
@@ -609,15 +656,15 @@ def test_theta_draws_pinned():
          15.073986784295904, 78.75475802230245], rtol=1e-12)
 
 
-# Recorded before the samplers moved to the bound kernel and bulk slice
-# uniforms: the theta draws follow the chain in the random stream, so
-# they pin where the generator is left after the slice sampler.
+# The theta draws follow the chain in the random stream, so they pin
+# where the generator is left after the slice sampler: after its last
+# block of uniforms.  sum(a) is the slice chain's own pin.
 _PINNED_SLICE_THETAS = {
     # prior: (th[0, 0], th[-1, 1], th[:, :5].sum(), (th**2).sum(), sum(a))
-    "approx": (0.0035761253800857275, 0.00035611662458561935,
-               20.393626392686976, 15.10671520789571, 88.78881506634477),
-    "exact": (1.5081747100806627e-10, 0.020579986553689165,
-              20.836110398946012, 15.261954923826426, 85.88366361225602),
+    "approx": (0.00367364079699515, 0.0036435676690214727,
+               21.533266327009187, 14.930224267455458, 88.78881506634477),
+    "exact": (4.019576745622066e-05, 0.006865662268628649,
+              19.73673448441874, 15.453333598635563, 85.88366361225602),
 }
 
 

@@ -91,6 +91,19 @@ def test_log_rising_ratio_mpmath(x, y, k):
                                rtol=1e-13, atol=1e-14)
 
 
+@pytest.mark.parametrize("x,y", [(1e-300, 0.5), (1.0, 1e302)])
+def test_log_rising_ratio_ratio_term_of_minus_one(x, y):
+    # (x - y)/(y + i) rounds to -1: the log of the ratio is taken
+    # directly, with no log1p(-1) and so no RuntimeWarning.
+    k = 1000
+    with mpmath.workdps(50):
+        terms = [mpmath.log((x + mpmath.mpf(i)) / (y + mpmath.mpf(i)))
+                 for i in range(k)]
+        ref = [0.0] + [float(v) for v in np.cumsum(terms)]
+    np.testing.assert_allclose(log_rising_ratio(x, y, k), ref,
+                               rtol=1e-13, atol=1e-14)
+
+
 def test_log_rising_ratio_domain():
     with pytest.raises(DomainError):
         log_rising_ratio(0.0, 1.0, 3)

@@ -88,8 +88,10 @@ def test_expected_loss_matches_scalar_reference(a, mn):
         _scalar_expected_loss(a, m, n), rel=1e-12)
 
 
-@pytest.mark.parametrize("a", [1e-6, 0.008, 10.0])
+@pytest.mark.parametrize("a", [1e-6, 0.008, 10.0, 1e-300, 1e300])
 def test_expected_loss_mpmath_large_n(a):
+    # a = 1e-300 and 1e300 give log_rising_ratio a ratio term that is
+    # exactly -1 in log1p form: no divide-by-zero warning there.
     m, n = 100, 1000
     lg, dg = mpmath.loggamma, mpmath.digamma
     with mpmath.workdps(30):

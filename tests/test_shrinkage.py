@@ -1,5 +1,5 @@
-"""Multi-normal-means shrinkage: prior densities, the Gibbs sampler,
-and posterior summaries of theta = |mu|^2 / m."""
+"""Multi-normal-means shrinkage: prior densities, the exact posterior
+sampler, and posterior summaries of theta = |mu|^2 / m."""
 
 import math
 import sys
@@ -225,107 +225,94 @@ def test_reference_prior_scaling():
         base * 2.0 ** (-(m - 1)), rel=1e-12)
 
 
-# ----------------------------------------------------------- tau^2 step
+# ------------------------------------------------------------ exact law
 
 
-def _tau2_chains(m, sq_norm, tau2, steps, seed):
-    """The sampler's tau^2 step with mu held fixed, run on independent
-    chains started at the array tau2: v = s e given tau^2, then
-    tau^2 = (|mu|^2/2 + v)/g, with s = tau^2/(1+tau^2), e ~ Exp(1) and
-    g ~ Gamma(m/2).  Returns every state, one row per step."""
-    rng = np.random.default_rng(seed)
-    out = np.empty((steps, tau2.size))
-    for i in range(steps):
-        shrink = tau2 / (1.0 + tau2)
-        e = rng.standard_exponential(tau2.size)
-        tau2 = (0.5 * sq_norm + shrink * e) / rng.standard_gamma(0.5 * m,
-                                                                 tau2.size)
-        out[i] = tau2
-    return out
-
-
-def test_tau2_step_stationary_distribution():
-    # With mu fixed, the step leaves
-    #   pi(tau^2) propto (tau^2)^{-m/2} exp(-|mu|^2/2tau^2) / (1+tau^2)
-    # invariant: 200 chains, 600 steps each, the first 100 dropped.
-    m = 5
-    mu = np.array([1.0, -0.5, 0.8, 0.3, -1.2])
-    s = float(mu @ mu)
-    draws = _tau2_chains(m, s, np.ones(200), 600, seed=123)[100:].ravel()
-
-    grid = np.exp(np.linspace(math.log(1e-4), math.log(1e3), 8000))
-    dens = grid ** (-0.5 * m) * np.exp(-0.5 * s / grid) / (1 + grid)
-    cdf = np.concatenate(([0.0], np.cumsum(np.diff(grid) * 0.5
+def _log_shrink_cdf(b, lam):
+    """(y, CDF) on a fine grid for y = -log s, where s has density
+    proportional to s^{b-1} e^{-lam s} on (0, 1): y has log density
+    -b y - lam e^{-y} on y > 0, integrated by the trapezoid rule from 0
+    to past the point where it is 60 below its maximum."""
+    def log_dens(y):
+        return -b * y - lam * np.exp(-y)
+    mode = math.log(lam / b) if lam > b else 0.0
+    top, width = log_dens(mode), 1.0 / b
+    while log_dens(mode + width) > top - 60.0:
+        width *= 2.0
+    y = np.linspace(0.0, mode + width, 200001)
+    dens = np.exp(log_dens(y) - top)
+    cdf = np.concatenate(([0.0], np.cumsum(np.diff(y) * 0.5
                                            * (dens[1:] + dens[:-1]))))
-    cdf /= cdf[-1]
-    srt = np.sort(draws)
-    model = np.interp(srt, grid, cdf)
-    emp = np.arange(1, srt.size + 1) / srt.size
-    assert np.max(np.abs(emp - model)) < 0.01
+    return y, cdf / cdf[-1]
 
 
-def _tau2_cdf(m, s):
-    """CDF of tau^2 | mu, integrated in log tau^2 on a fine grid around
-    its scale |mu|^2/m (log density shifted to its maximum)."""
-    t0 = math.log(s / m)
-    t = np.linspace(t0 - 8.0, max(t0, 0.0) + 40.0, 40001)
-    log_dens = ((1.0 - 0.5 * m) * t - 0.5 * s * np.exp(-t)
-                - np.logaddexp(0.0, t))
-    dens = np.exp(log_dens - log_dens.max())
-    cdf = np.concatenate(([0.0], np.cumsum(np.diff(t) * 0.5
-                                           * (dens[1:] + dens[:-1]))))
-    return t, cdf / cdf[-1]
+def _data_with_sq_norm(m, sq_norm, seed):
+    z = np.random.default_rng(seed).normal(size=m)
+    return z * math.sqrt(sq_norm / float(z @ z))
+
+
+def _assert_shrink_law(x, n, seed):
+    """n draws of y = -log s = log(1 + tau^2) from gibbs_sample on the
+    data x are within the 0.1% KS critical value of their exact law, and
+    at least 45% of the proposals were kept."""
+    chain = gibbs_sample(MeansData(x), n, seed=seed)
+    y, cdf = _log_shrink_cdf(0.5 * x.size, 0.5 * float(x @ x))
+    model = np.interp(np.sort(np.log1p(chain.tau2_samples)), y, cdf)
+    i = np.arange(1, n + 1)
+    dist = max(np.max(i / n - model), np.max(model - (i - 1) / n))
+    assert dist < 1.95 / math.sqrt(n)
+    assert 1.0 - chain.rejection_rate >= 0.45
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.1, 0.5, 0.99, 1.0, 1.01, 2.0, 5.0])
+@pytest.mark.parametrize("m", [3, 5, 20, 500, 10000])
+def test_gibbs_draws_follow_truncated_gamma_law(m, ratio):
+    # s = 1/(1 + tau^2) given x is Gamma(m/2, rate |x|^2/2) truncated to
+    # (0, 1); |x|^2/m = 1 is where the sampler switches branch.  At
+    # m = 1e4 s lies within about 1e-4 of 1, so the law is compared on
+    # the scale of y = -log s.
+    _assert_shrink_law(_data_with_sq_norm(m, ratio * m, seed=m), 100000,
+                       seed=int(100 * ratio))
 
 
 @pytest.mark.parametrize("m,s", [(500, 20.0), (500, 500.0), (5, 3.0),
                                  (3, 0.01), (3, 1e-17)])
 def test_tau2_step_ks(m, s):
-    # 10^5 independent chains, started at the scale |mu|^2/m and run 40
-    # steps with mu fixed, end in the exact tau^2 | mu law: the KS
-    # distance of their last states is within the 0.1% critical value.
-    # At (3, 1e-17) 10 steps are too few for the chains to spread over
-    # the law's wide left tail in log tau^2.
-    n = 100000
-    draws = np.sort(_tau2_chains(m, s, np.full(n, s / m), 40, seed=7)[-1])
-    t, cdf = _tau2_cdf(m, s)
-    model = np.interp(np.log(draws), t, cdf)
-    i = np.arange(1, n + 1)
-    dist = max(np.max(i / n - model), np.max(model - (i - 1) / n))
-    assert dist < 1.95 / math.sqrt(n)
+    # The tau^2 step is one exact draw, here at |x|^2 = s, down to data
+    # so close to 0 that s is nearly Beta(m/2, 1).
+    _assert_shrink_law(_data_with_sq_norm(m, s, seed=7), 100000, seed=7)
 
 
 class _StubRng:
-    """Generator stand-in for gibbs_sample: every gamma variate is
-    `gamma`, every other variate is 1."""
+    """Generator stand-in for gibbs_sample: every variate it is asked
+    for is `variate`."""
 
-    def __init__(self, gamma):
-        self.gamma = gamma
-
-    def standard_normal(self, size):
-        return np.ones(size)
-
-    def chisquare(self, df, size):
-        return np.ones(size)
+    def __init__(self, variate):
+        self.variate = variate
 
     def standard_gamma(self, shape, size):
-        return np.full(size, self.gamma)
+        return np.full(size, self.variate)
 
     def standard_exponential(self, size):
-        return np.ones(size)
+        return np.full(size, self.variate)
+
+    def noncentral_chisquare(self, df, nonc):
+        return np.full(np.shape(nonc), self.variate)
 
 
-@pytest.mark.parametrize("gamma", [5e-324, 1e308])
-def test_gibbs_raises_on_draws_out_of_float_range(monkeypatch, gamma):
-    # A subnormal gamma variate sends tau^2 to inf (and the next shrink
-    # factor to nan); a huge one sends tau^2 and theta to 0.  Either way
-    # the chain raises a typed error instead of returning the draws.
+@pytest.mark.parametrize("variate", [5e-324, 1e308])
+def test_gibbs_raises_on_draws_out_of_float_range(monkeypatch, variate):
+    # At x = 0 every proposal is kept, with y = -log s = variate / 1.5.
+    # A subnormal variate makes theta underflow to 0; a huge one sends
+    # tau^2 = e^y - 1 to inf.  Either way the chain raises a typed error
+    # instead of returning the draws.
     monkeypatch.setattr(shrinkage.np.random, "default_rng",
-                        lambda seed: _StubRng(gamma))
+                        lambda seed: _StubRng(variate))
     with pytest.raises(AccuracyError):
-        gibbs_sample(MeansData(np.array([1.0, 2.0, 3.0])), 50, seed=0)
+        gibbs_sample(MeansData(np.zeros(3)), 50, seed=0)
 
 
-# --------------------------------------------------------------- Gibbs
+# ------------------------------------------------------------- sampler
 
 
 def test_gibbs_requires_three_means():
@@ -350,27 +337,39 @@ def test_gibbs_reproducible():
     assert c1.rejection_rate == c2.rejection_rate
 
 
+# (scale of the data, rejection rate, (sum of tau^2, sum of theta),
+# [(index, tau^2, theta)]): |x|^2/m is about 1.004 and 0.25, either side
+# of the switch between the sampler's branches at 1.
+_PINNED_CHAINS = [
+    (1.0, 182 / 382, (10.989825976555927, 10.856495758353812),
+     [(0, 0.015895023815636965, 0.01565360460795672),
+      (1, 0.00123766142222447, 0.0011702926693503391),
+      (99, 0.04551641056988357, 0.04961590527505678),
+      (199, 0.06603845269528599, 0.06817553759482793)]),
+    (0.5, 0.0, (1.029807424283601, 1.0228894199498109),
+     [(0, 0.0028363738459196075, 0.0028034265406552514),
+      (199, 0.02250807033416622, 0.02259417462161108)]),
+]
+
+
 def test_gibbs_chain_pinned():
-    # Recorded from the sampler that draws its four variates in bulk
-    # (normal, chi-square, gamma, exponential) and takes the tau^2 step
-    # through the auxiliary variable v: the random stream must not change.
-    # tau^2 and theta are held to rel 1e-14, since |x|^2 is a BLAS dot
-    # product, whose summation order may vary.
-    x = np.random.default_rng(3).normal(size=500)
-    chain = gibbs_sample(MeansData(x), 200, seed=5)
-    assert chain.rejection_rate == 0.0
-    assert float(chain.tau2_samples.sum()) == pytest.approx(
-        16.690090929732435, rel=1e-14, abs=0.0)
-    assert float(chain.theta_samples.sum()) == pytest.approx(
-        16.779233972258226, rel=1e-14, abs=0.0)
-    for i, tau2, theta in [(0, 0.7141073318074868, 0.7078160465989588),
-                           (1, 0.5526186526210202, 0.5440007518310385),
-                           (99, 0.03767622395993191, 0.0350680751062786),
-                           (199, 0.023854606120804856, 0.023371664039427777)]:
-        assert chain.tau2_samples[i] == pytest.approx(tau2, rel=1e-14,
-                                                      abs=0.0)
-        assert chain.theta_samples[i] == pytest.approx(theta, rel=1e-14,
-                                                       abs=0.0)
+    # Recorded from the exact sampler: s by rejection from one generator,
+    # theta by one noncentral chi-square call from a second; the random
+    # stream must not change.  tau^2 and theta are held to rel 1e-14,
+    # since |x|^2 is a BLAS dot product, whose summation order may vary.
+    for scale, rejection, sums, draws in _PINNED_CHAINS:
+        x = scale * np.random.default_rng(3).normal(size=500)
+        chain = gibbs_sample(MeansData(x), 200, seed=5)
+        assert chain.rejection_rate == pytest.approx(rejection, rel=1e-15)
+        for got, want in zip((chain.tau2_samples, chain.theta_samples),
+                             sums):
+            assert float(got.sum()) == pytest.approx(want, rel=1e-14,
+                                                     abs=0.0)
+        for i, tau2, theta in draws:
+            assert chain.tau2_samples[i] == pytest.approx(tau2, rel=1e-14,
+                                                          abs=0.0)
+            assert chain.theta_samples[i] == pytest.approx(
+                theta, rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize("x,length,seed,burn", [
@@ -400,35 +399,20 @@ def test_gibbs_chain_memory_is_linear_in_length():
     assert held <= 16 * length
 
 
-def _list_gibbs(data, length, seed):
-    """The Gibbs loop in one pass over the whole chain: every variate a
-    Python float up front, the draws kept in two lists."""
-    rng = np.random.default_rng(seed)
-    m, xx = data.m, float(data.x @ data.x)
-    draws = (rng.standard_normal(length), rng.chisquare(m - 1, length),
-             rng.standard_gamma(0.5 * m, length),
-             rng.standard_exponential(length))
-    sq_norms, tau2s = [], []
-    tau2 = 1.0
-    for z, c, g, e in zip(*(d.tolist() for d in draws)):
-        shrink = tau2 / (1.0 + tau2)
-        u = z + math.sqrt(shrink * xx)
-        sq_norm = shrink * (u * u + c)
-        tau2 = (0.5 * sq_norm + shrink * e) / g
-        sq_norms.append(sq_norm)
-        tau2s.append(tau2)
-    return np.array(sq_norms) / m, np.array(tau2s)
-
-
 @pytest.mark.parametrize("length", [1, 1023, 1024, 1025, 5000])
-def test_gibbs_blocks_match_list_loop(length):
-    # The chain is run in 1024-draw blocks; it must equal the one-pass
-    # loop bit for bit, on each side of a block edge.
-    data = MeansData(np.random.default_rng(3).normal(size=500))
-    theta, tau2 = _list_gibbs(data, length, seed=5)
-    chain = gibbs_sample(data, length, seed=5)
-    assert np.array_equal(chain.theta_samples, theta)
-    assert np.array_equal(chain.tau2_samples, tau2)
+def test_gibbs_chain_is_prefix_of_longer_chain(length):
+    # Proposals and chi-square variates come in fixed blocks, so a chain
+    # is the start of any longer chain with the same seed, on each side
+    # of a block edge and on both branches of the sampler for s.
+    z = np.random.default_rng(3).normal(size=500)
+    for x in (_THETA_ONE, 0.5 * z):  # |x|^2/m about 2 and 0.25
+        data = MeansData(x)
+        chain = gibbs_sample(data, length, seed=5)
+        longer = gibbs_sample(data, 7000, seed=5)
+        assert np.array_equal(chain.theta_samples,
+                              longer.theta_samples[:length])
+        assert np.array_equal(chain.tau2_samples,
+                              longer.tau2_samples[:length])
 
 
 def test_gibbs_peak_memory_per_draw():
@@ -458,24 +442,16 @@ def test_gibbs_recovers_theta_scale():
 
 
 def test_theta_samples_example():
-    # Replay the sampler's random stream: four bulk draws, then per draw
-    # |mu|^2 = s ((z + sqrt(s |x|^2))^2 + c), stored as theta = |mu|^2 / m,
-    # and tau^2 = (|mu|^2/2 + s e) / g for the next draw.
-    x = np.array([1.0, 2.0, 3.0])
-    chain = gibbs_sample(MeansData(x), 5, seed=1)
+    # theta_posterior_samples returns the chain's theta draws; an empty
+    # chain has none to give.
+    chain = gibbs_sample(MeansData(np.array([1.0, 2.0, 3.0])), 5, seed=1)
     theta = theta_posterior_samples(chain)
-    assert theta.shape == (5,)
-    rng = np.random.default_rng(1)
-    zs, cs = rng.standard_normal(5), rng.chisquare(2, 5)
-    gs, es = rng.standard_gamma(1.5, 5), rng.standard_exponential(5)
-    tau2 = 1.0
-    for it in range(5):
-        shrink = tau2 / (1.0 + tau2)
-        u = zs[it] + math.sqrt(shrink * 14.0)
-        sq_norm = shrink * (u * u + cs[it])
-        tau2 = (0.5 * sq_norm + shrink * es[it]) / gs[it]
-        assert tau2 == chain.tau2_samples[it]
-        assert theta[it] == sq_norm / 3.0
+    assert theta is chain.theta_samples and theta.shape == (5,)
+    empty = shrinkage.ShrinkChain(theta_samples=np.empty(0),
+                                  tau2_samples=np.empty(0), seed=1,
+                                  rejection_rate=0.0)
+    with pytest.raises(DomainError):
+        theta_posterior_samples(empty)
 
 
 # ------------------------------------------- law of the collapsed chain
@@ -563,13 +539,12 @@ def test_collapsed_chain_matches_full_mu_gibbs(x, length):
 
 
 def test_gibbs_near_zero_theta_few_proposals():
-    # theta_T = 0 at m = 500: tau^2 | mu sits near 1/m, where a proposal
-    # that ignored the 1/(1+tau^2) factor would be accepted with
-    # probability about tau^2.  The auxiliary-variable step takes exactly
-    # one gamma draw per tau^2.
+    # theta_T = 0 at m = 500: |x|^2/m is near 1, where the sampler for s
+    # switches branch and keeps the fewest proposals, just over half.
+    # rejection_rate counts the proposals up to the last draw kept.
     x = np.random.default_rng(0).normal(size=500)
     chain = gibbs_sample(MeansData(x), 10000, seed=1)
-    assert chain.rejection_rate == 0.0
+    assert 0.0 < chain.rejection_rate <= 0.55
 
 
 def _tau2_marginal_cdf(tau2, x):
@@ -610,10 +585,22 @@ def _ess_per_draw(draws):
 
 
 def test_gibbs_theta_ess_matches_full_mu_gibbs():
-    # The auxiliary variable costs the theta chain on the theta_T = 1,
-    # m = 200 data no more than 15% of its effective sample size per
-    # draw, against the sampler that draws all m means.
+    # Independent draws: on the theta_T = 1, m = 200 data the theta
+    # draws have an effective sample size per draw near 1, above that
+    # of the Gibbs sampler that draws all m means.
     length, burn = 20000, 1000
     new = gibbs_sample(MeansData(_THETA_ONE), length, seed=31).theta_samples
     ref, _ = _full_mu_gibbs(_THETA_ONE, length, seed=32)
-    assert _ess_per_draw(new[burn:]) >= 0.85 * _ess_per_draw(ref[burn:])
+    assert _ess_per_draw(new) >= max(0.9, _ess_per_draw(ref[burn:]))
+
+
+@pytest.mark.parametrize("x", [np.array([2.0, -1.0, 0.5, 1.5, -2.5]),
+                               _THETA_ONE, np.zeros(4)],
+                         ids=["five-means", "theta-one-m200", "zeros"])
+def test_gibbs_draws_are_independent(x):
+    # Lag-1 autocorrelations of theta and tau^2 within 4 standard errors
+    # of 0.
+    n = 100000
+    chain = gibbs_sample(MeansData(x), n, seed=13)
+    for draws in (chain.theta_samples, chain.tau2_samples):
+        assert abs(np.corrcoef(draws[:-1], draws[1:])[0, 1]) < 4.0 / math.sqrt(n)
