@@ -452,29 +452,51 @@ def _check_prior(prior: str) -> None:
         raise DomainError(f"unknown prior {prior!r}; use 'exact' or 'approx'")
 
 
+def _approx_log_prior_far(a, c: float, log):
+    """The log of the approximate prior, log(c/2) - log(a)/2
+    - 1.5 log(a + c) with c = n/m, where the prior itself is 0.0, so
+    that its log stays finite out to a = 1.8e308; ``log`` is math.log
+    for a float, np.log for an array."""
+    return log(0.5 * c) - 0.5 * log(a) - 1.5 * log(a + c)
+
+
 def _log_prior(a, m: int, n: int, prior: str):
+    """The log of hyperprior ``prior`` at a.  The approximate prior's is
+    the log of its value where that is above 0.0 and its log form
+    (``_approx_log_prior_far``) where it underflows; the exact prior's
+    is -inf there."""
     _check_prior(prior)
     v = (reference_prior_exact if prior == "exact"
          else reference_prior_approx)(a, m, n)
     if isinstance(v, np.ndarray):
         with np.errstate(divide="ignore"):
-            return np.log(v)
-    return math.log(v) if v > 0.0 else -math.inf
+            out = np.log(v)
+        if prior == "approx" and not (v > 0.0).all():
+            far = _approx_log_prior_far(a, n / m, np.log)
+            out = np.where(v > 0.0, out, far)
+        return out
+    if v > 0.0:
+        return math.log(v)
+    return (-math.inf if prior == "exact"
+            else _approx_log_prior_far(float(a), n / m, math.log))
 
 
 def _approx_log_prior(m: int, n: int):
     """``_log_prior(a, m, n, "approx")`` at one float a > 0, bit for bit,
     bound once: the same float operations with 0.5 n/m precomputed and
-    no validation; -inf where the prior underflows."""
+    no validation; the log form where the prior underflows."""
     c = n / m
-    half_c, sqrt, log, neg_inf = 0.5 * c, math.sqrt, math.log, -math.inf
+    half_c, sqrt, log = 0.5 * c, math.sqrt, math.log
 
     def log_prior(a: float) -> float:
-        v = half_c / (sqrt(a) * (a + c) ** 1.5)
+        try:
+            v = half_c / (sqrt(a) * (a + c) ** 1.5)
+        except OverflowError:  # (a + c)^1.5 past the float range
+            v = 0.0
         if v > 0.0:
             return log(v)
         v = _approx_prior_far(a, c, sqrt)
-        return log(v) if v > 0.0 else neg_inf
+        return log(v) if v > 0.0 else _approx_log_prior_far(a, c, log)
     return log_prior
 
 

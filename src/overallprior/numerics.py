@@ -10,9 +10,11 @@ every formula built on top of them:
   differences of the reference predictive and the expected loss, at
   arguments an integer apart, without the cancellation of two
   ``lgamma`` values;
-- ``digamma`` (elementwise on arrays) and ``trigamma`` shift the
-  argument up with the recurrence and then sum the asymptotic series;
-  they return -inf and inf where psi and psi' leave the float range;
+- ``digamma`` and ``trigamma`` shift the argument up with the
+  recurrence and then sum the asymptotic series; they return -inf and
+  inf where psi and psi' leave the float range.  ``digamma`` has two
+  paths over the one shift and series: a scalar goes through ``math``,
+  an array through numpy, elementwise;
 - ``_gamma_kl`` is the one divergence kernel: ``kl_beta`` and the
   normal-model risks ``refdist.d_sigma`` and ``refdist.d_mu`` are sums
   and differences of it;
@@ -67,6 +69,9 @@ _TRIGAMMA_COEF = (
 )
 
 _SHIFT = 9.0  # asymptotic series cutoff; below this, recur upward
+
+# Arguments that ``digamma`` evaluates in ``math`` rather than numpy.
+_SCALAR_TYPES = (int, float, np.floating)
 
 
 @dataclass(frozen=True)
@@ -155,14 +160,30 @@ def _series(coef, z):
 def digamma(x):
     """Digamma function psi(x) for x > 0, elementwise on arrays.
 
-    A scalar argument gives a float.  Error below 1e-14 on
+    A Python int or float, or a numpy float scalar, takes a float path
+    in ``math``; any other argument is made a numpy array and takes the
+    array path.  Both shift x up by s = ceil(9 - x) unit steps and sum
+    the same asymptotic series at x + s, and both return a Python float
+    for a scalar; they agree to within 4 ulp.  Error below 1e-14 on
     [1e-8, 1e12]: relative, or absolute where |psi(x)| < 1.
     """
+    # psi(x) = psi(x + s) - sum_{i<s} 1/(x + i), with s the unit steps
+    # that lift x into the range of the asymptotic series.
+    if isinstance(x, _SCALAR_TYPES):
+        y = float(x)
+        if not (y > 0.0):
+            raise DomainError(f"digamma requires x > 0, got {x}")
+        acc = 0.0
+        if y < _SHIFT:
+            s = math.ceil(_SHIFT - y)
+            for i in range(s):
+                acc -= 1.0 / (y + i)  # inf where psi(y) ~ -1/y is too
+            y += s
+        return acc + math.log(y) - 0.5 / y - _series(_DIGAMMA_COEF,
+                                                     1.0 / y / y)
     y = np.asarray(x, dtype=float)
     if not (y > 0.0).all():
         raise DomainError(f"digamma requires x > 0, got {x}")
-    # psi(y) = psi(y + s) - sum_{i<s} 1/(y + i), with s the unit steps
-    # that lift y into the range of the asymptotic series.
     s = np.ceil(np.maximum(_SHIFT - y, 0.0))
     i = np.arange(_SHIFT)
     with np.errstate(over="ignore"):  # 1/y overflows as psi(y) ~ -1/y does

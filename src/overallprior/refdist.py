@@ -158,24 +158,34 @@ def optimal_a(cfg: RefDistConfig) -> OptimResult:
     a* is within 3e-14 relative of 40-digit mpmath argmins for (m, n) =
     (10, 100), (100, 1000) and (1000, 100), where the slope's rounding
     sets it.  ``iterations`` counts slope evaluations, 13 to 18 there;
-    ``min_value`` is ``expected_loss`` at a*.
+    ``min_value`` is ``expected_loss`` at a*.  Each evaluation makes
+    three float ``digamma`` calls and builds no array: its O(n) sum
+    runs in two buffers allocated once per solve.
     """
     m, n = cfg.m, cfg.n
+    predictive = _predictive_row(n)
     # P(X > i) for i < n; 1 - cumsum keeps the large tails to 1e-16.
-    tail = 1.0 - np.cumsum(_predictive_row(n)[:-1])
+    tail = 1.0 - np.cumsum(predictive[:-1])
     i = np.arange(n, dtype=float)
+    buffers = np.empty(n), np.empty(n)
+    two_log2 = 2.0 * math.log(2.0)
 
-    def slope(t: float) -> float:  # O(n) array work, as expected_loss
+    def slope(t: float) -> float:
+        u, v = buffers
         a = math.exp(t)
         b, ma = (m - 1) * a, m * a
-        psi = digamma(np.array([a, b, ma])) @ np.array([a, b, -ma])
-        return float(psi + 2.0 * ma * math.log(2.0) + np.sum(
-            tail * (a / (a + i) + b / (b + i)) - ma / (ma + i)))
+        # tail (a/(a+i) + b/(b+i)) - ma/(ma+i), in place.
+        np.divide(a, np.add(i, a, out=u), out=u)
+        u += np.divide(b, np.add(i, b, out=v), out=v)
+        u *= tail
+        u -= np.divide(ma, np.add(i, ma, out=v), out=v)
+        return (a * digamma(a) + b * digamma(b) - ma * digamma(ma)
+                + two_log2 * ma + float(u.sum()))
 
     t, evals = _find_root(slope, math.log(_A_BRACKET_LO_TIMES_M / m),
                           math.log(_A_BRACKET_HI))
     a = math.exp(t)
-    return OptimResult(argmin=a, min_value=expected_loss(a, cfg),
+    return OptimResult(argmin=a, min_value=_expected_loss(a, m, n, predictive),
                        iterations=evals, converged=True)
 
 

@@ -364,13 +364,31 @@ def test_approx_prior_median():
     assert mass == pytest.approx(0.5, abs=1e-8)
 
 
-@pytest.mark.parametrize("a", [1e100, 1e154, 1.5e154, 1e160, 1e200, 1e250,
-                               1e300, 1.7e308])
+def _approx_log_density_mpmath(t, a):
+    """log p(x | a) plus the log of the approximate prior at 50 digits,
+    log p(x | a) summed as log coef + sum_j R_j log(a + j)
+    - sum_i log(m a + i)."""
+    log = mpmath.log
+    with mpmath.workdps(50):
+        a, c = mpmath.mpf(a), mpmath.mpf(t.n) / t.m
+        ref = mpmath.loggamma(t.n + 1) - mpmath.fsum(
+            mpmath.loggamma(k + 1) for k in t.counts.values())
+        ref += mpmath.fsum(log(a + j) for k in t.counts.values()
+                           for j in range(k))
+        ref -= mpmath.fsum(log(t.m * a + i) for i in range(t.n))
+        return float(ref + log(c / 2) - log(a) / 2 - 1.5 * log(a + c))
+
+
+@pytest.mark.parametrize("a", [1e100, 1e154, 1.5e154, 1e160, 1e170, 1e200,
+                               1e250, 1e300, 1.7e308])
 def test_approx_prior_far_tail(a):
     # Past a of about 1.3e154, sqrt(a) (a + n/m)^1.5 overflows: the prior
     # is still a float there, 0.0 only where it underflows, with no
     # OverflowError or RuntimeWarning, for a float and an array.  Where
     # that product is finite, the value is that of the direct form.
+    # Where the prior is 0.0 (a >= 1e170 here), its log is the log form,
+    # finite and within 1e-13 of 50-digit mpmath, for a float, an array
+    # and the samplers' bound kernel.
     for m, n in ((2, 10 ** 6), (60, 60)):
         c = n / m
         with mpmath.workdps(50):
@@ -382,9 +400,19 @@ def test_approx_prior_far_tail(a):
         if a < 1e154:
             assert got == 0.5 * c / (math.sqrt(a) * (a + c) ** 1.5)
     t = _synthetic_table()
-    assert posterior_log_density_a(a, t, "approx") < 0.0
-    assert posterior_log_density_a(np.array([a]), t, "approx")[0] == \
-        posterior_log_density_a(a, t, "approx")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = posterior_log_density_a(a, t, "approx")
+        assert posterior_log_density_a(np.array([a]), t, "approx")[0] == got
+        bound = (hier._likelihood_kernel(t)(a)
+                 + hier._approx_log_prior(t.m, t.n)(a))
+    assert bound == got
+    if a >= 1e170:
+        assert reference_prior_approx(a, t.m, t.n) == 0.0
+        assert got == pytest.approx(_approx_log_density_mpmath(t, a),
+                                    rel=1e-13, abs=0.0)
+    else:
+        assert got < 0.0
 
 
 def test_exact_vs_approx_prior_pin():

@@ -2,6 +2,7 @@
 oracles (scipy/mpmath) plus property-based checks."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -120,6 +121,48 @@ def test_digamma_array_matches_scalar_and_scipy():
     np.testing.assert_allclose(got, sp.digamma(x), rtol=1e-14, atol=1e-14)
     grid = x.reshape(20, 20)
     np.testing.assert_array_equal(digamma(grid), got.reshape(20, 20))
+
+
+# Log-uniform over [1e-300, 1e300] (fixed seed), the float next to the
+# series cutoff 9 on each side, and the integers 1 to 20.
+_DIGAMMA_SWEEP = np.concatenate([
+    10.0 ** np.random.default_rng(17).uniform(-300, 300, 2000),
+    [math.nextafter(9.0, 0.0), 9.0, math.nextafter(9.0, 10.0)],
+    np.arange(1.0, 21.0)])
+
+
+def test_digamma_float_path_matches_scipy_and_array_path():
+    # Relative, or absolute where |psi(x)| < 1: near the zero of psi at
+    # 1.4616 the value is a difference of terms near 2.
+    arr = digamma(_DIGAMMA_SWEEP)
+    got = np.array([digamma(float(x)) for x in _DIGAMMA_SWEEP])
+    np.testing.assert_allclose(got, sp.digamma(_DIGAMMA_SWEEP), rtol=1e-14,
+                               atol=1e-14)
+    ulp = np.spacing(np.maximum(np.abs(arr), 1.0))
+    assert np.all(np.abs(got - arr) <= 4 * ulp)
+
+
+@pytest.mark.parametrize("x", [3, 3.0, np.float64(3.0)],
+                         ids=["int", "float", "float64"])
+def test_digamma_float_path_returns_python_float(x):
+    got = digamma(x)
+    assert type(got) is float
+    assert got == digamma(np.array([3.0]))[0]
+
+
+@pytest.mark.parametrize("x", [5e-324, 1e-310])
+def test_digamma_float_path_below_float_range(x):
+    # psi(x) ~ -1/x is past the float range: -inf, with no warning and
+    # no OverflowError.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert digamma(x) == -math.inf
+
+
+@pytest.mark.parametrize("x", [0.0, -1.0, math.nan, -math.inf])
+def test_digamma_float_path_rejects_outside_domain(x):
+    with pytest.raises(DomainError):
+        digamma(x)
 
 
 def test_digamma_array_rejects_nonpositive_entries():

@@ -124,3 +124,7 @@ def test_cli_command_loads_only_its_module(tmp_path, loaded_modules,
     assert f"overallprior.{module}" in loaded
     assert not loaded & {f"overallprior.{m}" for m in others}
     assert "csv" not in loaded  # the CLI formats its CSV files itself
+    if command in ("refdist", "catalogue"):
+        # Neither draws a random number; importing numpy.random would
+        # add about 12 ms of CPU and 6 MB of peak memory to each run.
+        assert "numpy.random" not in loaded

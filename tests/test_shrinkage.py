@@ -380,7 +380,9 @@ def test_gibbs_rao_blackwell_theta_mean(x, length, seed, burn):
     # Given tau^2, mu_i ~ N(s x_i, s) with s = tau^2/(1+tau^2), so
     # E[theta | x, tau^2] = s^2 mean(x^2) + s.  The chain mean of theta
     # must match that conditional mean averaged over the tau^2 draws;
-    # the tolerance is 5-10 batch-means standard errors.
+    # the tolerance is 5-10 batch-means standard errors.  The draws are
+    # independent, so the first ``burn`` of them are no burn-in: dropping
+    # them only leaves both means over the same draws.
     chain = gibbs_sample(MeansData(x), length, seed=seed)
     t2 = chain.tau2_samples[burn:]
     s = t2 / (1 + t2)
@@ -416,8 +418,9 @@ def test_gibbs_chain_is_prefix_of_longer_chain(length):
 
 
 def test_gibbs_peak_memory_per_draw():
-    # 16 bytes kept and 32 of up-front variates per draw; Python floats
-    # are held for one block at a time, not for the whole chain.
+    # 16 bytes kept (theta and tau^2) and 16 of chi-square arguments and
+    # variates per draw; proposals for s are drawn and screened one
+    # fixed-size block at a time, not for the whole chain.
     data = MeansData(np.random.default_rng(3).normal(size=500))
     length = 50000
     tracemalloc.start()
@@ -562,9 +565,11 @@ def _tau2_marginal_cdf(tau2, x):
     _THETA_ONE,
 ], ids=["m3", "m5", "m200"])
 def test_gibbs_tau2_marginal_ks(x):
-    # The chain's tau^2 draws after burn-in, thinned 1 in 20 to about
-    # 5000 nearly independent ones, follow the exact marginal posterior
-    # of tau^2: KS distance within the 0.1% critical value.
+    # The tau^2 draws are independent; about 5000 of them, every 20th
+    # from the 1000th on, follow the exact marginal posterior of tau^2:
+    # KS distance within the 0.1% critical value.  (The offset and the
+    # stride need not be there for independent draws; they keep the
+    # sample size of the gate.)
     chain = gibbs_sample(MeansData(x), 101000, seed=11)
     draws = chain.tau2_samples[1000::20]
     dist = scipy.stats.kstest(draws, _tau2_marginal_cdf, args=(x,))
