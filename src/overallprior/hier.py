@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -78,6 +79,10 @@ _CACHE_CHUNK = 1 << 14
 # (a + J == J in floats), which holds while m a < 2^-53, i.e. for m below
 # about 1e284.
 _TINY_A = 1e-300
+
+# The smallest positive normal float: below it a float keeps fewer than
+# 53 bits, and its log loses digits.
+_TINY_FLOAT = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -454,49 +459,54 @@ def _check_prior(prior: str) -> None:
 
 def _approx_log_prior_far(a, c: float, log):
     """The log of the approximate prior, log(c/2) - log(a)/2
-    - 1.5 log(a + c) with c = n/m, where the prior itself is 0.0, so
-    that its log stays finite out to a = 1.8e308; ``log`` is math.log
-    for a float, np.log for an array."""
+    - 1.5 log(a + c) with c = n/m, where its direct form is not a
+    positive normal float, so that the log stays finite and keeps its
+    digits out to a = 1.8e308; ``log`` is math.log for a float, np.log
+    for an array."""
     return log(0.5 * c) - 0.5 * log(a) - 1.5 * log(a + c)
 
 
 def _log_prior(a, m: int, n: int, prior: str):
-    """The log of hyperprior ``prior`` at a.  The approximate prior's is
-    the log of its value where that is above 0.0 and its log form
-    (``_approx_log_prior_far``) where it underflows; the exact prior's
-    is -inf there."""
+    """The log of hyperprior ``prior`` at a.  The exact prior's is -inf
+    where the prior underflows.  The approximate prior's is the log of
+    its direct form where that is a positive normal float, for a below
+    about min(4.7e153 sqrt(n/m), 1.3e154), and
+    ``_approx_log_prior_far`` above."""
     _check_prior(prior)
-    v = (reference_prior_exact if prior == "exact"
-         else reference_prior_approx)(a, m, n)
+    if prior == "approx":
+        if m < 2 or n < 1:
+            raise DomainError("need m >= 2 and n >= 1")
+        if not _is_array(a):
+            return _approx_log_prior(m, n)(float(a))
+        a, c = np.asarray(a, dtype=float), n / m
+        with np.errstate(over="ignore", divide="ignore"):
+            v = 0.5 * c / (np.sqrt(a) * (a + c) ** 1.5)
+            out = np.log(v)
+        far = ~(v >= _TINY_FLOAT)
+        if far.any():
+            out = np.where(far, _approx_log_prior_far(a, c, np.log), out)
+        return out
+    v = reference_prior_exact(a, m, n)
     if isinstance(v, np.ndarray):
         with np.errstate(divide="ignore"):
-            out = np.log(v)
-        if prior == "approx" and not (v > 0.0).all():
-            far = _approx_log_prior_far(a, n / m, np.log)
-            out = np.where(v > 0.0, out, far)
-        return out
-    if v > 0.0:
-        return math.log(v)
-    return (-math.inf if prior == "exact"
-            else _approx_log_prior_far(float(a), n / m, math.log))
+            return np.log(v)
+    return math.log(v) if v > 0.0 else -math.inf
 
 
 def _approx_log_prior(m: int, n: int):
-    """``_log_prior(a, m, n, "approx")`` at one float a > 0, bit for bit,
-    bound once: the same float operations with 0.5 n/m precomputed and
-    no validation; the log form where the prior underflows."""
+    """``_log_prior(a, m, n, "approx")`` at one float a > 0, bound once
+    with 0.5 n/m precomputed and no validation."""
     c = n / m
-    half_c, sqrt, log = 0.5 * c, math.sqrt, math.log
+    half_c, sqrt, log, tiny = 0.5 * c, math.sqrt, math.log, _TINY_FLOAT
 
     def log_prior(a: float) -> float:
         try:
             v = half_c / (sqrt(a) * (a + c) ** 1.5)
         except OverflowError:  # (a + c)^1.5 past the float range
-            v = 0.0
-        if v > 0.0:
+            return _approx_log_prior_far(a, c, log)
+        if v >= tiny:
             return log(v)
-        v = _approx_prior_far(a, c, sqrt)
-        return log(v) if v > 0.0 else _approx_log_prior_far(a, c, log)
+        return _approx_log_prior_far(a, c, log)
     return log_prior
 
 

@@ -12,9 +12,8 @@ every formula built on top of them:
   ``lgamma`` values;
 - ``digamma`` and ``trigamma`` shift the argument up with the
   recurrence and then sum the asymptotic series; they return -inf and
-  inf where psi and psi' leave the float range.  ``digamma`` has two
-  paths over the one shift and series: a scalar goes through ``math``,
-  an array through numpy, elementwise;
+  inf where psi and psi' leave the float range.  ``digamma`` works in
+  ``math`` on one float; an array is mapped over that one path;
 - ``_gamma_kl`` is the one divergence kernel: ``kl_beta`` and the
   normal-model risks ``refdist.d_sigma`` and ``refdist.d_mu`` are sums
   and differences of it;
@@ -157,40 +156,41 @@ def _series(coef, z):
     return out
 
 
+def _digamma_float(y: float) -> float:
+    """psi(y) at one float y > 0, with no validation."""
+    # psi(y) = psi(y + s) - sum_{i<s} 1/(y + i), with s the unit steps
+    # that lift y into the range of the asymptotic series.
+    acc = 0.0
+    if y < _SHIFT:
+        s = math.ceil(_SHIFT - y)
+        for i in range(s):
+            acc -= 1.0 / (y + i)  # inf where psi(y) ~ -1/y is too
+        y += s
+    return acc + math.log(y) - 0.5 / y - _series(_DIGAMMA_COEF, 1.0 / y / y)
+
+
 def digamma(x):
     """Digamma function psi(x) for x > 0, elementwise on arrays.
 
-    A Python int or float, or a numpy float scalar, takes a float path
-    in ``math``; any other argument is made a numpy array and takes the
-    array path.  Both shift x up by s = ceil(9 - x) unit steps and sum
-    the same asymptotic series at x + s, and both return a Python float
-    for a scalar; they agree to within 4 ulp.  Error below 1e-14 on
-    [1e-8, 1e12]: relative, or absolute where |psi(x)| < 1.
+    A Python int or float, or a numpy float scalar, is evaluated in
+    ``math`` with no numpy set-up, and gives a Python float: x is
+    shifted up by s = ceil(9 - x) unit steps and the asymptotic series
+    summed at x + s.  Any other argument is made a numpy array and each
+    entry goes through that same float path, so an array gives the
+    floats of the scalar calls, bit for bit (a 0-d array gives a
+    float).  Error below 1e-14 on [1e-8, 1e12]: relative, or absolute
+    where |psi(x)| < 1.
     """
-    # psi(x) = psi(x + s) - sum_{i<s} 1/(x + i), with s the unit steps
-    # that lift x into the range of the asymptotic series.
     if isinstance(x, _SCALAR_TYPES):
         y = float(x)
         if not (y > 0.0):
             raise DomainError(f"digamma requires x > 0, got {x}")
-        acc = 0.0
-        if y < _SHIFT:
-            s = math.ceil(_SHIFT - y)
-            for i in range(s):
-                acc -= 1.0 / (y + i)  # inf where psi(y) ~ -1/y is too
-            y += s
-        return acc + math.log(y) - 0.5 / y - _series(_DIGAMMA_COEF,
-                                                     1.0 / y / y)
+        return _digamma_float(y)
     y = np.asarray(x, dtype=float)
     if not (y > 0.0).all():
         raise DomainError(f"digamma requires x > 0, got {x}")
-    s = np.ceil(np.maximum(_SHIFT - y, 0.0))
-    i = np.arange(_SHIFT)
-    with np.errstate(over="ignore"):  # 1/y overflows as psi(y) ~ -1/y does
-        acc = -np.where(i < s[..., None], 1 / (y[..., None] + i), 0.0).sum(-1)
-    y = y + s
-    out = acc + np.log(y) - 0.5 / y - _series(_DIGAMMA_COEF, 1.0 / y / y)
-    return float(out) if out.ndim == 0 else out
+    out = np.array([_digamma_float(v) for v in y.ravel().tolist()])
+    return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
 
 
 def trigamma(x: float) -> float:

@@ -116,8 +116,7 @@ def test_digamma_array_matches_scalar_and_scipy():
     x = np.exp(np.linspace(math.log(1e-8), math.log(1e12), 400))
     got = digamma(x)
     assert got.shape == x.shape
-    np.testing.assert_allclose(got, [digamma(float(v)) for v in x],
-                               rtol=1e-15, atol=1e-15)
+    np.testing.assert_array_equal(got, [digamma(float(v)) for v in x])
     np.testing.assert_allclose(got, sp.digamma(x), rtol=1e-14, atol=1e-14)
     grid = x.reshape(20, 20)
     np.testing.assert_array_equal(digamma(grid), got.reshape(20, 20))
@@ -131,15 +130,12 @@ _DIGAMMA_SWEEP = np.concatenate([
     np.arange(1.0, 21.0)])
 
 
-def test_digamma_float_path_matches_scipy_and_array_path():
+def test_digamma_float_path_matches_scipy():
     # Relative, or absolute where |psi(x)| < 1: near the zero of psi at
     # 1.4616 the value is a difference of terms near 2.
-    arr = digamma(_DIGAMMA_SWEEP)
     got = np.array([digamma(float(x)) for x in _DIGAMMA_SWEEP])
     np.testing.assert_allclose(got, sp.digamma(_DIGAMMA_SWEEP), rtol=1e-14,
                                atol=1e-14)
-    ulp = np.spacing(np.maximum(np.abs(arr), 1.0))
-    assert np.all(np.abs(got - arr) <= 4 * ulp)
 
 
 @pytest.mark.parametrize("x", [3, 3.0, np.float64(3.0)],
