@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass, field
@@ -23,7 +22,8 @@ import numpy as np
 
 from .exceptions import (AccuracyError, BoundaryModeError, DomainError,
                          PreconditionError)
-from .numerics import _check_seed, _find_root, log_gamma
+from .numerics import (_FLOAT_MAX, _TINY_FLOAT, _check_seed, _find_root,
+                       log_gamma)
 
 __all__ = [
     "CountTable",
@@ -56,6 +56,11 @@ _MODE_LO_TIMES_M = 1e-4
 _CACHE_SIZE = 3000
 _CHEB_NODES = 128
 
+# Exact-prior tables kept in a process, one per (m, n), the least
+# recently used dropped first.  A table holds 4 doubles per interval,
+# 96 kB, so the tables take at most about 1.5 MB.
+_EXACT_PRIOR_TABLES = 16
+
 # The samplers' support in t = log a: |t| <= _LOG_A_LIMIT, a in
 # [1e-200, 1e200].  The posterior in t falls at least as fast as
 # exp(-|t|/2) in both tails, so the mass outside is far below anything a
@@ -79,10 +84,6 @@ _CACHE_CHUNK = 1 << 14
 # (a + J == J in floats), which holds while m a < 2^-53, i.e. for m below
 # about 1e284.
 _TINY_A = 1e-300
-
-# The smallest positive normal float: below it a float keeps fewer than
-# 53 bits, and its log loses digits.
-_TINY_FLOAT = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -147,12 +148,6 @@ class CountTable:
     def r0(self) -> int:
         return len(self.counts)
 
-    @functools.cached_property
-    def _exact_prior(self) -> "_ExactPriorCache":
-        """The exact-prior table for (m, n), built on first use and then
-        read by the mode search and every chain on this table."""
-        return _ExactPriorCache(self.m, self.n)
-
     @property
     def r_profile(self) -> tuple:
         return tuple(self._exceed.tolist())
@@ -191,10 +186,12 @@ class HierChain:
 
     ``direct_prior_evals`` counts this chain's exact-prior lookups that
     fell outside the prior table and were evaluated directly (0 under the
-    approximate prior, which has no table); the table is shared with the
-    mode search and other chains on the same ``CountTable``, whose
-    lookups are not counted here.  ``target_evals`` counts the log-target
-    evaluations, warm-up included."""
+    approximate prior, which has no table).  There is one table per
+    (m, n) in a process (at most ``_EXACT_PRIOR_TABLES`` = 16 of them,
+    96 kB each), shared with the mode search and with every chain on a
+    ``CountTable`` of that shape, whose lookups are not counted here.
+    ``target_evals`` counts the log-target evaluations, warm-up
+    included."""
 
     a_samples: np.ndarray
     theta_samples: Optional[np.ndarray]
@@ -301,15 +298,25 @@ def marginal_pmf(a, m: int, n: int) -> np.ndarray:
     the relative error of the entries above the subnormal range is
     5e-14 at (m, n, a) = (2, 300, 189), 3.3e-13 at (2000, 500, 0.3) and
     7e-14 at (60, 60, 4520); it grows with n, as the sum of n logs does.
+    Where (m-1)a overflows, the row is its a -> inf limit, the
+    Binomial(n, 1/m) pmf, whose ratio factor (a+x)/((m-1)a+n-1-x) is
+    1/(m-1); the two differ there by O(n/a), below 1e-300.
     """
     _is_array(a)
     if m < 2:
         raise DomainError("need m >= 2")
     col = np.asarray(a, dtype=float)[..., None]
+    far = col > _FLOAT_MAX / (m - 1)
+    limit = far.any()
+    if limit:
+        col = np.where(far, 1.0, col)
     x = np.arange(n, dtype=float)
+    log_ratio = np.log(col + x) - np.log((m - 1) * col + (n - 1 - x))
+    if limit:
+        log_ratio = np.where(far, -math.log(m - 1), log_ratio)
     log_p = np.zeros(col.shape[:-1] + (n + 1,))
-    np.cumsum(np.log(col + x) - np.log((m - 1) * col + (n - 1 - x))
-              + np.log((n - x) / (x + 1)), axis=-1, out=log_p[..., 1:])
+    np.cumsum(log_ratio + np.log((n - x) / (x + 1)), axis=-1,
+              out=log_p[..., 1:])
     p = np.exp(log_p - log_p.max(axis=-1, keepdims=True))
     return p / p.sum(axis=-1, keepdims=True)
 
@@ -404,22 +411,26 @@ def reference_prior_exact(a, m: int, n: int):
     it reaches 5e-9 near the switch between the forms, where both
     cancel.  The prior's error is half the sum's.  The sum is
     positive for n >= 2; where it underflows (a beyond about 1e75, the
-    prior below 1e-160) the prior is 0.  A negative sum is a defect and
+    prior below 1e-160) the prior is 0.  It is 0 without evaluation
+    above a = 1.8e308/(3 m^3), where the moment form's 3a and m^3 a
+    would overflow and the prior, of order (n/m)/a^2, is far below the
+    smallest float for m up to 1e12.  A negative sum is a defect and
     raises ``AccuracyError``.
     """
     array = _is_array(a)
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and n >= 1")
     flat = np.ravel(np.asarray(a, dtype=float))
-    out = np.empty(flat.shape)
+    out = np.zeros(flat.shape)
     tiny = flat <= _TINY_A
+    mid = ~tiny & (flat <= _FLOAT_MAX / (3.0 * m ** 3))
     if tiny.any():
         # Every j >= 1 term of the Fisher sum is below 1e-290 of the j = 0
         # term, (m-1)/m sum_i 1/(ma+i) / a = (m-1)/m H_{n-1} / a, which
         # overflows at subnormal a: take the two square roots separately.
         harmonic = np.sum(1.0 / np.arange(1.0, n))
         out[tiny] = np.sqrt((m - 1) / m * harmonic) / np.sqrt(flat[tiny])
-    out[~tiny] = np.sqrt(_fisher_sum(flat[~tiny], m, n))
+    out[mid] = np.sqrt(_fisher_sum(flat[mid], m, n))
     return out.reshape(a.shape) if array else float(out[0])
 
 
@@ -547,8 +558,9 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
         def slope(t: float) -> float:
             return lik_slope(exp(t))
     elif prior == "exact":
-        log_density += x._exact_prior.log_values_at(grid)
-        table_slope = x._exact_prior.slope_at
+        table = _exact_prior_table(x.m, x.n)
+        log_density += table.log_values_at(grid)
+        table_slope = table.slope_at
 
         def slope(t: float) -> float:
             return lik_slope(exp(t)) + table_slope(t)
@@ -573,10 +585,12 @@ def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
     The zero of the slope of the log density in log a (``_log_mode``).
     Under the approximate prior it is within 3e-14 relative of the
     40-digit mpmath root on the tables tested, m up to 1e12.  Under the
-    exact prior the slope is read from the table's exact-prior table
-    (see ``sample_posterior``), built once per ``CountTable`` and shared
-    with its chains; the mode is within 6e-9 relative of the one on the
-    directly evaluated prior on the tables tested.
+    exact prior the slope is read from the exact-prior table of (m, n)
+    (see ``sample_posterior``), built once per (m, n) in a process (at
+    most 16 tables of 96 kB are kept) and shared with every chain and
+    mode search on a table of that shape; the mode is within 6e-9
+    relative of the one on the directly evaluated prior on the tables
+    tested.
 
     Requires at least two nonzero cells; with a single occupied cell
     the mode sits at the unusable a = 0 boundary.
@@ -663,6 +677,11 @@ class _ExactPriorCache:
     reads ``slope_at``, the derivative of the cubic piece in t: against
     the mpmath derivative of the log prior it is within 1e-9 on the
     first four tables, 1.3e-8 on (2, 300), and 4e-9 at m = 1e10, 1e12.
+
+    The table depends on (m, n) alone: ``_exact_prior_table`` keeps one
+    per (m, n) in a process, at most ``_EXACT_PRIOR_TABLES`` = 16 of
+    them.  Each keeps only its cubic coefficients, 96 kB; the
+    Vandermonde matrices of the build are freed when it ends.
     """
 
     def __init__(self, m: int, n: int):
@@ -744,6 +763,13 @@ class _ExactPriorCache:
         i = min(int(x), self._last)
         s, c = x - i, self._coef[4 * i + 1:4 * i + 4]
         return (c[0] + s * (2.0 * c[1] + 3.0 * s * c[2])) / self._h
+
+
+@functools.lru_cache(maxsize=_EXACT_PRIOR_TABLES)
+def _exact_prior_table(m: int, n: int) -> _ExactPriorCache:
+    """The exact-prior table of (m, n), built on first use and then read
+    by the mode search and every chain on a table of that shape."""
+    return _ExactPriorCache(m, n)
 
 
 def _log_target(x: CountTable, log_prior):
@@ -832,14 +858,15 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     and a chain is the start of any longer one with the same seed and
     warm-up.  The log target is one kernel bound to the table and the
     prior (``_log_target``), with no validation per call.  The exact
-    prior is read from a table built once per ``CountTable``
-    (``_ExactPriorCache``) and shared with ``posterior_mode_a``.  MH
-    draws its normals and log-uniforms in fixed-size blocks
-    (``_mh_variates``), and the slice sampler its uniforms
-    (``_uniform_stream``); the slice chain is that of one
-    ``rng.random()`` call per uniform.  The theta rows are
-    drawn straight into the result, a block of rows at a time, and equal
-    one ``rng.gamma`` call over all of them.  ``target_evals`` counts
+    prior depends on (m, n) only, so it is read from one table per
+    (m, n) in a process (``_exact_prior_table``: at most 16 tables of
+    96 kB), shared with ``posterior_mode_a`` and with every later
+    ``CountTable`` of that shape.  MH draws its normals and
+    log-uniforms in fixed-size blocks (``_mh_variates``), and the slice
+    sampler its uniforms (``_uniform_stream``); the slice chain is that
+    of one ``rng.random()`` call per uniform.  The theta rows are drawn
+    straight into the result, a block of rows at a time, and equal one
+    ``rng.gamma`` call over all of them.  ``target_evals`` counts
     the log-target calls.
     """
     if length < 1:
@@ -850,7 +877,7 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         raise DomainError(f"unknown method {method!r}")
     _check_seed(seed)
     if prior == "exact":
-        log_prior, direct_evals = x._exact_prior.reader()
+        log_prior, direct_evals = _exact_prior_table(x.m, x.n).reader()
     else:
         _check_prior(prior)
         log_prior, direct_evals = _approx_log_prior(x.m, x.n), lambda: 0

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,20 @@ _TRIGAMMA_COEF = (
 )
 
 _SHIFT = 9.0  # asymptotic series cutoff; below this, recur upward
+
+# The float range: the smallest positive normal float (below it a float
+# keeps fewer than 53 bits, and its log loses digits) and the largest.
+_TINY_FLOAT = sys.float_info.min
+_FLOAT_MAX = sys.float_info.max
+_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
+
+# Above this x/y, ``log_rising_ratio`` takes log x - log y in place of
+# log1p(x/y - 1), whose argument could overflow.
+_BIG = 2.0 ** 1000
+
+# The largest parameter of ``kl_beta``: its log-gamma terms, up to 2e300
+# log 2e300, and their sums stay finite.
+_KL_MAX = 1e300
 
 # Arguments that ``digamma`` evaluates in ``math`` rather than numpy.
 _SCALAR_TYPES = (int, float, np.floating)
@@ -126,23 +141,42 @@ def log_rising_ratio(x: float, y: float, k: int) -> np.ndarray:
     accuracy when x and y are close and both large, where the
     difference of the two log rising factorials would cancel.  Error below
     1e-13 for k <= 1000: relative, or absolute where the value is
-    below 1.
+    below 1.  Finite for every finite x, y > 0: an entry whose ratio
+    (x + i)/(y + i) leaves the normal float range, such as i = 0 at a
+    subnormal y, is log(x + i) - log(y + i), with no cancellation there.
     """
     k = operator.index(k)
     if k < 0:
         raise DomainError(f"rising-factorial length must be >= 0, got {k}")
     i = np.arange(k, dtype=float)
     x, y = float(x), float(y)
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"log_rising_ratio requires x, y > 0, "
+    if not (0.0 < x <= _FLOAT_MAX and 0.0 < y <= _FLOAT_MAX):
+        raise DomainError(f"log_rising_ratio requires finite x, y > 0, "
                           f"got {x}, {y}")
-    u = (x - y) / (y + i)
+    # Only the i = 0 entry, u = x/y - 1, can overflow (y + i >= 1 after
+    # it); past 2^1000 it is log x - log y.
+    big = k > 0 and x - y > _BIG * y
+    u = y + i
+    if big:
+        u[0] = x
+    np.divide(x - y, u, out=u)
     # Near u = -1 the rounding of u dominates; take the ratio directly,
     # and keep log1p off those entries, where u may round to -1.
     near = u < -0.5
     u[near] = 0.0
     terms = np.log1p(u)
-    terms[near] = np.log((x + i[near]) / (y + i[near]))
+    ratio = (x + i[near]) / (y + i[near])
+    # Ratios below the normal range, whose log would lose digits or be
+    # -inf, come first: near and the ratio both grow with i.
+    sub = 0
+    if ratio.size and ratio[0] < _TINY_FLOAT:
+        sub = int(np.count_nonzero(ratio < _TINY_FLOAT))
+        ratio[:sub] = 1.0
+    terms[near] = np.log(ratio)
+    if sub:
+        terms[:sub] = np.log(x + i[:sub]) - np.log(y + i[:sub])
+    if big:
+        terms[0] = math.log(x) - math.log(y)
     out = np.zeros(i.size + 1)
     out[1:] = np.add.accumulate(terms)
     return out
@@ -222,7 +256,10 @@ def _trigamma_excess(alpha: float) -> float:
 def _gamma_kl(x: float, x0: float) -> float:
     """KL(Gamma(x) || Gamma(x0)) = lgamma(x0) - lgamma(x) - (x0 - x) psi(x)
     for x, x0 > 0: the R(x, x0 - x) of ``kl_beta``, ``refdist.d_sigma``
-    and ``refdist.d_mu``.  Its terms cancel where |x0 - x| << x."""
+    and ``refdist.d_mu``.  Its terms cancel where |x0 - x| << x.  It is
+    0.0 where x0 == x, also where psi(x) is -inf."""
+    if x0 == x:
+        return 0.0
     return log_gamma(x0) - log_gamma(x) - (x0 - x) * digamma(x)
 
 
@@ -233,14 +270,49 @@ def kl_beta(alpha0: float, beta0: float, alpha: float, beta: float) -> float:
     the Be(alpha, beta) density over the Be(alpha0, beta0) density.
     Nonnegative, and zero iff the two parameter pairs coincide.  It is
     k(alpha, alpha0) + k(beta, beta0) - k(alpha + beta, alpha0 + beta0),
-    with k the gamma divergence ``_gamma_kl``.
+    with k the gamma divergence ``_gamma_kl``.  Each parameter must lie
+    in (0, 1e300].  Where that sum is not finite (psi(x) ~ -1/x
+    overflows, or (x0 - x) psi(x) does, at tiny alpha or beta), it is
+    taken with psi(x) = psi(x + 1) - 1/x and the three 1/x parts
+    gathered into one (``_kl_beta_split``); the value is inf only where
+    those parts leave the float range.
     """
     for name, v in (("alpha0", alpha0), ("beta0", beta0),
                     ("alpha", alpha), ("beta", beta)):
-        if not (float(v) > 0.0):
-            raise DomainError(f"kl_beta requires {name} > 0, got {v}")
-    return (_gamma_kl(alpha, alpha0) + _gamma_kl(beta, beta0)
-            - _gamma_kl(alpha + beta, alpha0 + beta0))
+        if not (0.0 < float(v) <= _KL_MAX):
+            raise DomainError(f"kl_beta requires 0 < {name} <= {_KL_MAX}, "
+                              f"got {v}")
+    kl = (_gamma_kl(alpha, alpha0) + _gamma_kl(beta, beta0)
+          - _gamma_kl(alpha + beta, alpha0 + beta0))
+    if math.isfinite(kl):
+        return kl
+    return _kl_beta_split(float(alpha0), float(beta0), float(alpha),
+                          float(beta))
+
+
+def _kl_beta_split(a0: float, b0: float, a: float, b: float) -> float:
+    """``kl_beta`` with psi(x) = psi(x + 1) - 1/x in each gamma
+    divergence.  The 1/x parts, (a0 - a)/a + (b0 - b)/b
+    - (a0 + b0 - a - b)/(a + b), sum to
+
+        a0 b / (a (a + b)) + b0 a / (b (a + b)) - 1,
+
+    two positive terms, each x0/x times y/(a + b) <= 1, formed from logs
+    where x0/x or the term leaves the normal range, so that neither
+    overflows before the value does; the rest is three finite terms."""
+    def regular(x, x0):
+        return log_gamma(x0) - log_gamma(x) - (x0 - x) * digamma(x + 1.0)
+
+    def part(x0, x, y):
+        v = x0 / x * (y / s)
+        if _TINY_FLOAT <= v <= _FLOAT_MAX:
+            return v
+        e = math.log(x0) - math.log(x) + math.log(y) - math.log(s)
+        return math.exp(e) if e < _LOG_FLOAT_MAX else math.inf
+
+    s = a + b
+    return (regular(a, a0) + regular(b, b0) - regular(s, a0 + b0)
+            + part(a0, a, b) + part(b0, b, a) - 1.0)
 
 
 def _check_seed(seed):

@@ -41,6 +41,10 @@ __all__ = [
 _A_BRACKET_LO_TIMES_M = 1e-4
 _A_BRACKET_HI = 10.0
 
+# The largest m a at which the expected loss is evaluated: log Gamma(m a)
+# leaves the float range above about 2.5e305.
+_MAX_MA = 1e305
+
 
 @dataclass(frozen=True)
 class RefDistConfig:
@@ -127,11 +131,18 @@ def expected_loss(a: float, cfg: RefDistConfig) -> float:
     (1 - m a)(psi(1/2) - psi(1)) = -2 (1 - m a) log 2; the second is one
     dot product of the symmetric p_ref with rising-factorial ratios.
     Relative error below 2e-13 against mpmath for m, n up to 1000 and
-    a in [1e-6, 10].
+    a in [1e-6, 10].  Defined for a > 0 with m a <= 1e305, down to the
+    subnormal a.
     """
-    if not (a > 0.0):
-        raise DomainError(f"hyperparameter a must be positive, got {a}")
+    if not _in_domain(a, cfg.m):
+        raise DomainError(f"hyperparameter a must be positive with "
+                          f"m a <= {_MAX_MA}, got {a}")
     return _expected_loss(a, cfg.m, cfg.n, _predictive_row(cfg.n))
+
+
+def _in_domain(a: float, m: int) -> bool:
+    """Whether a > 0 and m a <= ``_MAX_MA``, the domain of the loss."""
+    return 0.0 < a and m * a <= _MAX_MA
 
 
 def _expected_loss(a: float, m: int, n: int, predictive: np.ndarray) -> float:
@@ -190,10 +201,12 @@ def optimal_a(cfg: RefDistConfig) -> OptimResult:
 
 
 def loss_curve(cfg: RefDistConfig, a_grid: Sequence[float]) -> LossCurve:
-    """Tabulate d(a | m, n) on the given positive increasing grid."""
+    """Tabulate d(a | m, n) on the given positive increasing grid, with
+    m a <= 1e305 (see ``expected_loss``)."""
     pts = [float(a) for a in a_grid]
-    if not all(a > 0.0 for a in pts):
-        raise DomainError("grid values must be positive")
+    if not all(_in_domain(a, cfg.m) for a in pts):
+        raise DomainError(f"grid values must be positive, with "
+                          f"m a <= {_MAX_MA}")
     predictive = _predictive_row(cfg.n)
     vals = [_expected_loss(a, cfg.m, cfg.n, predictive) for a in pts]
     return LossCurve(grid=Grid1D(points=tuple(pts), values=tuple(vals)),

@@ -1,0 +1,105 @@
+"""Domain sweep: public functions over the whole float range of their
+arguments.
+
+Each call must give a finite value (or the inf or 0.0 its docstring
+states), or raise an ``OverallPriorError``: never nan, a bare Python
+exception or a RuntimeWarning, which this suite turns into errors.
+Positive reals are drawn as 2^e with e over [-1074, 1024), that is
+from 5e-324 to 1.8e308, subnormals included, and m as e^t up to 1e12.
+The draws are derandomized, so the sweep is the same on every run.
+"""
+
+import math
+import sys
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from overallprior.exceptions import DomainError, OverallPriorError
+from overallprior.hier import marginal_pmf, reference_prior_exact
+from overallprior.numerics import kl_beta, log_rising_ratio
+from overallprior.refdist import RefDistConfig, expected_loss
+
+FLOAT_MAX = sys.float_info.max
+
+# 2^e for e in [-1074, 1024): 5e-324 (2^-1074) up to 1.8e308.
+positive = st.floats(-1074.0, 1023.999).map(lambda e: math.pow(2.0, e))
+cells = st.floats(math.log(2.0), math.log(1e12)).map(
+    lambda t: max(2, round(math.exp(t))))
+sizes = st.integers(1, 300)
+sweep = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@sweep
+@given(positive, cells, sizes)
+@example(1e308, 60, 60)
+@example(1e300, 10**6, 30)
+@example(5e-324, 10**12, 30)
+@example(FLOAT_MAX, 2, 300)
+def test_reference_prior_exact_over_its_domain(a, m, n):
+    # The prior is 0.0 where it underflows.
+    v = reference_prior_exact(a, m, n)
+    assert isinstance(v, float)
+    assert math.isfinite(v) and v >= 0.0
+
+
+@sweep
+@given(positive, cells, sizes)
+@example(1e308, 60, 5)
+@example(1e300, 10**12, 30)
+@example(5e-324, 2, 300)
+@example(FLOAT_MAX, 2, 300)
+def test_marginal_pmf_over_its_domain(a, m, n):
+    p = marginal_pmf(a, m, n)
+    assert p.shape == (n + 1,)
+    assert np.isfinite(p).all() and (p >= 0.0).all()
+    assert abs(p.sum() - 1.0) <= 1e-13
+
+
+@sweep
+@given(positive, positive, st.integers(0, 50))
+@example(1.0, 5e-323, 3)
+@example(1e-300, FLOAT_MAX, 3)
+@example(FLOAT_MAX, 5e-324, 3)
+def test_log_rising_ratio_over_its_domain(x, y, k):
+    out = log_rising_ratio(x, y, k)
+    assert out.shape == (k + 1,) and out[0] == 0.0
+    assert np.isfinite(out).all()
+
+
+@sweep
+@given(positive, cells, st.integers(1, 200))
+@example(1e-310, 10, 100)
+@example(5e-324, 10**12, 200)
+@example(1e306, 2, 5)
+def test_expected_loss_over_its_domain(a, m, n):
+    # Its domain is m a <= 1e305, past which log Gamma(m a) overflows.
+    try:
+        v = expected_loss(a, RefDistConfig(m, n))
+    except DomainError:
+        assert m * a > 1e305
+        return
+    assert math.isfinite(v)
+
+
+@sweep
+@given(positive, positive, positive, positive, st.booleans())
+@example(5e-324, 1.0, 5e-324, 1.0, False)
+@example(1e-320, 2.0, 1e-320, 2.0, False)
+@example(1e120, 1e-250, 1e-200, 1e-250, False)
+@example(1e306, 1.0, 1.0, 1.0, False)
+def test_kl_beta_over_its_domain(alpha0, beta0, alpha, beta, same):
+    # Parameters above 1e300 are out of its domain; the value is inf
+    # only where the divergence leaves the float range, and 0.0 where
+    # the two pairs coincide.
+    if same:
+        alpha, beta = alpha0, beta0
+    try:
+        v = kl_beta(alpha0, beta0, alpha, beta)
+    except OverallPriorError:
+        assert max(alpha0, beta0, alpha, beta) > 1e300
+        return
+    assert not math.isnan(v) and v > -math.inf
+    if (alpha0, beta0) == (alpha, beta):
+        assert v == 0.0

@@ -219,6 +219,22 @@ def test_marginal_pmf_extreme_a(a, m, n):
     assert abs(p.sum() - 1.0) <= 1e-15
 
 
+@pytest.mark.parametrize("m,n", [(60, 5), (60, 60), (2, 300), (10**6, 30)])
+def test_marginal_pmf_binomial_limit_at_huge_a(m, n):
+    # Where (m-1)a overflows the row is the a -> inf limit, the
+    # Binomial(n, 1/m) pmf; just below, the beta-binomial row already
+    # equals it to rounding (they differ by O(n/a)).
+    edge = sys.float_info.max / (m - 1)
+    a = [math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), 1e308,
+         sys.float_info.max]
+    ref = scipy.stats.binom.pmf(np.arange(n + 1), n, 1.0 / m)
+    normal = ref > np.finfo(float).tiny
+    rows = marginal_pmf(np.array(a), m, n)
+    for row, v in zip(rows, a):
+        np.testing.assert_array_equal(row, marginal_pmf(v, m, n))
+        np.testing.assert_allclose(row[normal], ref[normal], rtol=1e-12)
+
+
 @given(st.floats(1e-8, 1e8), st.integers(2, 10**6), st.integers(1, 400))
 @settings(max_examples=60, deadline=None)
 def test_marginal_pmf_sums_to_one_with_mean_n_over_m(a, m, n):
@@ -942,6 +958,23 @@ def test_exact_prior_no_overflow_at_sampler_window():
             [True, False])
 
 
+def test_exact_prior_zero_where_its_terms_would_overflow():
+    # Above a = 1.8e308/(3 m^3) the Fisher sum's 3a and m^3 a would
+    # overflow; the prior there is far below the smallest float, so it
+    # is 0.0, with no warning, as mpmath confirms at two of the points.
+    for a, m, n in ((1e308, 60, 60), (1e300, 10**6, 30)):
+        assert reference_prior_exact(a, m, n) == 0.0
+        root = mpmath.sqrt(_fisher_sum_mpmath(a, m, n))
+        assert root < mpmath.mpf("1e-600")
+    for m, n in ((2, 30), (60, 60), (10**12, 30)):
+        edge = sys.float_info.max / (3.0 * m ** 3)
+        a = np.array([1e200, math.nextafter(edge, 0.0), edge,
+                      math.nextafter(edge, math.inf), 1e307,
+                      sys.float_info.max])
+        np.testing.assert_array_equal(reference_prior_exact(a, m, n), 0.0)
+        assert all(reference_prior_exact(float(v), m, n) == 0.0 for v in a)
+
+
 _CACHE_TS = np.linspace(math.log(1e-9), math.log(1e4), 3000)
 
 
@@ -991,12 +1024,82 @@ def test_exact_prior_table_takes_128_fisher_sums(monkeypatch):
 
 
 def test_mode_and_chain_share_one_exact_prior_table(monkeypatch):
+    # The table of (m, n) is kept for the process: drop any that an
+    # earlier test built, so that this one builds it.
+    hier._exact_prior_table.cache_clear()
     values = _count_fisher_sums(monkeypatch)
     t = _synthetic_table()
     posterior_mode_a(t, prior="exact")
     chain = sample_posterior(t, 500, seed=1, prior="exact")
     assert chain.direct_prior_evals == 0
     assert sum(values) == 128
+
+
+def _table_of_shape(m, n, seed):
+    """Dirichlet-multinomial(1/2) counts in m cells summing to n, drawn
+    with ``seed``: the posterior of a lies inside the prior table."""
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(n, rng.dirichlet(np.full(m, 0.5)))
+    return CountTable.from_dense(counts.tolist())
+
+
+def test_count_tables_of_one_shape_share_one_exact_prior_table(monkeypatch):
+    # The exact prior depends on (m, n) only, so a second table of that
+    # shape with other counts takes no Fisher sum; another shape builds
+    # its own table.
+    hier._exact_prior_table.cache_clear()
+    values = _count_fisher_sums(monkeypatch)
+    first, second = _table_of_shape(60, 60, 1), _table_of_shape(60, 60, 2)
+    assert first.counts != second.counts
+    posterior_mode_a(first, prior="exact")
+    chain = sample_posterior(second, 500, seed=1, prior="exact")
+    posterior_mode_a(second, prior="exact")
+    assert chain.direct_prior_evals == 0
+    assert sum(values) == 128
+    posterior_mode_a(_table_of_shape(40, 60, 3), prior="exact")
+    assert sum(values) == 256
+    assert hier._exact_prior_table.cache_info().currsize == 2
+
+
+def test_shared_table_keeps_each_chains_direct_prior_evals():
+    # Two chains on two tables of one shape read one table; each counts
+    # only its own lookups outside it.
+    hier._exact_prior_table.cache_clear()
+    first = CountTable(m=10**10, counts={0: 1, 1: 1})
+    second = CountTable(m=10**10, counts={5: 1, 9: 1})
+    one = sample_posterior(first, 2000, seed=4).direct_prior_evals
+    two = sample_posterior(second, 2000, seed=5).direct_prior_evals
+    assert hier._exact_prior_table.cache_info().misses == 1
+    assert 0 < one != two > 0
+    assert sample_posterior(second, 2000, seed=5).direct_prior_evals == two
+
+
+@pytest.mark.parametrize("method", ["mh", "slice"])
+def test_chain_on_shared_table_equals_one_on_fresh_table(monkeypatch, method):
+    t = _synthetic_table()
+    shared = sample_posterior(t, 1500, seed=3, method=method)
+    mode = posterior_mode_a(t, prior="exact")
+    monkeypatch.setattr(hier, "_exact_prior_table", _ExactPriorCache)
+    fresh = sample_posterior(t, 1500, seed=3, method=method)
+    assert np.array_equal(shared.a_samples, fresh.a_samples)
+    assert shared.direct_prior_evals == fresh.direct_prior_evals
+    assert posterior_mode_a(t, prior="exact") == mode
+
+
+def test_exact_prior_tables_are_bounded():
+    # At most 16 tables of 96 kB are kept, the least recently used
+    # dropped first; no table keeps its build's Vandermonde matrices.
+    hier._exact_prior_table.cache_clear()
+    for n in range(2, 20):
+        hier._exact_prior_table(10, n)
+    info = hier._exact_prior_table.cache_info()
+    assert info.maxsize == hier._EXACT_PRIOR_TABLES == 16
+    assert info.currsize == 16
+    table = hier._exact_prior_table(10, 19)
+    assert hier._exact_prior_table.cache_info().hits == 1
+    assert vars(table).keys() == {"m", "n", "lo", "hi", "_coef", "_t0",
+                                  "_h", "_last"}
+    assert len(table._coef) * table._coef.itemsize == 4 * 2999 * 8
 
 
 def _log_prior_mpmath(a, m, n):
@@ -1247,7 +1350,7 @@ def test_bound_kernel_matches_public_functions(name, prior):
     # outside its window, and to the table's accuracy inside it.
     t = _KERNEL_TABLES[name]()
     log_lik = hier._likelihood_kernel(t)
-    table = t._exact_prior
+    table = hier._exact_prior_table(t.m, t.n)
     log_prior = (table.reader()[0] if prior == "exact"
                  else hier._approx_log_prior(t.m, t.n))
     for a in _KERNEL_A:

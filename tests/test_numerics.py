@@ -105,11 +105,38 @@ def test_log_rising_ratio_ratio_term_of_minus_one(x, y):
                                rtol=1e-13, atol=1e-14)
 
 
+def _log_rising_ratio_mpmath(x, y, k):
+    with mpmath.workdps(40):
+        terms = [mpmath.log(x + mpmath.mpf(i)) - mpmath.log(y + mpmath.mpf(i))
+                 for i in range(k)]
+        return np.array([0.0] + [float(v) for v in np.cumsum(terms)])
+
+
+@pytest.mark.parametrize("x,y", [(1.0, 5e-323), (1.0, 5e-324), (3.0, 1e-310),
+                                 (1e300, 1e-10), (5e-324, 1.0),
+                                 (5e-324, 1e300), (1e-300, 1.7e308)])
+def test_log_rising_ratio_ratio_out_of_float_range(x, y):
+    # x/y past 2^1000 (overflow of x/y - 1 at a subnormal y), or a ratio
+    # (x + i)/(y + i) below the normal range: those entries are
+    # log(x + i) - log(y + i), finite and with no RuntimeWarning.
+    k = 5
+    got = log_rising_ratio(x, y, k)
+    np.testing.assert_allclose(got, _log_rising_ratio_mpmath(x, y, k),
+                               rtol=1e-14, atol=0.0)
+    if (x, y) == (1.0, 5e-323):
+        assert round(got[1], 2) == 742.14
+
+
 def test_log_rising_ratio_domain():
     with pytest.raises(DomainError):
         log_rising_ratio(0.0, 1.0, 3)
     with pytest.raises(DomainError):
         log_rising_ratio(1.0, -1.0, 3)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            log_rising_ratio(bad, 1.0, 3)
+        with pytest.raises(DomainError):
+            log_rising_ratio(1.0, bad, 3)
 
 
 def test_digamma_array_matches_scalar_and_scipy():
@@ -237,6 +264,55 @@ def test_kl_beta_zero_iff_same(a, b):
 def test_kl_beta_rejects_nonpositive_parameters():
     with pytest.raises(DomainError):
         kl_beta(0.0, 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("bad", [1.01e300, math.inf, math.nan])
+def test_kl_beta_rejects_parameters_past_its_range(bad):
+    for k in range(4):
+        args = [1.0] * 4
+        args[k] = bad
+        with pytest.raises(DomainError):
+            kl_beta(*args)
+    assert math.isfinite(kl_beta(1e300, 1e300, 1e300, 1.0))
+
+
+@pytest.mark.parametrize("a,b", [(5e-324, 1.0), (1e-320, 2.0),
+                                 (5e-324, 5e-324), (1e-310, 1e300)])
+def test_kl_beta_zero_at_equal_subnormal_pairs(a, b):
+    # psi(a) is -inf below about 5.6e-309; the divergence of a pair from
+    # itself is still exactly 0.
+    assert kl_beta(a, b, a, b) == 0.0
+
+
+def _kl_beta_mpmath(a0, b0, a, b):
+    """The divergence in 150-digit mpmath, enough for the cancellation
+    of its 1/a parts at the parameters of the tests."""
+    with mpmath.workdps(150):
+        a0, b0, a, b = (mpmath.mpf(v) for v in (a0, b0, a, b))
+        lb = mpmath.loggamma
+        return (lb(a0) + lb(b0) - lb(a0 + b0) - lb(a) - lb(b)
+                + lb(a + b) + (a - a0) * mpmath.digamma(a)
+                + (b - b0) * mpmath.digamma(b)
+                + (a0 + b0 - a - b) * mpmath.digamma(a + b))
+
+
+@pytest.mark.parametrize("args", [
+    (1e-310, 1.0, 2e-310, 1.0), (2e-310, 1.0, 1e-310, 1.0),
+    (1e-320, 3.0, 4e-320, 0.5), (1e120, 1e-250, 1e-200, 1e-250),
+    (1e-300, 1e-305, 1e-308, 1e-322), (2.0, 1e-323, 1.0, 5e-324)],
+    ids=str)
+def test_kl_beta_tiny_parameters_mpmath(args):
+    # Where psi(x) ~ -1/x or (x0 - x) psi(x) overflows, the 1/x parts of
+    # the three gamma divergences are gathered into one finite term.
+    assert kl_beta(*args) == pytest.approx(float(_kl_beta_mpmath(*args)),
+                                           rel=1e-12)
+
+
+def test_kl_beta_inf_only_past_the_float_range():
+    # Be(1, 5e-324) puts almost all its mass at 1, where the Be(5e-324,
+    # 1) density is near 0: the divergence is about 2e323.
+    assert _kl_beta_mpmath(5e-324, 1.0, 1.0, 5e-324) > mpmath.mpf("1e323")
+    assert kl_beta(5e-324, 1.0, 1.0, 5e-324) == math.inf
 
 
 # ------------------------------------------------------------- root finder

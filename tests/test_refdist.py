@@ -88,11 +88,9 @@ def test_expected_loss_matches_scalar_reference(a, mn):
         _scalar_expected_loss(a, m, n), rel=1e-12)
 
 
-@pytest.mark.parametrize("a", [1e-6, 0.008, 10.0, 1e-300, 1e300])
-def test_expected_loss_mpmath_large_n(a):
-    # a = 1e-300 and 1e300 give log_rising_ratio a ratio term that is
-    # exactly -1 in log1p form: no divide-by-zero warning there.
-    m, n = 100, 1000
+def _expected_loss_mpmath(a, m, n):
+    """The sum over x of the divergence times the reference predictive,
+    in 30-digit mpmath."""
     lg, dg = mpmath.loggamma, mpmath.digamma
     with mpmath.workdps(30):
         am = mpmath.mpf(a)
@@ -106,9 +104,37 @@ def test_expected_loss_mpmath_large_n(a):
             weight = mpmath.exp(lg(al) + lg(be) - lg(x + 1)
                                 - lg(n - x + 1)) / mpmath.pi
             ref += kl * weight
-        ref = float(ref)
-    assert expected_loss(a, RefDistConfig(m, n)) == pytest.approx(ref,
-                                                                  rel=1e-12)
+    return float(ref)
+
+
+@pytest.mark.parametrize("a", [1e-6, 0.008, 10.0, 1e-300, 1e300])
+def test_expected_loss_mpmath_large_n(a):
+    # a = 1e-300 and 1e300 give log_rising_ratio a ratio term that is
+    # exactly -1 in log1p form: no divide-by-zero warning there.
+    m, n = 100, 1000
+    assert expected_loss(a, RefDistConfig(m, n)) == pytest.approx(
+        _expected_loss_mpmath(a, m, n), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", [1e-308, 1e-310, 1e-320, 5e-324])
+def test_expected_loss_mpmath_subnormal_a(a):
+    # In log_rising_ratio(1, m a, n), x/y - 1 overflows at a subnormal
+    # m a; its first term is log 1 - log(m a) there, so the loss is
+    # finite, with no RuntimeWarning.  (At 1e-308 it was finite before.)
+    m, n = 10, 100
+    assert expected_loss(a, RefDistConfig(m, n)) == pytest.approx(
+        _expected_loss_mpmath(a, m, n), rel=1e-12)
+
+
+def test_expected_loss_domain_ends_where_log_gamma_overflows():
+    # log Gamma(m a) leaves the float range above m a = 2.5e305.
+    cfg = RefDistConfig(10, 100)
+    assert math.isfinite(expected_loss(1e304, cfg))
+    for a in (1.1e304, 1e308, math.inf, math.nan, 0.0):
+        with pytest.raises(DomainError):
+            expected_loss(a, cfg)
+    with pytest.raises(DomainError):
+        loss_curve(cfg, [1.0, 1e305])
 
 
 @pytest.mark.parametrize("n", [1, 17, 1000])
