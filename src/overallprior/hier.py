@@ -22,8 +22,7 @@ import numpy as np
 
 from .exceptions import (AccuracyError, BoundaryModeError, DomainError,
                          PreconditionError)
-from .numerics import (_FLOAT_MAX, _TINY_FLOAT, _check_seed, _find_root,
-                       log_gamma)
+from .numerics import _FLOAT_MAX, _check_seed, _find_root, log_gamma
 
 __all__ = [
     "CountTable",
@@ -437,29 +436,18 @@ def reference_prior_exact(a, m: int, n: int):
 def reference_prior_approx(a, m: int, n: int):
     """Proper closed-form approximation to the exact hyperprior:
     (1/2)(n/m) a^{-1/2} (a + n/m)^{-3/2}, i.e. a/(a + n/m) ~ Be(1/2, 1).
-    Integrates to 1 exactly.  Elementwise for an array of a.  Where
-    sqrt(a) (a + n/m)^1.5 overflows, above a of about 1.3e154, the value
-    is formed as (n/m)/(2(a + n/m)) / (sqrt(a) sqrt(a + n/m)), so it is
-    0.0 only where it underflows."""
-    array = _is_array(a)
+    Integrates to 1 exactly.  Elementwise for an array of a.  Formed as
+    (n/m)/(2(a + n/m)) / (sqrt(a) sqrt(a + n/m)) at every a, which
+    overflows nowhere and is 0.0 only where the prior underflows; the
+    square roots are correctly rounded, so a float and an array entry
+    give the same float."""
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and n >= 1")
     c = n / m
-    if array:
-        with np.errstate(over="ignore"):
-            v = 0.5 * c / (np.sqrt(a) * (a + c) ** 1.5)
-        return np.where(v > 0.0, v, _approx_prior_far(a, c, np.sqrt))
-    a = float(a)
-    try:
-        v = 0.5 * c / (math.sqrt(a) * (a + c) ** 1.5)
-    except OverflowError:  # (a + c)^1.5 past the float range
-        v = 0.0
-    return v if v > 0.0 else _approx_prior_far(a, c, math.sqrt)
-
-
-def _approx_prior_far(a, c: float, sqrt):
-    """The approximate prior at a where sqrt(a) (a + c)^1.5 overflows,
-    c = n/m; ``sqrt`` is math.sqrt for a float, np.sqrt for an array."""
+    if _is_array(a):
+        sqrt = np.sqrt
+    else:
+        a, sqrt = float(a), math.sqrt
     return 0.5 * c / (a + c) / (sqrt(a) * sqrt(a + c))
 
 
@@ -468,21 +456,11 @@ def _check_prior(prior: str) -> None:
         raise DomainError(f"unknown prior {prior!r}; use 'exact' or 'approx'")
 
 
-def _approx_log_prior_far(a, c: float, log):
-    """The log of the approximate prior, log(c/2) - log(a)/2
-    - 1.5 log(a + c) with c = n/m, where its direct form is not a
-    positive normal float, so that the log stays finite and keeps its
-    digits out to a = 1.8e308; ``log`` is math.log for a float, np.log
-    for an array."""
-    return log(0.5 * c) - 0.5 * log(a) - 1.5 * log(a + c)
-
-
 def _log_prior(a, m: int, n: int, prior: str):
     """The log of hyperprior ``prior`` at a.  The exact prior's is -inf
-    where the prior underflows.  The approximate prior's is the log of
-    its direct form where that is a positive normal float, for a below
-    about min(4.7e153 sqrt(n/m), 1.3e154), and
-    ``_approx_log_prior_far`` above."""
+    where the prior underflows.  The approximate prior's is
+    log(n/(2m)) - log(a)/2 - 1.5 log(a + n/m) at every a, finite out to
+    a = 1.8e308, in the order of operations of ``_approx_log_prior``."""
     _check_prior(prior)
     if prior == "approx":
         if m < 2 or n < 1:
@@ -490,13 +468,7 @@ def _log_prior(a, m: int, n: int, prior: str):
         if not _is_array(a):
             return _approx_log_prior(m, n)(float(a))
         a, c = np.asarray(a, dtype=float), n / m
-        with np.errstate(over="ignore", divide="ignore"):
-            v = 0.5 * c / (np.sqrt(a) * (a + c) ** 1.5)
-            out = np.log(v)
-        far = ~(v >= _TINY_FLOAT)
-        if far.any():
-            out = np.where(far, _approx_log_prior_far(a, c, np.log), out)
-        return out
+        return math.log(0.5 * c) - 0.5 * np.log(a) - 1.5 * np.log(a + c)
     v = reference_prior_exact(a, m, n)
     if isinstance(v, np.ndarray):
         with np.errstate(divide="ignore"):
@@ -506,18 +478,12 @@ def _log_prior(a, m: int, n: int, prior: str):
 
 def _approx_log_prior(m: int, n: int):
     """``_log_prior(a, m, n, "approx")`` at one float a > 0, bound once
-    with 0.5 n/m precomputed and no validation."""
+    with log(n/(2m)) precomputed and no validation."""
     c = n / m
-    half_c, sqrt, log, tiny = 0.5 * c, math.sqrt, math.log, _TINY_FLOAT
+    log_half_c, log = math.log(0.5 * c), math.log
 
     def log_prior(a: float) -> float:
-        try:
-            v = half_c / (sqrt(a) * (a + c) ** 1.5)
-        except OverflowError:  # (a + c)^1.5 past the float range
-            return _approx_log_prior_far(a, c, log)
-        if v >= tiny:
-            return log(v)
-        return _approx_log_prior_far(a, c, log)
+        return log_half_c - 0.5 * log(a) - 1.5 * log(a + c)
     return log_prior
 
 

@@ -125,12 +125,17 @@ def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0 (``math.lgamma``).
 
     Error below 1e-14 on [1e-8, 1e12]: relative, or absolute where
-    |log Gamma(x)| < 1 (near the zeros at x = 1 and x = 2).
+    |log Gamma(x)| < 1 (near the zeros at x = 1 and x = 2).  Above
+    x = 2.56e305 log Gamma(x) leaves the float range: ``DomainError``.
     """
-    x = float(x)
-    if not (x > 0.0):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
+    try:
+        x = float(x)
+        if x > 0.0:
+            return math.lgamma(x)
+    except OverflowError:
+        raise DomainError("log Gamma(x) leaves the float range above "
+                          "x = 2.56e305") from None
+    raise DomainError(f"log_gamma requires x > 0, got {x}")
 
 
 def log_rising_ratio(x: float, y: float, k: int) -> np.ndarray:

@@ -16,8 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import DegenerateDataError, DomainError
-from .numerics import (Grid1D, OptimResult, _check_seed, _find_root,
-                       _gamma_kl, digamma, log_gamma, log_rising_ratio)
+from .numerics import (_FLOAT_MAX, Grid1D, OptimResult, _check_seed,
+                       _find_root, _gamma_kl, digamma, log_gamma,
+                       log_rising_ratio)
 
 __all__ = [
     "RefDistConfig",
@@ -233,18 +234,24 @@ def d_sigma(a: float, n: int) -> float:
     delta = (a-1)/2; zero at a = 1.  Its terms cancel to order
     delta^2/n, so against mpmath its relative error for a in [0.3, 10]
     grows from 2e-13 at n = 10 to 1.3e-10 at n = 100 and 1.3e-8 at 1000.
+    Its second argument is formed as (n - 2 + a)/2, exactly a/2 at n = 2,
+    so it keeps its digits at tiny a.  It raises ``DomainError`` where
+    log Gamma((n - 2 + a)/2) leaves the float range, for a above about
+    5.1e305 - n, at n = 2 for a = 5e-324, whose half rounds to 0.0, and
+    for an n past the float range.
     """
-    if n < 2 or not (a > 0.0):
-        raise DomainError(f"need n >= 2 and a > 0, got n={n}, a={a}")
-    y = (n - 1) / 2.0
-    return _gamma_kl(y, y + (a - 1.0) / 2.0)
+    if not (2 <= n <= _FLOAT_MAX and a > 0.0):
+        raise DomainError(f"need 2 <= n <= 1.8e308 and a > 0, got n={n}, "
+                          f"a={a}")
+    return _gamma_kl((n - 1) / 2.0, (n - 2 + a) / 2.0)
 
 
 def d_mu(a: float, n: int) -> float:
     """Expected logarithmic risk for the location parameter under the
     prior sigma^{-a}: d_sigma(a, n) - d_sigma(a, n + 1).  Parameter-free,
     concave in a, zero at a = 1.  It cancels to order (a-1)^2/n^2: its
-    relative error reaches 1.5e-8 at n = 100 and 6e-6 at n = 1000.
+    relative error reaches 1.5e-8 at n = 100 and 6e-6 at n = 1000.  It
+    raises ``DomainError`` for a above about 5.1e305 - n, as d_sigma.
     """
     return d_sigma(a, n) - d_sigma(a, n + 1)
 

@@ -7,19 +7,25 @@ exception or a RuntimeWarning, which this suite turns into errors.
 Positive reals are drawn as 2^e with e over [-1074, 1024), that is
 from 5e-324 to 1.8e308, subnormals included, and m as e^t up to 1e12.
 The draws are derandomized, so the sweep is the same on every run.
+The sweep checks that values are finite, not that they are accurate:
+``d_mu`` cancels at large n, e.g. ``d_mu(2.0, 10**15)`` is 2.0, and
+the accuracy tests sit with each module's other tests.
 """
 
 import math
 import sys
+import warnings
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overallprior.exceptions import DomainError, OverallPriorError
-from overallprior.hier import marginal_pmf, reference_prior_exact
-from overallprior.numerics import kl_beta, log_rising_ratio
-from overallprior.refdist import RefDistConfig, expected_loss
+from overallprior.hier import (CountTable, marginal_pmf,
+                               posterior_log_density_a,
+                               reference_prior_approx, reference_prior_exact)
+from overallprior.numerics import kl_beta, log_gamma, log_rising_ratio
+from overallprior.refdist import RefDistConfig, d_mu, d_sigma, expected_loss
 
 FLOAT_MAX = sys.float_info.max
 
@@ -103,3 +109,72 @@ def test_kl_beta_over_its_domain(alpha0, beta0, alpha, beta, same):
     assert not math.isnan(v) and v > -math.inf
     if (alpha0, beta0) == (alpha, beta):
         assert v == 0.0
+
+
+@sweep
+@given(positive, cells, sizes)
+@example(5e-324, 2, 1)
+@example(1.3e154, 60, 60)
+@example(1e160, 2, 10**6)
+@example(FLOAT_MAX, 10**12, 300)
+def test_reference_prior_approx_over_its_domain(a, m, n):
+    # One closed form at every a: 0.0 only where it underflows, and the
+    # same float for a float as for an array entry.
+    v = reference_prior_approx(a, m, n)
+    assert isinstance(v, float)
+    assert math.isfinite(v) and v >= 0.0
+    assert reference_prior_approx(np.array([a]), m, n)[0] == v
+
+
+@sweep
+@given(positive, cells, st.lists(st.integers(1, 60), min_size=1,
+                                 max_size=20))
+@example(5e-324, 2, [1])
+@example(1e160, 10**12, [60, 1, 1])
+@example(FLOAT_MAX, 2, [300])
+def test_posterior_log_density_approx_over_its_domain(a, m, counts):
+    t = CountTable(m=max(m, len(counts)), counts=dict(enumerate(counts)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = posterior_log_density_a(a, t, "approx")
+        row = posterior_log_density_a(np.array([a]), t, "approx")
+    assert isinstance(v, float) and math.isfinite(v)
+    assert np.isfinite(row).all()
+
+
+@sweep
+@given(positive)
+@example(5e-324)
+@example(2.5e305)
+@example(2.56e305)
+@example(1e306)
+@example(FLOAT_MAX)
+@example(10**400)
+def test_log_gamma_over_its_domain(x):
+    # log Gamma(x) leaves the float range above x = 2.56e305, and an int
+    # past the float range has no float: a DomainError for both.
+    try:
+        v = log_gamma(x)
+    except DomainError:
+        assert x > 2.5e305
+        return
+    assert math.isfinite(v)
+
+
+@sweep
+@given(positive, st.integers(2, 10**12))
+@example(5e-324, 2)
+@example(1e-17, 2)
+@example(1e306, 10)
+@example(2.0, 10**15)
+@example(2.0, 10**400)
+def test_normal_risks_over_their_domain(a, n):
+    # A DomainError only where log Gamma((n - 2 + a)/2) leaves the float
+    # range, or where a/2 underflows to 0.0 at n = 2.
+    for fn in (d_sigma, d_mu):
+        try:
+            v = fn(a, n)
+        except DomainError:
+            assert n > 5e305 - a or (n == 2 and a / 2 == 0.0)
+            continue
+        assert math.isfinite(v)

@@ -398,15 +398,14 @@ def _approx_log_density_mpmath(t, a):
 @pytest.mark.parametrize("a", [1e100, 1e154, 1.5e154, 1e160, 1e170, 1e200,
                                1e250, 1e300, 1.7e308])
 def test_approx_prior_far_tail(a):
-    # Past a of about 1.3e154, sqrt(a) (a + n/m)^1.5 overflows: the prior
-    # is still a float there, 0.0 only where it underflows, with no
-    # OverflowError or RuntimeWarning, for a float and an array.  Where
-    # that product is finite, the value is that of the direct form.
-    # The log of the prior is the log form wherever the direct form is
-    # not a positive normal float (a >= 1e154 here), also where the prior
-    # is 0.0 (a >= 1e170): the log density is within 1e-13 of 50-digit
-    # mpmath at every a, the same float for a float, an array and the
-    # samplers' bound kernel.
+    # The prior is formed as (n/m)/(2(a + n/m)) / (sqrt(a) sqrt(a + n/m))
+    # at every a, so past a of about 1.3e154, where sqrt(a) (a + n/m)^1.5
+    # would overflow, it is still a float, 0.0 only where it underflows,
+    # with no OverflowError or RuntimeWarning, for a float and an array.
+    # The log of the prior is log(n/(2m)) - log(a)/2 - 1.5 log(a + n/m)
+    # at every a, also where the prior is 0.0 (a >= 1e170): the log
+    # density is within 1e-13 of 50-digit mpmath at every a, the same
+    # float for a float, an array and the samplers' bound kernel.
     for m, n in ((2, 10 ** 6), (60, 60)):
         c = n / m
         with mpmath.workdps(50):
@@ -415,8 +414,7 @@ def test_approx_prior_far_tail(a):
         got = reference_prior_approx(a, m, n)
         assert got == pytest.approx(want, rel=1e-14, abs=1e-323)
         assert reference_prior_approx(np.array([a]), m, n)[0] == got
-        if a < 1e154:
-            assert got == 0.5 * c / (math.sqrt(a) * (a + c) ** 1.5)
+        assert got == 0.5 * c / (a + c) / (math.sqrt(a) * math.sqrt(a + c))
     t = _synthetic_table()
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -84,6 +84,27 @@ def test_exact_prior_table_loads_no_numpy_polynomial(loaded_modules):
     assert not [m for m in loaded if m.startswith("numpy.polynomial")]
 
 
+def test_solver_paths_load_no_numpy_random(tmp_path, loaded_modules):
+    # numpy.random costs about 14 ms of CPU to import.  No random number
+    # is drawn by the refdist and catalogue commands, nor by reading a
+    # count table and finding its modes (what the hier command does
+    # before its chain), so none of them may load it.
+    code = ("from overallprior.cli import main\n"
+            "assert main(['refdist', '--m', '3', '--n', '5', '--out', "
+            f"{str(tmp_path / 'rd')!r}]) == 0\n"
+            "assert main(['catalogue', 'bivariate-binomial', '0.5', "
+            "'0.5']) == 0\n"
+            "from overallprior.hier import (CountTable, likelihood_mode_a, "
+            "posterior_mode_a)\n"
+            "t = CountTable.from_sparse_text('60 5\\n0 3\\n7 2\\n')\n"
+            "[posterior_mode_a(t, prior=p) for p in ('exact', 'approx')]\n"
+            "likelihood_mode_a(t)")
+    loaded = loaded_modules(code)
+    assert {"overallprior.refdist", "overallprior.catalogue",
+            "overallprior.hier"} <= loaded
+    assert not [m for m in loaded if m.startswith("numpy.random")]
+
+
 def _package_modules(loaded):
     return {m for m in loaded if m.startswith("overallprior.")}
 

@@ -326,6 +326,38 @@ def test_d_mu_mpmath_large_n(a):
                                           abs=0.0)
 
 
+def _d_sigma_mpmath(a, n):
+    """d_sigma at 60 digits, its second gamma argument formed as
+    (a + (n - 2))/2 so that it keeps a tiny a."""
+    lg, dg = mpmath.loggamma, mpmath.digamma
+    with mpmath.workdps(60):
+        a, y = mpmath.mpf(a), mpmath.mpf(n - 1) / 2
+        return lg((a + (n - 2)) / 2) - lg(y) - (a - 1) / 2 * dg(y)
+
+
+@pytest.mark.parametrize("a", [1e-300, 1e-100, 1e-17, 1e-16, 1e-12, 1e-8,
+                               0.01, 3.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_normal_risks_mpmath_tiny_a(a, n):
+    # At n = 2 the second gamma argument is a/2: as (n - 1)/2 + (a - 1)/2
+    # it would round to 0.0 below a = 1.1e-16 and lose digits above.
+    sigma = _d_sigma_mpmath(a, n)
+    with mpmath.workdps(60):
+        mu = sigma - _d_sigma_mpmath(a, n + 1)
+    assert d_sigma(a, n) == pytest.approx(float(sigma), rel=1e-13, abs=0.0)
+    assert d_mu(a, n) == pytest.approx(float(mu), rel=1e-13, abs=0.0)
+
+
+def test_normal_risks_domain_ends_where_log_gamma_overflows():
+    # log Gamma((n - 2 + a)/2) leaves the float range for a above about
+    # 5.1e305 - n.
+    assert math.isfinite(d_sigma(5e305, 10))
+    assert math.isfinite(d_mu(5e305, 10))
+    for fn in (d_sigma, d_mu):
+        with pytest.raises(DomainError):
+            fn(1e306, 10)
+
+
 def test_normal_risk_domain():
     with pytest.raises(DomainError):
         d_mu(1.0, 1)
