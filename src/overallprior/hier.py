@@ -292,27 +292,22 @@ def marginal_pmf(a, m: int, n: int) -> np.ndarray:
     The row follows the ratio recurrence
     p_{x+1}/p_x = (n-x)(a+x) / ((x+1)((m-1)a+n-1-x)): one cumulative
     sum of the logs of its factors, shifted by its maximum, exponentiated
-    and divided by its sum.  Each factor is logged on its own, since
-    their quotient overflows at subnormal a.  Against 50-digit mpmath
-    the relative error of the entries above the subnormal range is
-    5e-14 at (m, n, a) = (2, 300, 189), 3.3e-13 at (2000, 500, 0.3) and
-    7e-14 at (60, 60, 4520); it grows with n, as the sum of n logs does.
-    Where (m-1)a overflows, the row is its a -> inf limit, the
-    Binomial(n, 1/m) pmf, whose ratio factor (a+x)/((m-1)a+n-1-x) is
-    1/(m-1); the two differ there by O(n/a), below 1e-300.
+    and divided by its sum.  A factor's log is formed as
+    log(a+x) - log(a+(n-1-x)/(m-1)) - log(m-1), which overflows at no a
+    (inf counts as the largest float); where a + n rounds to a, it is
+    -log(m-1), so the row is the a -> inf limit, Binomial(n, 1/m).
+    Against 50-digit mpmath the relative error of the entries above the
+    subnormal range is 5.1e-14 at (m, n, a) = (2, 300, 189), 3.8e-13 at
+    (2000, 500, 0.3) and 4.6e-14 at (60, 60, 4520); it grows with n, as
+    the sum of n logs does.
     """
     _is_array(a)
     if m < 2:
         raise DomainError("need m >= 2")
-    col = np.asarray(a, dtype=float)[..., None]
-    far = col > _FLOAT_MAX / (m - 1)
-    limit = far.any()
-    if limit:
-        col = np.where(far, 1.0, col)
+    col = np.minimum(np.asarray(a, dtype=float), _FLOAT_MAX)[..., None]
     x = np.arange(n, dtype=float)
-    log_ratio = np.log(col + x) - np.log((m - 1) * col + (n - 1 - x))
-    if limit:
-        log_ratio = np.where(far, -math.log(m - 1), log_ratio)
+    log_ratio = (np.log(col + x) - np.log(col + (n - 1 - x) / (m - 1))
+                 - math.log(m - 1))
     log_p = np.zeros(col.shape[:-1] + (n + 1,))
     np.cumsum(log_ratio + np.log((n - x) / (x + 1)), axis=-1,
               out=log_p[..., 1:])
@@ -328,7 +323,7 @@ def _fisher_sum(a: np.ndarray, m: int, n: int) -> np.ndarray:
     The sum runs over j = 0..n-1 of Q_j/(a+j)^2 - m/(ma+j)^2, with Q_j
     the right tail of the pmf above j.  Term by term it cancels at large
     a, and in moments at small a, so each a takes one of two forms:
-    ``_fisher_moment`` where a >= 1 and m a >= n, or where a sqrt(m) >= n
+    ``_fisher_moment`` where a >= 1 and a >= n/m, or where a >= n/sqrt(m)
     (which m >> n^2 reaches at a << 1), and ``_fisher_small`` elsewhere.
     Swept against mpmath, that rule keeps the sum within a small multiple
     of the better form's error at every a (see ``reference_prior_exact``).
@@ -339,7 +334,7 @@ def _fisher_sum(a: np.ndarray, m: int, n: int) -> np.ndarray:
         p = marginal_pmf(v, m, n)
         # Q[j] = sum_{l > j} p_l for j = 1..n-1
         q = np.cumsum(p[:, ::-1], axis=-1)[:, ::-1][:, 2:]
-        moment = (v * math.sqrt(m) >= n) | ((v >= 1.0) & (m * v >= n))
+        moment = (v >= n / math.sqrt(m)) | ((v >= 1.0) & (v >= n / m))
         out = np.empty(v.shape)
         for form, mask in ((_fisher_moment, moment), (_fisher_small, ~moment)):
             if mask.any():  # an empty call costs as much as a full one
@@ -381,20 +376,21 @@ def _fisher_moment(a: np.ndarray, q: np.ndarray, m: int, n: int):
         [-n(n-1)(m-1)/(m^2 (ma+1)) + sum_j Q_j g(j)
          - (1/m) sum_j g(j/m)] / a^3,
 
-    where g(0) = 0 drops the j = 0 terms.  g is formed as u^2 (3a+2y)
-    with u = y/(a+y), so no step overflows for a up to 1e300/m."""
+    where g(0) = 0 drops the j = 0 terms.  Each term is taken over a
+    once more, g(y)/a = u^2 (3 + 2y/a) with u = y/(a+y), and the bracket
+    over a^2, so no step overflows at any a."""
     mf = float(m)
     col = a[..., None]
 
-    def g(y):
+    def g_over_a(y):
         u = y / (col + y)
-        return u * u * (3.0 * col + 2.0 * y)
+        return u * u * (3.0 + 2.0 * y / col)
 
     j = np.arange(1, n, dtype=float)
-    first = n * (n - 1) * (mf - 1.0) / (mf * mf * (mf * a + 1.0))
-    bracket = (np.sum(q * g(j), axis=-1) - np.sum(g(j / mf), axis=-1) / mf
-               - first)
-    return bracket / a / a / a
+    first = n * (n - 1) * ((mf - 1.0) / mf) / mf / mf / (a + 1.0 / mf) / a
+    bracket = (np.sum(q * g_over_a(j), axis=-1)
+               - np.sum(g_over_a(j / mf), axis=-1) / mf - first)
+    return bracket / a / a
 
 
 def reference_prior_exact(a, m: int, n: int):
@@ -405,16 +401,14 @@ def reference_prior_exact(a, m: int, n: int):
     a^-2 at infinity, hence proper.  The Fisher sum takes the one of its
     two forms that keeps its digits at each a (``_fisher_sum``).
     Against mpmath over a in [1e-300, 1e8] its relative error is below
-    2e-14 on (m, n) = (60, 60), (1000, 30) and (10, 2), and below 1e-12
-    on (2, 300) and (20, 1000); there the pmf row sets it.  At m = 1e12
-    it reaches 5e-9 near the switch between the forms, where both
-    cancel.  The prior's error is half the sum's.  The sum is
+    2e-14 on (m, n) = (60, 60), (1000, 30) and (10, 2) (1.3e-14 the
+    most found), and below 1e-12 on (2, 300) and (20, 1000) (4e-13),
+    where the pmf row sets it.  At m = 1e12 it reaches
+    2.6e-9 near the switch between the forms, where both cancel.  The
+    prior's error is half the sum's.  The sum is
     positive for n >= 2; where it underflows (a beyond about 1e75, the
-    prior below 1e-160) the prior is 0.  It is 0 without evaluation
-    above a = 1.8e308/(3 m^3), where the moment form's 3a and m^3 a
-    would overflow and the prior, of order (n/m)/a^2, is far below the
-    smallest float for m up to 1e12.  A negative sum is a defect and
-    raises ``AccuracyError``.
+    prior below 1e-160) the prior is 0.0.  A negative sum is a defect
+    and raises ``AccuracyError``.
     """
     array = _is_array(a)
     if m < 2 or n < 1:
@@ -422,14 +416,13 @@ def reference_prior_exact(a, m: int, n: int):
     flat = np.ravel(np.asarray(a, dtype=float))
     out = np.zeros(flat.shape)
     tiny = flat <= _TINY_A
-    mid = ~tiny & (flat <= _FLOAT_MAX / (3.0 * m ** 3))
     if tiny.any():
         # Every j >= 1 term of the Fisher sum is below 1e-290 of the j = 0
         # term, (m-1)/m sum_i 1/(ma+i) / a = (m-1)/m H_{n-1} / a, which
         # overflows at subnormal a: take the two square roots separately.
         harmonic = np.sum(1.0 / np.arange(1.0, n))
         out[tiny] = np.sqrt((m - 1) / m * harmonic) / np.sqrt(flat[tiny])
-    out[mid] = np.sqrt(_fisher_sum(flat[mid], m, n))
+    out[~tiny] = np.sqrt(_fisher_sum(flat[~tiny], m, n))
     return out.reshape(a.shape) if array else float(out[0])
 
 

@@ -74,7 +74,6 @@ _SHIFT = 9.0  # asymptotic series cutoff; below this, recur upward
 # keeps fewer than 53 bits, and its log loses digits) and the largest.
 _TINY_FLOAT = sys.float_info.min
 _FLOAT_MAX = sys.float_info.max
-_LOG_FLOAT_MAX = math.log(_FLOAT_MAX)
 
 # Above this x/y, ``log_rising_ratio`` takes log x - log y in place of
 # log1p(x/y - 1), whose argument could overflow.
@@ -313,11 +312,19 @@ def _kl_beta_split(a0: float, b0: float, a: float, b: float) -> float:
         if _TINY_FLOAT <= v <= _FLOAT_MAX:
             return v
         e = math.log(x0) - math.log(x) + math.log(y) - math.log(s)
-        return math.exp(e) if e < _LOG_FLOAT_MAX else math.inf
+        return _exp(e)
 
     s = a + b
     return (regular(a, a0) + regular(b, b0) - regular(s, a0 + b0)
             + part(a0, a, b) + part(b0, b, a) - 1.0)
+
+
+def _exp(x: float) -> float:
+    """exp(x), or inf where it overflows a float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
 
 def _check_seed(seed):

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exceptions import DegenerateDataError, DomainError
+from .exceptions import AccuracyError, DegenerateDataError, DomainError
 from .numerics import (_FLOAT_MAX, Grid1D, OptimResult, _check_seed,
                        _find_root, _gamma_kl, digamma, log_gamma,
                        log_rising_ratio)
@@ -276,26 +276,35 @@ def normal_posterior_sample(data: Sequence[float], a: float, size: int,
     Gamma((n+a-2)/2, rate n s^2 / 2), then mu | sigma is normal with
     mean xbar and variance sigma^2/n.  For a = 1 the mu-marginal is
     Student t with n-1 degrees of freedom, location xbar and scale
-    s/sqrt(n-1).
+    s/sqrt(n-1).  Non-finite data, or n s^2 past the float range, raise
+    ``DomainError``; s^2 = 0.0 (also by underflow) ``DegenerateDataError``;
+    a precision draw past the float range ``AccuracyError``.
     """
     x = np.asarray(data, dtype=float)
     n = x.size
     if n < 2:
         raise DomainError("need at least two observations")
-    if not (a > 0.0):
-        raise DomainError("a must be positive")
+    if not np.isfinite(x).all():
+        raise DomainError("data must be finite")
+    if not (0.0 < a < math.inf):
+        raise DomainError("a must be positive and finite")
     if not (a + n > 2.0):
         raise DomainError("need a + n > 2 for a proper posterior")
     if size < 1:
         raise DomainError("size must be >= 1")
-    xbar = float(x.mean())
-    s2 = float(np.mean((x - xbar) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        xbar = float(x.mean())
+        s2 = float(np.mean((x - xbar) ** 2))
     if s2 <= 0.0:
         raise DegenerateDataError("constant data: posterior degenerates")
+    rate = 0.5 * n * s2
+    if not (rate < math.inf):
+        raise DomainError("n s^2 of the data overflows a float")
     rng = np.random.default_rng(_check_seed(seed))
     shape = 0.5 * (n + a - 2.0)
-    rate = 0.5 * n * s2
     lam = rng.gamma(shape, 1.0 / rate, size=size)
+    if not ((lam > 0.0) & (lam < math.inf)).all():
+        raise AccuracyError("a precision draw left the float range")
     sigma = 1.0 / np.sqrt(lam)
     mu = rng.normal(xbar, sigma / math.sqrt(n))
     return NormalPosteriorSample(mu=mu, sigma=sigma)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import (AccuracyError, DomainError, PreconditionError,
                          SingularityError)
-from .numerics import _check_seed
+from .numerics import _check_seed, _exp
 
 __all__ = [
     "MeansData",
@@ -88,14 +88,6 @@ def flat_prior_theta_mean(data: MeansData) -> float:
     """Posterior mean of theta under the flat prior on mu:
     1 + (1/m) sum x_i^2.  Off by +2 from the true theta for large m."""
     return 1.0 + float(np.mean(data.x ** 2))
-
-
-def _exp(x: float) -> float:
-    """exp(x), or inf where it overflows a float."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 def _log_sq_norm(mu: Sequence[float]) -> tuple[int, float]:

@@ -2,6 +2,7 @@
 reparametrizations, and the right-Haar averaging identity."""
 
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -44,6 +45,25 @@ def test_theorem1_prior_validation():
         theorem1_prior(spec, [1.0, 2.0])
     with pytest.raises(DomainError):
         theorem1_prior(spec, [-1.0])
+
+
+@pytest.mark.parametrize("theta", [[1e300, 1e300, 1e300], [1e300, 1e-300],
+                                   [5e-324, 5e-324], [5e-324, 1e308],
+                                   [0.3, 7.0, 1e-5, 2e10], [3e-200] * 3])
+def test_theorem1_prior_mpmath(theta):
+    # sqrt(prod f_i) with identity factors: within a few ulps of 50-digit
+    # mpmath wherever it is a normal float, inf above the float range
+    # (1e450 for three factors of 1e300) and 0.0 below it.
+    spec = DiagFisherSpec(f_list=(float,) * len(theta))
+    with mpmath.workdps(50):
+        ref = mpmath.sqrt(mpmath.fprod(mpmath.mpf(t) for t in theta))
+    got = theorem1_prior(spec, theta)
+    if ref > sys.float_info.max:
+        assert got == math.inf
+    elif ref < sys.float_info.min:
+        assert got < sys.float_info.min
+    else:
+        assert got == pytest.approx(float(ref), rel=1e-15, abs=0.0)
 
 
 # ----------------------------------------------------- bivariate binomial
@@ -215,6 +235,20 @@ def test_expfam_domain_errors():
     g1pp, g2pp = normal_expfam_curvatures()
     with pytest.raises(DomainError):
         expfam_prior(g1pp, g2pp, 1.0, 1.0)
+    with pytest.raises(DomainError, match="must be positive"):
+        expfam_prior(g1pp, lambda t: -1.0, -1.0, 1.0)
+
+
+def test_expfam_prior_curvature_past_the_float_range():
+    # The prior 1e200 at the normal point, and 1/sqrt(1e150) at the
+    # inverse-Gaussian one, are floats; a curvature, 2e400 and 2e-450,
+    # is not, so each point raises a DomainError that names it.
+    g1pp, g2pp = normal_expfam_curvatures()
+    with pytest.raises(DomainError, match=r"G1'' = inf .*float range"):
+        expfam_prior(g1pp, g2pp, -1e-200, 1.0)
+    g1pp, g2pp = inverse_gaussian_expfam_curvatures()
+    with pytest.raises(DomainError, match=r"G2'' = 0.0 .*float range"):
+        expfam_prior(g1pp, g2pp, -1e-150, 1e150)
 
 
 # --------------------------------------------------------- stress-strength
@@ -235,6 +269,46 @@ def test_eta_parametrization_roundtrip():
         back = theta_psi_to_eta(theta, psi, m, n)
         assert back[0] == pytest.approx(eta[0], rel=1e-12)
         assert back[1] == pytest.approx(eta[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("eta1,eta2,m,n", [
+    (1e200, 1e-200, 1, 1), (1e300, 1e300, 1, 1), (1e308, 1e308, 3, 2),
+    (5e-324, 1e308, 1, 1), (1e-300, 1e-300, 1000, 1), (2.5, 0.3, 7, 5),
+    (1e10, 1e-10, 1, 1000)])
+def test_eta_to_theta_psi_mpmath(eta1, eta2, m, n):
+    # theta to rounding; psi within its docstring's bound,
+    # 3 * 2^-53 max(1, |L1| + |L2|) relative, inf above the float range
+    # and 0.0 below it.  At (1e200, 1e-200, 1, 1) psi is 1 to 1e-13.
+    with mpmath.workdps(50):
+        e1, e2 = mpmath.mpf(eta1), mpmath.mpf(eta2)
+        terms = (mpmath.mpf(m + n) / n * mpmath.log(e1),
+                 mpmath.mpf(m + n) / m * mpmath.log(e2))
+        ref_psi = mpmath.exp(sum(terms))
+        ref_theta = float(e1 / (e1 + e2))
+        bound = 3 * 2.0 ** -53 * max(1.0, float(sum(map(abs, terms))))
+    theta, psi = eta_to_theta_psi(eta1, eta2, m, n)
+    assert theta == pytest.approx(ref_theta, rel=4e-16, abs=0.0)
+    if ref_psi > sys.float_info.max:
+        assert psi == math.inf
+    elif ref_psi < sys.float_info.min:
+        assert psi < sys.float_info.min
+    else:
+        assert psi == pytest.approx(float(ref_psi), rel=bound, abs=0.0)
+    if (eta1, eta2) == (1e200, 1e-200):
+        assert abs(psi - 1.0) <= 1e-13
+
+
+def test_theta_psi_to_eta_past_the_float_range():
+    # eta2 = r^{-m/(m+n)} psi^{mn/(m+n)^2}, about e^743.7 here: inf, and
+    # eta1 = r eta2, about 1e-1, stays finite.
+    eta1, eta2 = theta_psi_to_eta(5e-324, 1.0, 1000, 1)
+    assert eta2 == math.inf
+    with mpmath.workdps(50):
+        r = mpmath.mpf(5e-324) / (1 - mpmath.mpf(5e-324))
+        ref = float(r ** (mpmath.mpf(1) / 1001))
+    assert eta1 == pytest.approx(ref, rel=1e-12)
+    with pytest.raises(DomainError):
+        theta_psi_to_eta(0.5, 1.0, 0, 1)
 
 
 def test_stress_strength_is_jeffreys_in_rates():

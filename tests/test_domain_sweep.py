@@ -20,12 +20,24 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from overallprior.catalogue import (ENTRIES, DiagFisherSpec,
+                                    eta_to_theta_psi, expfam_prior,
+                                    gamma_expfam_curvatures,
+                                    inverse_gamma_expfam_curvatures,
+                                    inverse_gaussian_expfam_curvatures,
+                                    normal_expfam_curvatures, theorem1_prior,
+                                    theta_psi_to_eta)
 from overallprior.exceptions import DomainError, OverallPriorError
-from overallprior.hier import (CountTable, marginal_pmf,
+from overallprior.hier import (CountTable, LimitProfile,
+                               approx_posterior_curvature,
+                               limit_density_psi, marginal_pmf,
                                posterior_log_density_a,
                                reference_prior_approx, reference_prior_exact)
 from overallprior.numerics import kl_beta, log_gamma, log_rising_ratio
-from overallprior.refdist import RefDistConfig, d_mu, d_sigma, expected_loss
+from overallprior.refdist import (RefDistConfig, d_mu, d_sigma,
+                                  expected_loss, normal_posterior_sample)
+from overallprior.shrinkage import (hierarchical_prior_density,
+                                    reference_prior_density)
 
 FLOAT_MAX = sys.float_info.max
 
@@ -34,7 +46,27 @@ positive = st.floats(-1074.0, 1023.999).map(lambda e: math.pow(2.0, e))
 cells = st.floats(math.log(2.0), math.log(1e12)).map(
     lambda t: max(2, round(math.exp(t))))
 sizes = st.integers(1, 300)
+# Reals of either sign over the whole float range, with (0, 1) drawn on
+# its own so that probabilities and correlations reach their domain.
+unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+reals = st.one_of(positive, positive.map(lambda v: -v), unit)
 sweep = settings(max_examples=200, deadline=None, derandomize=True)
+light = settings(sweep, max_examples=100)  # cheap functions, few branches
+EXPFAM = {"normal": normal_expfam_curvatures(),
+          "inverse-gaussian": inverse_gaussian_expfam_curvatures(),
+          "gamma": gamma_expfam_curvatures(),
+          "inverse-gamma": inverse_gamma_expfam_curvatures()}
+
+
+def _value_or_typed_error(f, *args):
+    """f(*args) with warnings as errors, or None where it raises an
+    ``OverallPriorError``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return f(*args)
+        except OverallPriorError:
+            return None
 
 
 @sweep
@@ -43,6 +75,9 @@ sweep = settings(max_examples=200, deadline=None, derandomize=True)
 @example(1e300, 10**6, 30)
 @example(5e-324, 10**12, 30)
 @example(FLOAT_MAX, 2, 300)
+@example(FLOAT_MAX, 10**12, 300)
+@example(math.inf, 2, 30)
+@example(math.inf, 10**12, 30)
 def test_reference_prior_exact_over_its_domain(a, m, n):
     # The prior is 0.0 where it underflows.
     v = reference_prior_exact(a, m, n)
@@ -56,6 +91,9 @@ def test_reference_prior_exact_over_its_domain(a, m, n):
 @example(1e300, 10**12, 30)
 @example(5e-324, 2, 300)
 @example(FLOAT_MAX, 2, 300)
+@example(FLOAT_MAX, 10**12, 300)
+@example(math.inf, 2, 30)
+@example(math.inf, 10**12, 30)
 def test_marginal_pmf_over_its_domain(a, m, n):
     p = marginal_pmf(a, m, n)
     assert p.shape == (n + 1,)
@@ -178,3 +216,111 @@ def test_normal_risks_over_their_domain(a, n):
             assert n > 5e305 - a or (n == 2 and a / 2 == 0.0)
             continue
         assert math.isfinite(v)
+
+
+@sweep
+@given(st.sampled_from(sorted(ENTRIES)), st.lists(reals, min_size=4,
+                                                  max_size=6))
+def test_catalogue_entries_over_their_domain(name, args):
+    # Each catalogue command's callable on as many arguments as the
+    # command takes: its value, inf where that exceeds the float range,
+    # or a typed error.
+    fn, _, _, count = ENTRIES[name]
+    v = _value_or_typed_error(fn, args[:count] if count else args)
+    assert v is None or (isinstance(v, float) and v >= 0.0
+                         and not math.isnan(v))
+
+
+@light
+@given(st.lists(positive, min_size=1, max_size=4))
+@example([1e300, 1e300, 1e300])
+def test_theorem1_prior_over_its_domain(theta):
+    # Identity factors: the prior is sqrt(prod theta), inf past the
+    # float range and 0.0 below it.
+    spec = DiagFisherSpec(tuple(float for _ in theta))
+    v = _value_or_typed_error(theorem1_prior, spec, theta)
+    assert v is not None and v >= 0.0 and not math.isnan(v)
+
+
+@light
+@given(st.sampled_from(sorted(EXPFAM)), reals, reals)
+@example("normal", -1e-200, 1.0)
+@example("inverse-gaussian", -1e-150, 1e150)
+def test_expfam_prior_over_its_domain(pair, theta1, theta2):
+    # At a valid point a DomainError may only name a curvature past the
+    # float range; elsewhere the value is finite.
+    g1, g2 = EXPFAM[pair]
+    valid = theta1 < 0.0 and (pair == "normal" or theta2 > 0.0)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = expfam_prior(g1, g2, theta1, theta2)
+    except DomainError as exc:
+        assert not valid or "float range" in str(exc)
+        return
+    assert valid and math.isfinite(v) and v > 0.0
+
+
+@light
+@given(positive, positive, sizes, sizes)
+@example(1e300, 1e300, 1, 1)
+@example(1e200, 1e-200, 1, 1)
+@example(1e308, 1e308, 1, 1)
+def test_eta_to_theta_psi_over_its_domain(eta1, eta2, m, n):
+    # theta is 0.0 only where eta1/eta2 underflows; psi is inf past the
+    # float range and 0.0 below it.
+    theta, psi = _value_or_typed_error(eta_to_theta_psi, eta1, eta2, m, n)
+    assert 0.0 <= theta <= 1.0 and psi >= 0.0 and not math.isnan(psi)
+    assert theta > 0.0 or eta1 / eta2 < 1e-300
+
+
+@light
+@given(unit, positive, st.integers(0, 1000), st.integers(0, 1000))
+@example(5e-324, 1.0, 1000, 1)
+@example(0.5, 1.0, 0, 1)
+def test_theta_psi_to_eta_over_its_domain(theta, psi, m, n):
+    # Each rate is inf past the float range and 0.0 below it.
+    out = _value_or_typed_error(theta_psi_to_eta, theta, psi, m, n)
+    assert out is not None or min(m, n) < 1
+    assert out is None or all(v >= 0.0 and not math.isnan(v) for v in out)
+
+
+@light
+@given(st.lists(reals, min_size=1, max_size=8))
+def test_shrinkage_densities_over_their_domain(mu):
+    # inf or 0.0 past the float range; SingularityError at mu = 0.
+    for f in (hierarchical_prior_density, reference_prior_density):
+        v = _value_or_typed_error(f, mu)
+        assert v is not None and v >= 0.0 and not math.isnan(v)
+
+
+@light
+@given(st.lists(reals, min_size=2, max_size=6), positive)
+@example([1.0, math.nan, 2.0], 1.0)
+@example([1.0, math.inf, 2.0], 1.0)
+@example([1e200, -1e200], 1.0)
+def test_normal_posterior_sample_over_its_domain(data, a):
+    draws = _value_or_typed_error(normal_posterior_sample, data, a, 8, 0)
+    assert draws is None or (np.isfinite(draws.mu).all()
+                             and (draws.sigma > 0.0).all()
+                             and np.isfinite(draws.sigma).all())
+    if not np.isfinite(data).all():
+        assert draws is None
+
+
+@light
+@given(positive, cells, st.lists(st.integers(1, 60), min_size=1,
+                                 max_size=20))
+def test_approx_posterior_curvature_over_its_domain(a, m, counts):
+    # +-inf only where it leaves the float range.
+    t = CountTable(m=max(m, len(counts)), counts=dict(enumerate(counts)))
+    v = _value_or_typed_error(approx_posterior_curvature, a, t)
+    assert v is not None and not math.isnan(v)
+
+
+@light
+@given(positive, st.integers(2, 300), st.integers(1, 300))
+def test_limit_density_psi_over_its_domain(v, n, r0):
+    profile = LimitProfile(n=n, r0=min(r0, n))
+    psi = _value_or_typed_error(limit_density_psi, v, profile)
+    assert psi is not None and math.isfinite(psi) and psi >= 0.0

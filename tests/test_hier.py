@@ -202,7 +202,7 @@ def _pmf_mpmath(a, m, n):
 @pytest.mark.parametrize("m,n,a", [(2, 300, 189.0), (2000, 500, 0.3),
                                    (60, 60, 4520.0)])
 def test_marginal_pmf_mpmath(m, n, a):
-    # Measured: 5.1e-14, 3.3e-13 and 6.8e-14.  Relative error is only
+    # Measured: 5.1e-14, 3.8e-13 and 4.6e-14.  Relative error is only
     # asked of entries above the subnormal range.
     ref = _pmf_mpmath(a, m, n)
     normal = ref > np.finfo(float).tiny
@@ -221,9 +221,9 @@ def test_marginal_pmf_extreme_a(a, m, n):
 
 @pytest.mark.parametrize("m,n", [(60, 5), (60, 60), (2, 300), (10**6, 30)])
 def test_marginal_pmf_binomial_limit_at_huge_a(m, n):
-    # Where (m-1)a overflows the row is the a -> inf limit, the
-    # Binomial(n, 1/m) pmf; just below, the beta-binomial row already
-    # equals it to rounding (they differ by O(n/a)).
+    # Around the a at which (m-1)a would overflow, the beta-binomial row
+    # equals its a -> inf limit, the Binomial(n, 1/m) pmf, to rounding
+    # (they differ by O(n/a)).
     edge = sys.float_info.max / (m - 1)
     a = [math.nextafter(edge, 0.0), math.nextafter(edge, math.inf), 1e308,
          sys.float_info.max]
@@ -912,9 +912,9 @@ def test_tiny_a_closed_forms_at_huge_m(a):
 
 # (m, n): relative bound on the Fisher sum for a in [1e-300, 1e8].  Up
 # to m = 2000 the pmf row sets the error, and it grows with n (measured
-# 1.5e-14, 7.7e-15, 1.0e-14, 3.8e-13 and 8.2e-13, in order).  At
+# 2.3e-14, 7.7e-15, 4.7e-15, 5.0e-13 and 7.8e-13, in order).  At
 # m >= 1e8 it peaks where the two forms meet, a sqrt(m) = n, as both
-# cancel there (measured 1.0e-11, 1.3e-10, 1.4e-9 and 3.4e-10, in order).
+# cancel there (measured 9.7e-12, 1.3e-10, 1.6e-9 and 3.1e-10, in order).
 _FISHER_SWEEP = {(60, 60): 5e-14, (1000, 30): 5e-14, (10, 2): 5e-14,
                  (2, 300): 2e-12, (20, 1000): 3e-12, (10**8, 5): 1e-10,
                  (10**10, 2): 1e-9, (10**12, 2): 1e-8, (10**12, 30): 1e-8}
@@ -956,10 +956,32 @@ def test_exact_prior_no_overflow_at_sampler_window():
             [True, False])
 
 
+@pytest.mark.parametrize("n", [2, 30, 300])
+@pytest.mark.parametrize("m", [2, 60, 10**6, 10**12])
+def test_far_tail_reaches_the_binomial_limit(m, n):
+    # Each ratio factor of the pmf is -log(m-1) exactly where a + n
+    # rounds to a, so the row is the Binomial(n, 1/m) pmf, and the exact
+    # prior underflows to 0.0, with no warning.  a = inf counts as the
+    # largest float.
+    a = [1e300, 1e307, 1e308, sys.float_info.max, math.inf]
+    ref = scipy.stats.binom.pmf(np.arange(n + 1), n, 1.0 / m)
+    normal = ref > np.finfo(float).tiny
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = marginal_pmf(np.array(a), m, n)
+        for row, v in zip(rows, a):
+            np.testing.assert_array_equal(row, marginal_pmf(v, m, n))
+            np.testing.assert_allclose(row[normal], ref[normal], rtol=1e-12)
+            assert reference_prior_exact(v, m, n) == 0.0
+        np.testing.assert_array_equal(reference_prior_exact(np.array(a), m, n),
+                                      0.0)
+
+
 def test_exact_prior_zero_where_its_terms_would_overflow():
-    # Above a = 1.8e308/(3 m^3) the Fisher sum's 3a and m^3 a would
-    # overflow; the prior there is far below the smallest float, so it
-    # is 0.0, with no warning, as mpmath confirms at two of the points.
+    # Far out in a, around and above a = 1.8e308/(3 m^3), where products
+    # such as 3a and m^3 a would overflow, the Fisher sum underflows:
+    # the prior is far below the smallest float, so it is 0.0, with no
+    # warning, as mpmath confirms at two of the points.
     for a, m, n in ((1e308, 60, 60), (1e300, 10**6, 30)):
         assert reference_prior_exact(a, m, n) == 0.0
         root = mpmath.sqrt(_fisher_sum_mpmath(a, m, n))

@@ -6,6 +6,7 @@ import importlib
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tomllib
@@ -70,6 +71,27 @@ def test_readme_examples_run():
     lines = run.stdout.splitlines()
     assert round(float(lines[0]), 4) == 0.0834
     assert float(lines[2]) == pytest.approx(math.sqrt(2) / 1000, rel=0.01)
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # Each command of the README's "Command line" block, continuation
+    # lines joined, runs through cli.main on the README's own count file
+    # and five means, exits with 0 and writes nothing to stderr.
+    from overallprior import cli
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"## Command line\n\n```sh\n(.*?)```", readme,
+                      re.S).group(1)
+    commands = [ln for ln in block.replace("\\\n", " ").splitlines()
+                if ln.startswith("overallprior ")]
+    assert len(commands) == 5
+    counts = re.search(r"Count files for `hier`.*?```\n(.*?)```", readme,
+                       re.S).group(1)
+    (tmp_path / "counts.txt").write_text(counts)
+    (tmp_path / "data.txt").write_text("2.0 -1.0 0.5 1.5 -2.5\n")
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        assert cli.main(shlex.split(command)[1:]) == 0, command
+        assert capsys.readouterr().err == "", command
 
 
 def test_exact_prior_table_loads_no_numpy_polynomial(loaded_modules):

@@ -10,7 +10,8 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from overallprior.exceptions import DegenerateDataError, DomainError
+from overallprior.exceptions import (AccuracyError, DegenerateDataError,
+                                     DomainError)
 from overallprior.numerics import digamma, kl_beta
 from overallprior.refdist import (CountVector, RefDistConfig,
                                   dirichlet_posterior_means,
@@ -412,6 +413,24 @@ def test_normal_posterior_rejects_bad_seed(seed):
 def test_normal_posterior_rejects_constant_data():
     with pytest.raises(DegenerateDataError):
         normal_posterior_sample([1.0, 1.0, 1.0], 1.0, size=10, seed=0)
+
+
+@pytest.mark.parametrize("data,match", [
+    ([1.0, math.nan, 2.0], "finite"), ([1.0, math.inf, 2.0], "finite"),
+    ([1e200, -1e200], "overflows"),
+    ([1.7e308, 1.7e308, -1.7e308], "overflows")])
+def test_normal_posterior_rejects_data_it_cannot_handle(data, match):
+    # NaN data gave NaN draws; inf and overflowing n s^2 gave a
+    # RuntimeWarning and sigma = inf.
+    with pytest.raises(DomainError, match=match):
+        normal_posterior_sample(data, 1.0, size=10, seed=0)
+
+
+def test_normal_posterior_precision_draw_past_the_float_range():
+    # s^2 = 1e-308: the scale of the precision draws, 2/(n s^2), is 1e308,
+    # so most draws overflow.
+    with pytest.raises(AccuracyError):
+        normal_posterior_sample([1e-154, -1e-154], 1.0, size=1000, seed=0)
 
 
 def test_phi_draws():
