@@ -14,6 +14,7 @@ every formula built on top of them:
   recurrence and then sum the asymptotic series; they return -inf and
   inf where psi and psi' leave the float range.  ``digamma`` works in
   ``math`` on one float; an array is mapped over that one path;
+- ``_log1p_sum``: the likelihood's sum_{i<=k} log1p(i/y), O(1), to 2e-15;
 - ``_gamma_kl`` is the one divergence kernel: ``kl_beta`` and the
   normal-model risks ``refdist.d_sigma`` and ``refdist.d_mu`` are sums
   and differences of it;
@@ -229,6 +230,49 @@ def digamma(x):
         raise DomainError(f"digamma requires x > 0, got {x}")
     out = np.array([_digamma_float(v) for v in y.ravel().tolist()])
     return float(out[0]) if y.ndim == 0 else out.reshape(y.shape)
+
+
+def _log1p_sum(y: float, k: int) -> float:
+    """L(y, k) = sum_{i=1}^{k} log1p(i/y) in O(1), at one float y >= 1e-300
+    and an int k >= 0, unvalidated; 0.0 at y = inf, the sum itself up to
+    k = 9.  At y >= 9, with u = (k + 1)/y, phi(u) = (1 + u) log1p(u) - u
+    and S Stirling's remainder (DLMF 5.11.1; 7 terms, 4 from y = 30), it
+    is (k + 1) phi(u)/u - log1p(u)/2 + S(y + k + 1) - S(y), which folds
+    the textbook 1 - (y + 1/2) log1p(1/y), cancelling at large y, into
+    S(y + 1) - S(y); below u = 1/2 phi(u)/u is a positive series in
+    r = u/(2 + u).  Below y = 9 it is k log1p(9/y) + L(y + 9, k - 9)
+    + log prod_{i<9} (y + i)/(y + 9).  Relative error below 2e-15 against
+    mpmath over y in [1e-300, 1e300] and k in [1, 1e6]."""
+    if k <= 9:
+        return math.fsum([math.log1p(i / y) for i in range(1, k + 1)])
+    if y < 9.0:
+        z = y + 9.0
+        rising = (((y + 1.0) * (y + 2.0)) * ((y + 3.0) * (y + 4.0))
+                  * (((y + 5.0) * (y + 6.0)) * ((y + 7.0) * (y + 8.0))))
+        return (k * math.log1p(9.0 / y) + math.log(rising / z ** 8)
+                + _log1p_sum(z, k - 9))
+    k1 = k + 1.0
+    u = k1 / y
+    lu = math.log1p(u)
+    if u < 0.5:
+        r = u / (2.0 + u)
+        z = r * r
+        g = r * (1.0 + r * (1.0 + r) * (
+            1/3 + z * (1/5 + z * (1/7 + z * (1/9 + z * (1/11 + z * (
+                1/13 + z * (1/15 + z * (1/17 + z * (1/19 + z / 21))))))))))
+    else:
+        g = (1.0 + 1.0 / u) * lu - 1.0
+    w, v = 1.0 / y, 1.0 / (y + k1)
+    w2, v2 = w * w, v * v
+    if y < 30.0:  # coefficients B_2j / (2j (2j - 1))
+        sw = 1/12 + w2 * (-1/360 + w2 * (1/1260 + w2 * (-1/1680 + w2 * (
+            1/1188 + w2 * (-691/360360 + w2 / 156)))))
+        sv = 1/12 + v2 * (-1/360 + v2 * (1/1260 + v2 * (-1/1680 + v2 * (
+            1/1188 + v2 * (-691/360360 + v2 / 156)))))
+    else:
+        sw = 1/12 + w2 * (-1/360 + w2 * (1/1260 - w2 / 1680))
+        sv = 1/12 + v2 * (-1/360 + v2 * (1/1260 - v2 / 1680))
+    return k1 * g - 0.5 * lu + (v * sv - w * sw)
 
 
 def trigamma(x: float) -> float:

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overallprior.exceptions import AccuracyError, DomainError
-from overallprior.numerics import (Grid1D, _find_root, digamma, kl_beta,
-                                   log_gamma, log_rising_ratio, trigamma)
+from overallprior.numerics import (Grid1D, _find_root, _log1p_sum, digamma,
+                                   kl_beta, log_gamma, log_rising_ratio,
+                                   trigamma)
 
 # ---------------------------------------------------------------- specials
 
@@ -199,6 +200,41 @@ def test_digamma_is_log_gamma_derivative(x):
     h = 1e-6 * max(1.0, x)
     fd = (log_gamma(x + h) - log_gamma(x - h)) / (2 * h)
     assert digamma(x) == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+
+def _log1p_sum_mpmath(y, k):
+    """lgamma(y + k + 1) - lgamma(y + 1) - k log y in mpmath.  The terms
+    are of order (y + k) log(y + k) and L falls to about k^2/(2y) at
+    k << y, so the digits rise as 2 log10(y)."""
+    with mpmath.workdps(30 + int(2 * max(0.0, math.log10(y)))):
+        y = mpmath.mpf(y)
+        return (mpmath.loggamma(y + k + 1) - mpmath.loggamma(y + 1)
+                - k * mpmath.log(y))
+
+
+@given(st.floats(-300.0, 300.0), st.floats(0.0, 6.0))
+@example(13.0, 0.0)  # y = 1e13, k = 1: k << y, where phi(u) cancels
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_log1p_sum_mpmath(log10_y, log10_k):
+    # y log-uniform over [1e-300, 1e300], k log-uniform over [1, 1e6].
+    y, k = 10.0 ** log10_y, round(10.0 ** log10_k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _log1p_sum(y, k)
+    ref = _log1p_sum_mpmath(y, k)
+    assert float(abs((got - ref) / ref)) < 1e-14, (y, k)
+
+
+@pytest.mark.parametrize("y", [math.nextafter(9.0, 0.0), 9.0,
+                               math.nextafter(30.0, 0.0), 30.0])
+@pytest.mark.parametrize("k", [9, 10, 11, 37, 1000])
+def test_log1p_sum_at_its_form_switches(y, k):
+    # Each side of the direct sum (k = 9), the shift (y = 9), the Stirling
+    # term counts (y = 30) and the phi series (u = 1/2, at y = 2 (k + 1)).
+    for v in (y, 2.0 * (k + 1), math.nextafter(2.0 * (k + 1), 0.0)):
+        ref = _log1p_sum_mpmath(v, k)
+        assert float(abs((_log1p_sum(v, k) - ref) / ref)) < 1e-14, (v, k)
+    assert _log1p_sum(math.inf, k) == 0.0
 
 
 # ---------------------------------------------------------------- kl_beta
