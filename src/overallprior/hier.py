@@ -149,8 +149,27 @@ class CountTable:
 
     @functools.cached_property
     def _mode_scan(self) -> np.ndarray:
-        """log p(x|a) on ``_mode_grid(m)``, read by both modes."""
-        return marginal_log_likelihood(self, np.exp(_mode_grid(self.m)))
+        """log p(x|a) on ``_mode_grid(m)``, read by both modes.  The
+        kernel's sum in its own order, one numpy pass a term: the shape's
+        -L(m a, n - 1) column (``_mode_shape``), plus R'_j times its
+        log1p(j/a) row for each head entry, plus c_v L(a, v - 1) mapped
+        over the grid for each count v > 16, plus c0.  So it equals
+        ``marginal_log_likelihood`` at the grid's a bit for bit, and a
+        table of a seen shape with no count above 16 makes no
+        ``_log1p_sum`` call."""
+        shape = _mode_shape(self.m, self.n)
+        scan = shape.neg_lik.copy()
+        for j, r in self._lik_head:
+            scan += r * shape.row(j)
+        a = shape.a[shape.tiny:].tolist()
+        for v, c in self._lik_runs:
+            scan += c * np.array([_log1p_sum(y, v) for y in a])
+        scan += self._lik_c0
+        if shape.tiny:  # a <= _TINY_A: the kernel's closed form
+            log_lik = _likelihood_kernel(self)
+            scan = np.concatenate(
+                ([log_lik(y) for y in shape.a[:shape.tiny].tolist()], scan))
+        return scan
 
     @property
     def r0(self) -> int:
@@ -198,8 +217,9 @@ class HierChain:
     (m, n) in a process (at most ``_EXACT_PRIOR_TABLES`` = 16 of them,
     96 kB each), shared with the mode search and with every chain on a
     ``CountTable`` of that shape, whose lookups are not counted here.
-    ``target_evals`` counts the log-target evaluations, warm-up
-    included."""
+    The mode search keeps its scan's per-shape columns apart
+    (``_mode_shape``); a chain reads none of them.  ``target_evals``
+    counts the log-target evaluations, warm-up included."""
 
     a_samples: np.ndarray
     theta_samples: Optional[np.ndarray]
@@ -500,19 +520,71 @@ def _mode_grid(m: int) -> np.ndarray:
     return np.linspace(math.log(lo), math.log(hi), 240)
 
 
+class _ModeShape:
+    """What the mode search computes from (m, n) alone, kept per shape by
+    ``_mode_shape`` and built by the first mode search of that shape:
+    the 240-point grid in t = log a (``_mode_grid``) and its a values,
+    the likelihood kernel's column -L(m a, n - 1), one row of
+    log1p(j/a) per head index j < 16, filled the first time a table
+    needs it, and each prior's log on the grid, filled likewise.  The
+    first ``tiny`` grid points have a <= ``_TINY_A``, where the kernel
+    takes its closed form; the column and rows start after them.  Each
+    column or row is 240 doubles, 1.9 kB."""
+
+    def __init__(self, m: int, n: int):
+        self.m, self.n = m, n
+        self.grid = _mode_grid(m)
+        self.a = np.exp(self.grid)
+        self.tiny = int(np.count_nonzero(self.a <= _TINY_A))
+        mf, k = float(m), n - 1
+        self.neg_lik = np.array(
+            [-_log1p_sum(mf * v, k) for v in self.a[self.tiny:].tolist()])
+        self._rows, self._log_priors = {}, {}
+
+    def row(self, j: float) -> np.ndarray:
+        """log1p(j/a) at the grid's a above ``_TINY_A``."""
+        if j not in self._rows:
+            log1p = math.log1p
+            self._rows[j] = np.array([log1p(j / v)
+                                      for v in self.a[self.tiny:].tolist()])
+        return self._rows[j]
+
+    def log_prior(self, prior: str) -> np.ndarray:
+        """The log of hyperprior ``prior`` on the grid: the exact-prior
+        table's lookups, or the approximate prior's closed form."""
+        if prior not in self._log_priors:
+            if prior == "exact":
+                values = _exact_prior_table(self.m, self.n).log_values_at(
+                    self.grid)
+            else:
+                values = _log_prior(self.a, self.m, self.n, prior)
+            self._log_priors[prior] = values
+        return self._log_priors[prior]
+
+
+@functools.lru_cache(maxsize=_EXACT_PRIOR_TABLES)
+def _mode_shape(m: int, n: int) -> _ModeShape:
+    """The mode search's per-shape columns of (m, n), built on first use
+    and then read by the mode search on every table of that shape."""
+    return _ModeShape(m, n)
+
+
 def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
     """Maximize log p(x|a), plus the log of hyperprior ``prior`` unless
     it is None, over the mode search window for the table: a 240-point
-    scan uniform in t = log a (``CountTable._mode_scan``), then the zero
-    of the slope in t between the grid points either side of the best one
+    scan uniform in t = log a (``CountTable._mode_scan``, plus the
+    prior's column of the shape's ``_ModeShape``), then the zero of the
+    slope in t between the grid points either side of the best one
     (``numerics._find_root``), or the window's edge where the slope has
     one sign there.  The slopes are closed forms: -W . (J / (a + J))
     over the table's stored J and W for the likelihood (r0 - 1 as
     a -> 0, with no overflow), -1/2 - (3/2) a/(a + n/m) for the
     approximate prior, and the slope of the exact-prior table's cubic
     piece, whose window is the search window."""
-    grid = _mode_grid(x.m)
-    log_density = x._mode_scan.copy()
+    shape = _mode_shape(x.m, x.n)
+    grid, log_density = shape.grid, x._mode_scan
+    if prior is not None:
+        log_density = log_density + shape.log_prior(prior)
     j, dot, buf = x._lik_j, x._lik_w.dot, np.empty_like(x._lik_j)
     exp, add, divide, c = math.exp, np.add, np.divide, x.n / x.m
 
@@ -523,15 +595,11 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
         def slope(t: float) -> float:
             return lik_slope(exp(t))
     elif prior == "exact":
-        table = _exact_prior_table(x.m, x.n)
-        log_density += table.log_values_at(grid)
-        table_slope = table.slope_at
+        table_slope = _exact_prior_table(x.m, x.n).slope_at
 
         def slope(t: float) -> float:
             return lik_slope(exp(t)) + table_slope(t)
     else:
-        log_density += _log_prior(np.exp(grid), x.m, x.n, prior)
-
         def slope(t: float) -> float:
             a = exp(t)
             return lik_slope(a) - 0.5 - 1.5 * a / (a + c)
@@ -555,7 +623,11 @@ def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
     most 16 tables of 96 kB are kept) and shared with every chain and
     mode search on a table of that shape; the mode is within 6e-9
     relative of the one on the directly evaluated prior on the tables
-    tested.
+    tested.  The scan's grid, its likelihood columns and each prior's
+    log on the grid are kept per (m, n) as well (``_ModeShape``, for
+    at most 16 shapes), so on a later table of a seen shape the scan
+    costs a few numpy passes, plus 240 ``_log1p_sum`` calls per
+    distinct count above 16.
 
     Requires at least two nonzero cells; with a single occupied cell
     the mode sits at the unusable a = 0 boundary.

@@ -46,6 +46,12 @@ _A_BRACKET_HI = 10.0
 # leaves the float range above about 2.5e305.
 _MAX_MA = 1e305
 
+# Below this rate per unit of shape, the mean precision shape/rate of the
+# normal posterior is within a factor 2^64 of the float range, so a
+# precision draw can overflow: ``normal_posterior_sample`` then samples
+# the data over their largest magnitude.
+_MIN_RATE_PER_SHAPE = 2.0 ** -960
+
 
 @dataclass(frozen=True)
 class RefDistConfig:
@@ -276,9 +282,13 @@ def normal_posterior_sample(data: Sequence[float], a: float, size: int,
     Gamma((n+a-2)/2, rate n s^2 / 2), then mu | sigma is normal with
     mean xbar and variance sigma^2/n.  For a = 1 the mu-marginal is
     Student t with n-1 degrees of freedom, location xbar and scale
-    s/sqrt(n-1).  Non-finite data, or n s^2 past the float range, raise
-    ``DomainError``; s^2 = 0.0 (also by underflow) ``DegenerateDataError``;
-    a precision draw past the float range ``AccuracyError``.
+    s/sqrt(n-1).  Where the spread is so small that s^2 underflows, or
+    that a precision draw could overflow (mean precision above 2^960),
+    the draws are those of x/c, c = max |x|, with sigma scaled back by c:
+    the same random stream.  Non-finite data, or n s^2 past the float
+    range, raise ``DomainError``; s^2 = 0.0 after any rescaling, as for
+    constant data, ``DegenerateDataError``; a draw past the float range
+    ``AccuracyError``.
     """
     x = np.asarray(data, dtype=float)
     n = x.size
@@ -292,20 +302,30 @@ def normal_posterior_sample(data: Sequence[float], a: float, size: int,
         raise DomainError("need a + n > 2 for a proper posterior")
     if size < 1:
         raise DomainError("size must be >= 1")
-    with np.errstate(over="ignore", invalid="ignore"):
-        xbar = float(x.mean())
-        s2 = float(np.mean((x - xbar) ** 2))
+
+    def moments(y):
+        with np.errstate(over="ignore", invalid="ignore"):
+            ybar = float(y.mean())
+            return ybar, float(np.mean((y - ybar) ** 2))
+
+    xbar, s2 = moments(x)
+    shape, rate = 0.5 * (n + a - 2.0), 0.5 * n * s2
+    scale = 1.0  # of the data whose precision is drawn
+    if rate < shape * _MIN_RATE_PER_SHAPE and x.any():
+        scale = float(np.abs(x).max())
+        xbar, s2 = moments(x / scale)
+        xbar, rate = scale * xbar, 0.5 * n * s2
     if s2 <= 0.0:
         raise DegenerateDataError("constant data: posterior degenerates")
-    rate = 0.5 * n * s2
     if not (rate < math.inf):
         raise DomainError("n s^2 of the data overflows a float")
     rng = np.random.default_rng(_check_seed(seed))
-    shape = 0.5 * (n + a - 2.0)
     lam = rng.gamma(shape, 1.0 / rate, size=size)
     if not ((lam > 0.0) & (lam < math.inf)).all():
         raise AccuracyError("a precision draw left the float range")
-    sigma = 1.0 / np.sqrt(lam)
+    sigma = scale / np.sqrt(lam)
+    if not (sigma > 0.0).all():
+        raise AccuracyError("a sigma draw underflows")
     mu = rng.normal(xbar, sigma / math.sqrt(n))
     return NormalPosteriorSample(mu=mu, sigma=sigma)
 

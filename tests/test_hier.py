@@ -17,7 +17,7 @@ import scipy.integrate
 import scipy.optimize
 import scipy.special as sp
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overallprior import hier
@@ -1130,6 +1130,84 @@ def test_exact_prior_tables_are_bounded():
     assert vars(table).keys() == {"m", "n", "lo", "hi", "_coef", "_t0",
                                   "_h", "_last"}
     assert len(table._coef) * table._coef.itemsize == 4 * 2999 * 8
+
+
+def _modes(t, prior):
+    """Both modes of ``t``, None for a likelihood mode on the boundary."""
+    try:
+        lik = likelihood_mode_a(t)
+    except BoundaryModeError:
+        lik = None
+    return posterior_mode_a(t, prior=prior), lik
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.floats(math.log(2.0), math.log(1e12)).map(
+           lambda u: max(2, round(math.exp(u)))),
+       st.lists(st.one_of(st.integers(1, 16), st.integers(17, 300)),
+                min_size=2, max_size=8),
+       st.sampled_from(["exact", "approx"]))
+@example(10**298, [3, 20, 1], "approx")  # two grid points below _TINY_A
+def test_mode_scan_equals_the_mapped_kernel(m, counts, prior):
+    # The scan is built from the shape's columns in the kernel's order of
+    # operations, so it is the public likelihood on the grid bit for bit,
+    # and the modes are those of a scan that maps the kernel.
+    counts = dict(enumerate(counts[:m]))
+    t, mapped = CountTable(m=m, counts=counts), CountTable(m=m, counts=counts)
+    vars(mapped)["_mode_scan"] = marginal_log_likelihood(
+        mapped, np.exp(hier._mode_grid(m)))
+    assert np.array_equal(t._mode_scan, mapped._mode_scan)
+    assert _modes(t, prior) == _modes(mapped, prior)
+
+
+def _count_log1p_sums(monkeypatch):
+    calls = []
+    real = hier._log1p_sum
+
+    def counted(y, k):
+        calls.append(k)
+        return real(y, k)
+
+    monkeypatch.setattr(hier, "_log1p_sum", counted)
+    return calls
+
+
+def test_seen_shape_mode_search_takes_log1p_sums_only_for_large_counts(
+        monkeypatch, fresh_shape_caches):
+    # The first mode search of a shape fills its -L(m a, n - 1) column,
+    # 240 sums.  A later table of that shape pays 240 sums for each
+    # distinct count above 16, and none otherwise.
+    calls = _count_log1p_sums(monkeypatch)
+    first = CountTable(m=60, counts={0: 30, 1: 20, 2: 5, 3: 5})
+    _modes(first, "exact")
+    assert len(calls) == 240 + 2 * 240
+    for counts in ({4: 16, 5: 16, 6: 16, 7: 12}, {0: 1, 1: 2, 2: 57}):
+        calls.clear()
+        table = CountTable(m=60, counts=counts)
+        for prior in ("exact", "approx"):
+            posterior_mode_a(table, prior=prior)
+        likelihood_mode_a(table)
+        big = {v for v in counts.values() if v > 16}
+        assert len(calls) == 240 * len(big)
+
+
+def test_mode_shapes_are_bounded(fresh_shape_caches):
+    # One shape per (m, n), whatever the counts; at most 16 are kept, the
+    # least recently used dropped first.
+    CountTable(m=10, counts={0: 3, 1: 16})._mode_scan
+    CountTable(m=10, counts={4: 18, 5: 1})._mode_scan
+    assert hier._mode_shape.cache_info()[:2] == (1, 1)  # hits, misses
+    hier._mode_shape.cache_clear()
+    for n in range(2, 20):
+        hier._mode_shape(10, n)
+    info = hier._mode_shape.cache_info()
+    assert info.maxsize == hier._EXACT_PRIOR_TABLES == 16
+    assert info.currsize == 16
+    shape = hier._mode_shape(10, 19)
+    assert hier._mode_shape.cache_info().hits == 1
+    assert (shape.m, shape.n) == (10, 19)
+    assert shape.neg_lik.shape == shape.grid.shape == (240,)
+    assert shape._rows == {} and shape._log_priors == {}
 
 
 def _log_prior_mpmath(a, m, n):

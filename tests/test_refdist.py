@@ -1,6 +1,7 @@
 """Reference-distance selection: expected-loss curve, its minimizer,
 normal-model closed forms, and posterior summaries."""
 
+import hashlib
 import math
 
 import mpmath
@@ -426,11 +427,37 @@ def test_normal_posterior_rejects_data_it_cannot_handle(data, match):
         normal_posterior_sample(data, 1.0, size=10, seed=0)
 
 
-def test_normal_posterior_precision_draw_past_the_float_range():
-    # s^2 = 1e-308: the scale of the precision draws, 2/(n s^2), is 1e308,
-    # so most draws overflow.
+def test_normal_posterior_samples_data_of_tiny_spread():
+    # At spread 1e-154 the precision draws of the data overflow, and at
+    # 1e-170 s^2 underflows to 0.0; both are drawn as x / max|x|, whose
+    # draws are those of [1, -1], with sigma scaled back.
+    unit = normal_posterior_sample([1.0, -1.0], 1.0, size=1000, seed=0)
+    for c in (1e-154, 1e-170):
+        d = normal_posterior_sample([c, -c], 1.0, size=1000, seed=0)
+        assert (d.sigma > 0.0).all() and np.isfinite(d.sigma).all()
+        np.testing.assert_allclose(d.sigma, c * unit.sigma, rtol=5e-16)
+        np.testing.assert_allclose(d.mu, c * unit.mu, rtol=1e-15)
+    # Constant data stay degenerate on that path; sigma below the
+    # smallest subnormal is a draw past the float range.
+    for data in ([1e-170, 1e-170], [1e-200] * 3, [0.0, 0.0]):
+        with pytest.raises(DegenerateDataError):
+            normal_posterior_sample(data, 1.0, size=10, seed=0)
     with pytest.raises(AccuracyError):
-        normal_posterior_sample([1e-154, -1e-154], 1.0, size=1000, seed=0)
+        normal_posterior_sample([5e-324, -5e-324], 1.0, size=1000, seed=0)
+
+
+def test_normal_posterior_draws_pinned():
+    # The rescaled path is taken only where it is needed: draws of data of
+    # normal spread, and of spread 1e-140, keep the bits they had before
+    # it existed.
+    for scale, digest in (
+            (1.0, "06846d51c55f7c812a50be6538d8b20b"
+                  "236d893fec4b8c2f04856d5bac710dd2"),
+            (1e-140, "adba911400d1996d5cc3e716dd2489f7"
+                     "68438778aa26c70c827624b6fc6ea4b7")):
+        d = normal_posterior_sample(_data() * scale, 1.0, size=100, seed=3)
+        got = hashlib.sha256(d.mu.tobytes() + d.sigma.tobytes()).hexdigest()
+        assert got == digest
 
 
 def test_phi_draws():
