@@ -56,10 +56,10 @@ _MODE_LO_TIMES_M = 1e-4
 _CACHE_SIZE = 3000
 _CHEB_NODES = 128
 
-# Exact-prior tables kept in a process, one per (m, n), the least
-# recently used dropped first.  A table holds 4 doubles per interval,
-# 96 kB, so the tables take at most about 1.5 MB.
-_EXACT_PRIOR_TABLES = 16
+# Shapes (m, n) whose ``_Shape`` a process keeps, the least recently
+# used dropped first.  A shape holds its exact-prior table (96 kB) and at
+# most about 50 kB of mode-search columns: about 2.4 MB in all.
+_SHAPES = 16
 
 # The samplers' support in t = log a: |t| <= _LOG_A_LIMIT, a in
 # [1e-200, 1e200].  The posterior in t falls at least as fast as
@@ -151,13 +151,13 @@ class CountTable:
     def _mode_scan(self) -> np.ndarray:
         """log p(x|a) on ``_mode_grid(m)``, read by both modes.  The
         kernel's sum in its own order, one numpy pass a term: the shape's
-        -L(m a, n - 1) column (``_mode_shape``), plus R'_j times its
+        -L(m a, n - 1) column (``_Shape``), plus R'_j times its
         log1p(j/a) row for each head entry, plus c_v L(a, v - 1) mapped
         over the grid for each count v > 16, plus c0.  So it equals
         ``marginal_log_likelihood`` at the grid's a bit for bit, and a
         table of a seen shape with no count above 16 makes no
         ``_log1p_sum`` call."""
-        shape = _mode_shape(self.m, self.n)
+        shape = _shape(self.m, self.n)
         scan = shape.neg_lik.copy()
         for j, r in self._lik_head:
             scan += r * shape.row(j)
@@ -213,13 +213,11 @@ class HierChain:
 
     ``direct_prior_evals`` counts this chain's exact-prior lookups that
     fell outside the prior table and were evaluated directly (0 under the
-    approximate prior, which has no table).  There is one table per
-    (m, n) in a process (at most ``_EXACT_PRIOR_TABLES`` = 16 of them,
-    96 kB each), shared with the mode search and with every chain on a
-    ``CountTable`` of that shape, whose lookups are not counted here.
-    The mode search keeps its scan's per-shape columns apart
-    (``_mode_shape``); a chain reads none of them.  ``target_evals``
-    counts the log-target evaluations, warm-up included."""
+    approximate prior, which has no table).  The table is kept per
+    (m, n) (``_Shape``) and shared with the mode search and with every
+    chain on a ``CountTable`` of that shape, whose lookups are not
+    counted here.  ``target_evals`` counts the log-target evaluations,
+    warm-up included."""
 
     a_samples: np.ndarray
     theta_samples: Optional[np.ndarray]
@@ -259,6 +257,15 @@ def _is_array(a) -> bool:
     return False
 
 
+def _elementwise(f, a):
+    """f at a float a, or at each entry of an array a, as a float; a > 0
+    checked as in ``_is_array``."""
+    if _is_array(a):
+        flat = a.astype(float).ravel().tolist()
+        return np.array([f(v) for v in flat]).reshape(a.shape)
+    return f(float(a))
+
+
 def marginal_log_likelihood(x: CountTable, a):
     """Log marginal probability of the table under Dirichlet(a,..,a),
     multinomial coefficient included; elementwise for an array of a.
@@ -279,11 +286,7 @@ def marginal_log_likelihood(x: CountTable, a):
     1: 3, 2: 1} at m = 1e6, a difference of terms 250 times its size.
     Below ``_TINY_A`` (j/a would overflow, a + j == j) it is log(n/m)
     - sum log(counts) + (r0 - 1) log a.  Every a is one kernel call."""
-    log_lik = _likelihood_kernel(x)
-    if _is_array(a):
-        flat = a.astype(float).ravel().tolist()
-        return np.array([log_lik(v) for v in flat]).reshape(a.shape)
-    return log_lik(float(a))
+    return _elementwise(_likelihood_kernel(x), a)
 
 
 def _likelihood_kernel(x: CountTable):
@@ -475,15 +478,13 @@ def _log_prior(a, m: int, n: int, prior: str):
     """The log of hyperprior ``prior`` at a.  The exact prior's is -inf
     where the prior underflows.  The approximate prior's is
     log(n/(2m)) - log(a)/2 - 1.5 log(a + n/m) at every a, finite out to
-    a = 1.8e308, in the order of operations of ``_approx_log_prior``."""
+    a = 1.8e308: ``_approx_log_prior`` at a float and at each entry of
+    an array alike."""
     _check_prior(prior)
     if prior == "approx":
         if m < 2 or n < 1:
             raise DomainError("need m >= 2 and n >= 1")
-        if not _is_array(a):
-            return _approx_log_prior(m, n)(float(a))
-        a, c = np.asarray(a, dtype=float), n / m
-        return math.log(0.5 * c) - 0.5 * np.log(a) - 1.5 * np.log(a + c)
+        return _elementwise(_approx_log_prior(m, n), a)
     v = reference_prior_exact(a, m, n)
     if isinstance(v, np.ndarray):
         with np.errstate(divide="ignore"):
@@ -504,7 +505,8 @@ def _approx_log_prior(m: int, n: int):
 
 def posterior_log_density_a(a, x: CountTable, prior: str = "exact"):
     """Unnormalized log posterior density of the hyperparameter a;
-    elementwise for an array of a."""
+    elementwise for an array of a.  Under the exact prior it is -inf
+    where that prior is 0.0: at n = 1, and where it underflows."""
     return marginal_log_likelihood(x, a) + _log_prior(a, x.m, x.n, prior)
 
 
@@ -520,13 +522,14 @@ def _mode_grid(m: int) -> np.ndarray:
     return np.linspace(math.log(lo), math.log(hi), 240)
 
 
-class _ModeShape:
-    """What the mode search computes from (m, n) alone, kept per shape by
-    ``_mode_shape`` and built by the first mode search of that shape:
-    the 240-point grid in t = log a (``_mode_grid``) and its a values,
-    the likelihood kernel's column -L(m a, n - 1), one row of
-    log1p(j/a) per head index j < 16, filled the first time a table
-    needs it, and each prior's log on the grid, filled likewise.  The
+class _Shape:
+    """What is computed from a table's shape (m, n) alone, kept per shape
+    by ``_shape`` and read by the mode search and the samplers on every
+    table of that shape.  Each part is built on first use:
+    ``exact_table``, the exact-prior table (``_ExactPriorCache``), and the
+    mode search's columns on its 240-point grid in t = log a
+    (``_mode_grid``): the likelihood kernel's column -L(m a, n - 1), one
+    row of log1p(j/a) per head index j < 16 and each prior's log.  The
     first ``tiny`` grid points have a <= ``_TINY_A``, where the kernel
     takes its closed form; the column and rows start after them.  Each
     column or row is 240 doubles, 1.9 kB."""
@@ -536,10 +539,17 @@ class _ModeShape:
         self.grid = _mode_grid(m)
         self.a = np.exp(self.grid)
         self.tiny = int(np.count_nonzero(self.a <= _TINY_A))
-        mf, k = float(m), n - 1
-        self.neg_lik = np.array(
-            [-_log1p_sum(mf * v, k) for v in self.a[self.tiny:].tolist()])
         self._rows, self._log_priors = {}, {}
+
+    @functools.cached_property
+    def exact_table(self) -> _ExactPriorCache:
+        return _ExactPriorCache(self.m, self.n)
+
+    @functools.cached_property
+    def neg_lik(self) -> np.ndarray:
+        mf, k = float(self.m), self.n - 1
+        return np.array(
+            [-_log1p_sum(mf * v, k) for v in self.a[self.tiny:].tolist()])
 
     def row(self, j: float) -> np.ndarray:
         """log1p(j/a) at the grid's a above ``_TINY_A``."""
@@ -554,26 +564,24 @@ class _ModeShape:
         table's lookups, or the approximate prior's closed form."""
         if prior not in self._log_priors:
             if prior == "exact":
-                values = _exact_prior_table(self.m, self.n).log_values_at(
-                    self.grid)
+                values = self.exact_table.log_values_at(self.grid)
             else:
                 values = _log_prior(self.a, self.m, self.n, prior)
             self._log_priors[prior] = values
         return self._log_priors[prior]
 
 
-@functools.lru_cache(maxsize=_EXACT_PRIOR_TABLES)
-def _mode_shape(m: int, n: int) -> _ModeShape:
-    """The mode search's per-shape columns of (m, n), built on first use
-    and then read by the mode search on every table of that shape."""
-    return _ModeShape(m, n)
+@functools.lru_cache(maxsize=_SHAPES)
+def _shape(m: int, n: int) -> _Shape:
+    """The ``_Shape`` of (m, n), one per shape in a process."""
+    return _Shape(m, n)
 
 
 def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
     """Maximize log p(x|a), plus the log of hyperprior ``prior`` unless
     it is None, over the mode search window for the table: a 240-point
     scan uniform in t = log a (``CountTable._mode_scan``, plus the
-    prior's column of the shape's ``_ModeShape``), then the zero of the
+    prior's column of the table's ``_Shape``), then the zero of the
     slope in t between the grid points either side of the best one
     (``numerics._find_root``), or the window's edge where the slope has
     one sign there.  The slopes are closed forms: -W . (J / (a + J))
@@ -581,7 +589,7 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
     a -> 0, with no overflow), -1/2 - (3/2) a/(a + n/m) for the
     approximate prior, and the slope of the exact-prior table's cubic
     piece, whose window is the search window."""
-    shape = _mode_shape(x.m, x.n)
+    shape = _shape(x.m, x.n)
     grid, log_density = shape.grid, x._mode_scan
     if prior is not None:
         log_density = log_density + shape.log_prior(prior)
@@ -595,7 +603,7 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
         def slope(t: float) -> float:
             return lik_slope(exp(t))
     elif prior == "exact":
-        table_slope = _exact_prior_table(x.m, x.n).slope_at
+        table_slope = shape.exact_table.slope_at
 
         def slope(t: float) -> float:
             return lik_slope(exp(t)) + table_slope(t)
@@ -618,16 +626,14 @@ def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
     The zero of the slope of the log density in log a (``_log_mode``).
     Under the approximate prior it is within 3e-14 relative of the
     40-digit mpmath root on the tables tested, m up to 1e12.  Under the
-    exact prior the slope is read from the exact-prior table of (m, n)
-    (see ``sample_posterior``), built once per (m, n) in a process (at
-    most 16 tables of 96 kB are kept) and shared with every chain and
-    mode search on a table of that shape; the mode is within 6e-9
-    relative of the one on the directly evaluated prior on the tables
-    tested.  The scan's grid, its likelihood columns and each prior's
-    log on the grid are kept per (m, n) as well (``_ModeShape``, for
-    at most 16 shapes), so on a later table of a seen shape the scan
-    costs a few numpy passes, plus 240 ``_log1p_sum`` calls per
-    distinct count above 16.
+    exact prior the slope is read from the exact-prior table of (m, n);
+    the mode is within 6e-9 relative of the one on the directly
+    evaluated prior on the tables tested.  The table, the scan's grid,
+    its likelihood columns and each prior's log on the grid are kept
+    per (m, n) (``_Shape``, for at most 16 shapes) and shared with every
+    chain and mode search on a table of that shape, so on a later table
+    of a seen shape the scan costs a few numpy passes, plus 240
+    ``_log1p_sum`` calls per distinct count above 16.
 
     Requires at least two nonzero cells; with a single occupied cell
     the mode sits at the unusable a = 0 boundary.
@@ -715,9 +721,8 @@ class _ExactPriorCache:
     the mpmath derivative of the log prior it is within 1e-9 on the
     first four tables, 1.3e-8 on (2, 300), and 4e-9 at m = 1e10, 1e12.
 
-    The table depends on (m, n) alone: ``_exact_prior_table`` keeps one
-    per (m, n) in a process, at most ``_EXACT_PRIOR_TABLES`` = 16 of
-    them.  Each keeps only its cubic coefficients, 96 kB; the
+    The table depends on (m, n) alone and is part of that shape's
+    ``_Shape``.  It keeps only its cubic coefficients, 96 kB; the
     Vandermonde matrices of the build are freed when it ends.
     """
 
@@ -800,13 +805,6 @@ class _ExactPriorCache:
         i = min(int(x), self._last)
         s, c = x - i, self._coef[4 * i + 1:4 * i + 4]
         return (c[0] + s * (2.0 * c[1] + 3.0 * s * c[2])) / self._h
-
-
-@functools.lru_cache(maxsize=_EXACT_PRIOR_TABLES)
-def _exact_prior_table(m: int, n: int) -> _ExactPriorCache:
-    """The exact-prior table of (m, n), built on first use and then read
-    by the mode search and every chain on a table of that shape."""
-    return _ExactPriorCache(m, n)
 
 
 def _log_target(x: CountTable, log_prior):
@@ -895,10 +893,9 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     and a chain is the start of any longer one with the same seed and
     warm-up.  The log target is one kernel bound to the table and the
     prior (``_log_target``), with no validation per call.  The exact
-    prior depends on (m, n) only, so it is read from one table per
-    (m, n) in a process (``_exact_prior_table``: at most 16 tables of
-    96 kB), shared with ``posterior_mode_a`` and with every later
-    ``CountTable`` of that shape.  MH draws its normals and
+    prior depends on (m, n) only, so it is read from the table of the
+    shape's ``_Shape``, shared with ``posterior_mode_a`` and with every
+    later ``CountTable`` of that shape.  MH draws its normals and
     log-uniforms in fixed-size blocks (``_mh_variates``), and the slice
     sampler its uniforms (``_uniform_stream``); the slice chain is that
     of one ``rng.random()`` call per uniform.  The theta rows are drawn
@@ -914,7 +911,7 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         raise DomainError(f"unknown method {method!r}")
     _check_seed(seed)
     if prior == "exact":
-        log_prior, direct_evals = _exact_prior_table(x.m, x.n).reader()
+        log_prior, direct_evals = _shape(x.m, x.n).exact_table.reader()
     else:
         _check_prior(prior)
         log_prior, direct_evals = _approx_log_prior(x.m, x.n), lambda: 0

@@ -218,7 +218,8 @@ def digamma(x):
     entry goes through that same float path, so an array gives the
     floats of the scalar calls, bit for bit (a 0-d array gives a
     float).  Error below 1e-14 on [1e-8, 1e12]: relative, or absolute
-    where |psi(x)| < 1.
+    where |psi(x)| < 1.  It is -inf below about 5.6e-309, where
+    psi(x) ~ -1/x overflows.
     """
     if isinstance(x, _SCALAR_TYPES):
         y = float(x)

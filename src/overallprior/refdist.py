@@ -286,9 +286,9 @@ def normal_posterior_sample(data: Sequence[float], a: float, size: int,
     that a precision draw could overflow (mean precision above 2^960),
     the draws are those of x/c, c = max |x|, with sigma scaled back by c:
     the same random stream.  Non-finite data, or n s^2 past the float
-    range, raise ``DomainError``; s^2 = 0.0 after any rescaling, as for
-    constant data, ``DegenerateDataError``; a draw past the float range
-    ``AccuracyError``.
+    range, raise ``DomainError``; constant data (every x equal, however
+    their mean rounds) ``DegenerateDataError``; a draw past the float
+    range ``AccuracyError``.
     """
     x = np.asarray(data, dtype=float)
     n = x.size
@@ -302,6 +302,8 @@ def normal_posterior_sample(data: Sequence[float], a: float, size: int,
         raise DomainError("need a + n > 2 for a proper posterior")
     if size < 1:
         raise DomainError("size must be >= 1")
+    if x.min() == x.max():
+        raise DegenerateDataError("constant data: posterior degenerates")
 
     def moments(y):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -315,8 +317,6 @@ def normal_posterior_sample(data: Sequence[float], a: float, size: int,
         scale = float(np.abs(x).max())
         xbar, s2 = moments(x / scale)
         xbar, rate = scale * xbar, 0.5 * n * s2
-    if s2 <= 0.0:
-        raise DegenerateDataError("constant data: posterior degenerates")
     if not (rate < math.inf):
         raise DomainError("n s^2 of the data overflows a float")
     rng = np.random.default_rng(_check_seed(seed))

@@ -27,8 +27,7 @@ def loaded_modules():
 
 @pytest.fixture
 def fresh_shape_caches():
-    """Empty every per-(m, n) cache of ``hier`` before the test, so that
+    """Empty the per-(m, n) cache of ``hier`` before the test, so that
     what the test counts does not depend on which tests ran before it."""
     from overallprior import hier
-    hier._exact_prior_table.cache_clear()
-    hier._mode_shape.cache_clear()
+    hier._shape.cache_clear()

@@ -30,10 +30,11 @@ from overallprior.catalogue import (ENTRIES, DiagFisherSpec,
 from overallprior.exceptions import DomainError, OverallPriorError
 from overallprior.hier import (CountTable, LimitProfile,
                                approx_posterior_curvature,
-                               limit_density_psi, marginal_pmf,
-                               posterior_log_density_a,
+                               limit_density_psi, marginal_log_likelihood,
+                               marginal_pmf, posterior_log_density_a,
                                reference_prior_approx, reference_prior_exact)
-from overallprior.numerics import kl_beta, log_gamma, log_rising_ratio
+from overallprior.numerics import (digamma, kl_beta, log_gamma,
+                                   log_rising_ratio, trigamma)
 from overallprior.refdist import (RefDistConfig, d_mu, d_sigma,
                                   expected_loss, normal_posterior_sample)
 from overallprior.shrinkage import (hierarchical_prior_density,
@@ -46,6 +47,9 @@ positive = st.floats(-1074.0, 1023.999).map(lambda e: math.pow(2.0, e))
 cells = st.floats(math.log(2.0), math.log(1e12)).map(
     lambda t: max(2, round(math.exp(t))))
 sizes = st.integers(1, 300)
+# Count tables: cell counts in the likelihood's head (<= 16) and above it.
+table_counts = st.lists(st.one_of(st.integers(1, 16), st.integers(17, 300)),
+                        min_size=1, max_size=20)
 # Reals of either sign over the whole float range, with (0, 1) drawn on
 # its own so that probabilities and correlations reach their domain.
 unit = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
@@ -324,3 +328,60 @@ def test_limit_density_psi_over_its_domain(v, n, r0):
     profile = LimitProfile(n=n, r0=min(r0, n))
     psi = _value_or_typed_error(limit_density_psi, v, profile)
     assert psi is not None and math.isfinite(psi) and psi >= 0.0
+
+
+def _table(m, counts):
+    return CountTable(m=max(m, len(counts)), counts=dict(enumerate(counts)))
+
+
+@sweep
+@given(positive, positive, cells, table_counts)
+@example(5e-324, FLOAT_MAX, 10**12, [1, 1])
+@example(1e-300, 3e-300, 2, [300, 17])
+@example(FLOAT_MAX, 1e154, 10**12, [60, 1, 1, 300])
+def test_marginal_log_likelihood_over_its_domain(a, b, m, counts):
+    # A log probability: finite at every a.  An array gives the float
+    # calls' values bit for bit.
+    t = _table(m, counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = marginal_log_likelihood(t, a)
+        row = marginal_log_likelihood(t, np.array([a, b]))
+        assert row.tolist() == [v, marginal_log_likelihood(t, b)]
+    assert isinstance(v, float) and math.isfinite(v)
+
+
+@light
+@given(positive, cells, table_counts)
+@example(5e-324, 10**12, [1, 1])
+@example(1e100, 60, [1] * 60)
+@example(FLOAT_MAX, 2, [300])
+@example(1.0, 10, [1])
+def test_posterior_log_density_exact_over_its_domain(a, m, counts):
+    # -inf only where the exact prior underflows, or is zero (n = 1).
+    t = _table(m, counts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = posterior_log_density_a(a, t, "exact")
+        zero = reference_prior_exact(a, t.m, t.n) == 0.0
+    assert isinstance(v, float)
+    assert math.isfinite(v) or (v == -math.inf and zero)
+
+
+@light
+@given(positive)
+@example(5e-324)
+@example(5.5e-309)
+@example(5.6e-309)
+@example(1e-154)
+@example(FLOAT_MAX)
+def test_digamma_and_trigamma_over_their_domain(x):
+    # psi is -inf and psi' inf only where -1/x and 1/x^2 overflow; an
+    # array gives the float calls' values bit for bit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi, psi1 = digamma(x), trigamma(x)
+        assert digamma(np.array([x])).tolist() == [psi]
+    assert math.isfinite(psi) or (psi == -math.inf and 1.0 / x == math.inf)
+    assert psi1 > 0.0
+    assert psi1 < math.inf or 1.0 / x / x == math.inf

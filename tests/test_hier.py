@@ -332,6 +332,17 @@ def test_likelihood_array_matches_scalar_calls(name):
         marginal_log_likelihood(t, np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("name", ["poisson", "60x60", "40x8", "1000x30"])
+def test_approx_log_density_array_matches_scalar_calls(name):
+    # An array maps the float path: np.log would round the prior's log 1
+    # ulp off math.log at a = 0.011646386073420592 for m = n = 60.
+    t = _sweep_tables()[name]
+    a = np.append(_ARRAY_A, 0.011646386073420592)
+    for f in (lambda v: hier._log_prior(v, t.m, t.n, "approx"),
+              lambda v: posterior_log_density_a(v, t, "approx")):
+        assert f(a).tolist() == [f(float(v)) for v in a]
+
+
 @pytest.mark.parametrize("mn", [(60, 60), (1000, 30), (10, 5), (7, 30)])
 def test_priors_array_match_scalar_calls(mn):
     m, n = mn
@@ -1053,10 +1064,8 @@ def test_exact_prior_table_takes_128_fisher_sums(monkeypatch):
     assert sum(values) == 128
 
 
-def test_mode_and_chain_share_one_exact_prior_table(monkeypatch):
-    # The table of (m, n) is kept for the process: drop any that an
-    # earlier test built, so that this one builds it.
-    hier._exact_prior_table.cache_clear()
+def test_mode_and_chain_share_one_exact_prior_table(monkeypatch,
+                                                   fresh_shape_caches):
     values = _count_fisher_sums(monkeypatch)
     t = _synthetic_table()
     posterior_mode_a(t, prior="exact")
@@ -1073,11 +1082,11 @@ def _table_of_shape(m, n, seed):
     return CountTable.from_dense(counts.tolist())
 
 
-def test_count_tables_of_one_shape_share_one_exact_prior_table(monkeypatch):
+def test_count_tables_of_one_shape_share_one_exact_prior_table(
+        monkeypatch, fresh_shape_caches):
     # The exact prior depends on (m, n) only, so a second table of that
     # shape with other counts takes no Fisher sum; another shape builds
     # its own table.
-    hier._exact_prior_table.cache_clear()
     values = _count_fisher_sums(monkeypatch)
     first, second = _table_of_shape(60, 60, 1), _table_of_shape(60, 60, 2)
     assert first.counts != second.counts
@@ -1088,18 +1097,18 @@ def test_count_tables_of_one_shape_share_one_exact_prior_table(monkeypatch):
     assert sum(values) == 128
     posterior_mode_a(_table_of_shape(40, 60, 3), prior="exact")
     assert sum(values) == 256
-    assert hier._exact_prior_table.cache_info().currsize == 2
+    assert hier._shape.cache_info().currsize == 2
 
 
-def test_shared_table_keeps_each_chains_direct_prior_evals():
+def test_shared_table_keeps_each_chains_direct_prior_evals(
+        fresh_shape_caches):
     # Two chains on two tables of one shape read one table; each counts
     # only its own lookups outside it.
-    hier._exact_prior_table.cache_clear()
     first = CountTable(m=10**10, counts={0: 1, 1: 1})
     second = CountTable(m=10**10, counts={5: 1, 9: 1})
     one = sample_posterior(first, 2000, seed=4).direct_prior_evals
     two = sample_posterior(second, 2000, seed=5).direct_prior_evals
-    assert hier._exact_prior_table.cache_info().misses == 1
+    assert hier._shape.cache_info().misses == 1
     assert 0 < one != two > 0
     assert sample_posterior(second, 2000, seed=5).direct_prior_evals == two
 
@@ -1109,27 +1118,28 @@ def test_chain_on_shared_table_equals_one_on_fresh_table(monkeypatch, method):
     t = _synthetic_table()
     shared = sample_posterior(t, 1500, seed=3, method=method)
     mode = posterior_mode_a(t, prior="exact")
-    monkeypatch.setattr(hier, "_exact_prior_table", _ExactPriorCache)
+    monkeypatch.setattr(hier, "_shape", hier._Shape)
     fresh = sample_posterior(t, 1500, seed=3, method=method)
     assert np.array_equal(shared.a_samples, fresh.a_samples)
     assert shared.direct_prior_evals == fresh.direct_prior_evals
     assert posterior_mode_a(t, prior="exact") == mode
 
 
-def test_exact_prior_tables_are_bounded():
-    # At most 16 tables of 96 kB are kept, the least recently used
-    # dropped first; no table keeps its build's Vandermonde matrices.
-    hier._exact_prior_table.cache_clear()
-    for n in range(2, 20):
-        hier._exact_prior_table(10, n)
-    info = hier._exact_prior_table.cache_info()
-    assert info.maxsize == hier._EXACT_PRIOR_TABLES == 16
-    assert info.currsize == 16
-    table = hier._exact_prior_table(10, 19)
-    assert hier._exact_prior_table.cache_info().hits == 1
-    assert vars(table).keys() == {"m", "n", "lo", "hi", "_coef", "_t0",
-                                  "_h", "_last"}
-    assert len(table._coef) * table._coef.itemsize == 4 * 2999 * 8
+def test_approx_mode_search_builds_no_exact_prior_table(
+        monkeypatch, fresh_shape_caches):
+    values = _count_fisher_sums(monkeypatch)
+    t = _synthetic_table()
+    _modes(t, "approx")
+    assert values == []
+    assert "exact_table" not in vars(hier._shape(t.m, t.n))
+
+
+def test_exact_chain_fills_no_mode_grid_column(fresh_shape_caches):
+    t = _synthetic_table()
+    sample_posterior(t, 200, seed=1, prior="exact")
+    shape = hier._shape(t.m, t.n)
+    assert "exact_table" in vars(shape) and "neg_lik" not in vars(shape)
+    assert shape._rows == {} and shape._log_priors == {}
 
 
 def _modes(t, prior):
@@ -1191,23 +1201,44 @@ def test_seen_shape_mode_search_takes_log1p_sums_only_for_large_counts(
         assert len(calls) == 240 * len(big)
 
 
+def test_exact_prior_tables_are_bounded(fresh_shape_caches):
+    # The table is a part of its (m, n) shape, so at most 16 tables of
+    # 96 kB are kept, the least recently used dropped first; no table
+    # keeps its build's Vandermonde matrices.
+    for n in range(2, 20):
+        hier._shape(10, n).exact_table
+    info = hier._shape.cache_info()
+    assert info.maxsize == hier._SHAPES == 16
+    assert info.currsize == 16
+    table = hier._shape(10, 19).exact_table
+    assert hier._shape.cache_info().hits == 1
+    assert vars(table).keys() == {"m", "n", "lo", "hi", "_coef", "_t0",
+                                  "_h", "_last"}
+    assert len(table._coef) * table._coef.itemsize == 4 * 2999 * 8
+
+
 def test_mode_shapes_are_bounded(fresh_shape_caches):
     # One shape per (m, n), whatever the counts; at most 16 are kept, the
-    # least recently used dropped first.
+    # least recently used dropped first.  A fresh shape has built no part.
     CountTable(m=10, counts={0: 3, 1: 16})._mode_scan
     CountTable(m=10, counts={4: 18, 5: 1})._mode_scan
-    assert hier._mode_shape.cache_info()[:2] == (1, 1)  # hits, misses
-    hier._mode_shape.cache_clear()
+    assert hier._shape.cache_info()[:2] == (1, 1)  # hits, misses
+    hier._shape.cache_clear()
     for n in range(2, 20):
-        hier._mode_shape(10, n)
-    info = hier._mode_shape.cache_info()
-    assert info.maxsize == hier._EXACT_PRIOR_TABLES == 16
+        hier._shape(10, n)
+    info = hier._shape.cache_info()
+    assert info.maxsize == hier._SHAPES == 16
     assert info.currsize == 16
-    shape = hier._mode_shape(10, 19)
-    assert hier._mode_shape.cache_info().hits == 1
+    shape = hier._shape(10, 19)
+    hier._shape(10, 4)  # kept; (10, 2) and (10, 3) were dropped
+    assert hier._shape.cache_info()[:2] == (2, 18)
+    hier._shape(10, 3)
+    assert hier._shape.cache_info()[:2] == (2, 19)
     assert (shape.m, shape.n) == (10, 19)
-    assert shape.neg_lik.shape == shape.grid.shape == (240,)
+    assert vars(shape).keys() == {"m", "n", "grid", "a", "tiny", "_rows",
+                                  "_log_priors"}
     assert shape._rows == {} and shape._log_priors == {}
+    assert shape.neg_lik.shape == shape.grid.shape == (240,)
 
 
 def _log_prior_mpmath(a, m, n):
@@ -1458,7 +1489,7 @@ def test_bound_kernel_matches_public_functions(name, prior):
     # outside its window, and to the table's accuracy inside it.
     t = _KERNEL_TABLES[name]()
     log_lik = hier._likelihood_kernel(t)
-    table = hier._exact_prior_table(t.m, t.n)
+    table = hier._shape(t.m, t.n).exact_table
     log_prior = (table.reader()[0] if prior == "exact"
                  else hier._approx_log_prior(t.m, t.n))
     for a in _KERNEL_A:

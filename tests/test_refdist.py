@@ -412,8 +412,12 @@ def test_normal_posterior_rejects_bad_seed(seed):
 
 
 def test_normal_posterior_rejects_constant_data():
-    with pytest.raises(DegenerateDataError):
-        normal_posterior_sample([1.0, 1.0, 1.0], 1.0, size=10, seed=0)
+    # Where the computed mean rounds off the data's value, s^2 is tiny but
+    # not 0.0 ([0.1] * 3 has mean 0.10000000000000002): still degenerate.
+    for data in ([1.0, 1.0, 1.0], [0.1, 0.1, 0.1], [0.7] * 6,
+                 [123.456] * 5, [0.01] * 10, [-3.3] * 7):
+        with pytest.raises(DegenerateDataError):
+            normal_posterior_sample(data, 1.0, size=10, seed=0)
 
 
 @pytest.mark.parametrize("data,match", [
