@@ -22,8 +22,8 @@ import numpy as np
 
 from .exceptions import (AccuracyError, BoundaryModeError, DomainError,
                          PreconditionError)
-from .numerics import (_FLOAT_MAX, _check_seed, _find_root, _log1p_sum,
-                       log_gamma)
+from .numerics import (_FLOAT_MAX, _check_seed, _find_root, _float,
+                       _log1p_sum, log_gamma)
 
 __all__ = [
     "CountTable",
@@ -45,10 +45,12 @@ __all__ = [
     "hypergeometric_overall_prior",
 ]
 
-# Exact-prior table range, and the mode search window, whose low end
-# falls to _MODE_LO_TIMES_M / m above m = 1e5 (the mode in m a is O(1)).
+# The mode search window and exact-prior table range, whose low end
+# falls to _MODE_LO_TIMES_M / m above m = 1e5 (the mode in m a is O(1)),
+# and the largest m whose table keeps its stated accuracy.
 _MODE_BRACKET = (1e-9, 1e4)
 _MODE_LO_TIMES_M = 1e-4
+_TABLE_MAX_M = 1e12
 
 # Points of the exact-prior table, uniform in log a (even, so that its
 # halves mirror each other), and the Chebyshev nodes in log a at which
@@ -114,7 +116,7 @@ class CountTable:
     _lik_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.m < 2:
+        if _float(self.m) < 2:
             raise DomainError(f"need m >= 2 cells, got {self.m}")
         counts = {int(i): int(c) for i, c in self.counts.items()}
         if any(c <= 0 for c in counts.values()):
@@ -149,9 +151,9 @@ class CountTable:
 
     @functools.cached_property
     def _mode_scan(self) -> np.ndarray:
-        """log p(x|a) on ``_mode_grid(m)``, read by both modes.  The
+        """log p(x|a) on the grid of ``_Shape``, read by both modes.  The
         kernel's sum in its own order, one numpy pass a term: the shape's
-        -L(m a, n - 1) column (``_Shape``), plus R'_j times its
+        -L(m a, n - 1) column, plus R'_j times its
         log1p(j/a) row for each head entry, plus c_v L(a, v - 1) mapped
         over the grid for each count v > 16, plus c0.  So it equals
         ``marginal_log_likelihood`` at the grid's a bit for bit, and a
@@ -213,11 +215,11 @@ class HierChain:
 
     ``direct_prior_evals`` counts this chain's exact-prior lookups that
     fell outside the prior table and were evaluated directly (0 under the
-    approximate prior, which has no table).  The table is kept per
-    (m, n) (``_Shape``) and shared with the mode search and with every
-    chain on a ``CountTable`` of that shape, whose lookups are not
-    counted here.  ``target_evals`` counts the log-target evaluations,
-    warm-up included."""
+    approximate prior, which has no table).  The table is a part of the
+    shape's ``_Shape``, shared with the mode search and with every chain
+    on a ``CountTable`` of that shape, whose lookups are not counted
+    here.  ``target_evals`` counts the log-target evaluations, warm-up
+    included."""
 
     a_samples: np.ndarray
     theta_samples: Optional[np.ndarray]
@@ -252,7 +254,7 @@ def _is_array(a) -> bool:
         if not (a > 0.0).all():
             raise DomainError("a must be positive")
         return True
-    if not (a > 0.0):
+    if not (_float(a) > 0.0):
         raise DomainError("a must be positive")
     return False
 
@@ -433,7 +435,10 @@ def reference_prior_exact(a, m: int, n: int):
     prior's error is half the sum's.  The sum is
     positive for n >= 2; where it underflows (a beyond about 1e75, the
     prior below 1e-160) the prior is 0.0.  A negative sum is a defect
-    and raises ``AccuracyError``.
+    and raises ``AccuracyError``.  Unlike the table that the mode search
+    and the samplers read, which needs m <= 1e12 (``_Shape._coef``), it
+    takes any m: at m a in [1e-3, 100] it is within 2e-14 relative of
+    mpmath up to m = 1e40 (n = 2 and 24).
     """
     array = _is_array(a)
     if m < 2 or n < 1:
@@ -510,40 +515,130 @@ def posterior_log_density_a(a, x: CountTable, prior: str = "exact"):
     return marginal_log_likelihood(x, a) + _log_prior(a, x.m, x.n, prior)
 
 
-def _mode_window(m: int) -> tuple:
-    """The range of a that the mode finders scan and the exact-prior
-    table covers for m cells."""
-    return min(_MODE_BRACKET[0], _MODE_LO_TIMES_M / m), _MODE_BRACKET[1]
-
-
-def _mode_grid(m: int) -> np.ndarray:
-    """The mode search's 240 points, uniform in log a over its window."""
-    lo, hi = _mode_window(m)
-    return np.linspace(math.log(lo), math.log(hi), 240)
+def _cheb_vander(x: np.ndarray, size: int) -> np.ndarray:
+    """T_k(x) for k = 0..size-1, one row per k, by the three-term
+    recurrence T_{k+1} = 2x T_k - T_{k-1}."""
+    v = np.empty((size, x.size))
+    v[0], v[1] = 1.0, x
+    x2 = 2.0 * x
+    for k in range(1, size - 1):
+        np.multiply(x2, v[k], out=v[k + 1])
+        v[k + 1] -= v[k - 1]
+    return v
 
 
 class _Shape:
     """What is computed from a table's shape (m, n) alone, kept per shape
     by ``_shape`` and read by the mode search and the samplers on every
-    table of that shape.  Each part is built on first use:
-    ``exact_table``, the exact-prior table (``_ExactPriorCache``), and the
-    mode search's columns on its 240-point grid in t = log a
-    (``_mode_grid``): the likelihood kernel's column -L(m a, n - 1), one
-    row of log1p(j/a) per head index j < 16 and each prior's log.  The
-    first ``tiny`` grid points have a <= ``_TINY_A``, where the kernel
-    takes its closed form; the column and rows start after them.  Each
-    column or row is 240 doubles, 1.9 kB."""
+    table of that shape.  On construction: the window [lo, hi] of a that
+    the mode search scans and the exact-prior table covers, and the
+    search's 240-point ``grid`` uniform in t = log a over it.  The other
+    parts are built on first use: ``_coef``, the exact-prior table, and
+    the search's columns on the grid, the likelihood kernel's
+    -L(m a, n - 1), one row of log1p(j/a) per head index j < 16 and each
+    prior's log.  The first ``tiny`` grid points have a <= ``_TINY_A``,
+    where the kernel takes its closed form; the column and rows start
+    after them.  Each column or row is 240 doubles, 1.9 kB."""
 
     def __init__(self, m: int, n: int):
         self.m, self.n = m, n
-        self.grid = _mode_grid(m)
+        self.lo = min(_MODE_BRACKET[0], _MODE_LO_TIMES_M / m)
+        self.hi = _MODE_BRACKET[1]
+        self._t0, t1 = math.log(self.lo), math.log(self.hi)
+        self._h = (t1 - self._t0) / (_CACHE_SIZE - 1)  # the table's step
+        self.grid = np.linspace(self._t0, t1, 240)
         self.a = np.exp(self.grid)
         self.tiny = int(np.count_nonzero(self.a <= _TINY_A))
         self._rows, self._log_priors = {}, {}
 
     @functools.cached_property
-    def exact_table(self) -> _ExactPriorCache:
-        return _ExactPriorCache(self.m, self.n)
+    def _coef(self) -> array:
+        """The exact-prior table: the cubic Hermite interpolant of the
+        log prior on ``_CACHE_SIZE`` points uniform in t over [lo, hi],
+        four coefficients per interval in its local coordinate, in one
+        flat array of doubles (96 kB).  The log prior is smooth in t and
+        nearly linear at both ends (slope -1/2, then -2), so its
+        interpolating Chebyshev series on ``_CHEB_NODES`` nodes in t
+        (coefficients by the discrete cosine sum) gives the values and
+        exact slopes.  Against mpmath the lookups are within 5e-12 on
+        (m, n) = (60, 60), (1000, 30), (10, 2) and (2000, 10029), 1.3e-9
+        on (2, 300), set by the interpolant, and 2.2e-9 at m = 1e12, set
+        by the Fisher sums at the nodes; ``slope_at`` is within 1e-9,
+        1.3e-8 and 4e-9 (also at m = 1e10).  The window widens with log m
+        while the nodes stay put, so past ``_TABLE_MAX_M`` the table would
+        lose digits silently (2e-3 at m = 1e25): it raises
+        ``PreconditionError`` instead."""
+        m, n = self.m, self.n
+        if n < 2:
+            raise PreconditionError(
+                "the exact hyperprior is identically zero when n = 1")
+        if m > _TABLE_MAX_M:
+            raise PreconditionError(
+                f"the exact-prior table needs m <= 1e12 cells, got m = {m}")
+        t0, t1 = self._t0, math.log(self.hi)
+        half = 0.5 * (t1 - t0)
+        # Nodes x_k = cos(pi (k + 1/2) / N) in [-1, 1], t = t0 + half (1 + x)
+        nodes = np.cos(np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
+        at_nodes = 0.5 * np.log(_fisher_sum(
+            np.exp(t0 + half * (1.0 + nodes)), m, n))
+        # c_j = (2/N) sum_k y(x_k) T_j(x_k), c_0 halved
+        c = (2.0 / _CHEB_NODES) * (_cheb_vander(nodes, _CHEB_NODES)
+                                   @ at_nodes)
+        c[0] *= 0.5
+        # Slope series: d_{j-1} = d_{j+1} + 2j c_j, i.e. d_j sums 2i c_i
+        # over i = j+1, j+3, .., with d_0 halved.
+        w = 2.0 * np.arange(_CHEB_NODES) * c
+        tail = np.empty_like(w)
+        tail[0::2] = np.cumsum(w[0::2][::-1])[::-1]
+        tail[1::2] = np.cumsum(w[1::2][::-1])[::-1]
+        d = np.append(tail[1:], 0.0)
+        d[0] *= 0.5
+        # The table is symmetric about x = 0 and T_j(-x) = (-1)^j T_j(x):
+        # one Vandermonde matrix on its right half serves both halves.
+        right = np.arange(1, _CACHE_SIZE, 2) / (_CACHE_SIZE - 1)
+        flip = (-1.0) ** np.arange(_CHEB_NODES)
+        v = np.stack([c, d, flip * c, flip * d]) @ _cheb_vander(right,
+                                                               _CHEB_NODES)
+        ys = np.concatenate((v[2, ::-1], v[0]))
+        # The step times the slope in t, which is dy/dx / half
+        hd = self._h / half * np.concatenate((v[3, ::-1], v[1]))
+        # On interval i, at s = (t - t_i)/h in [0, 1], the interpolant is
+        # y_i + s (hd_i + s (c2_i + s c3_i)): a flat array of doubles, a
+        # quarter of the memory of a list of Python floats.
+        dy, d0, d1 = np.diff(ys), hd[:-1], hd[1:]
+        return array("d", np.stack(
+            (ys[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy),
+            axis=1).tobytes())
+
+    def reader(self):
+        """A lookup of the exact log prior at one float a > 0, read from
+        the table in [lo, hi] and evaluated directly outside it, and a
+        function that gives the number of direct evaluations it has made,
+        so that each chain counts its own."""
+        lo, hi, m, n = self.lo, self.hi, self.m, self.n
+        coef, t0, h, last = self._coef, self._t0, self._h, _CACHE_SIZE - 2
+        log, direct = math.log, 0
+
+        def log_value(a: float) -> float:
+            nonlocal direct
+            if not lo <= a <= hi:
+                direct += 1
+                return _log_prior(a, m, n, "exact")
+            x = (log(a) - t0) / h
+            i = min(int(x), last)
+            s = x - i
+            k = 4 * i
+            return coef[k] + s * (coef[k + 1] + s * (coef[k + 2]
+                                                     + s * coef[k + 3]))
+        return log_value, lambda: direct
+
+    def slope_at(self, t: float) -> float:
+        """The slope in t of the table's cubic piece at one t = log a in
+        the window: (hd + 2 s c2 + 3 s^2 c3) / h."""
+        x = (t - self._t0) / self._h
+        i = min(int(x), _CACHE_SIZE - 2)
+        s, c = x - i, self._coef[4 * i + 1:4 * i + 4]
+        return (c[0] + s * (2.0 * c[1] + 3.0 * s * c[2])) / self._h
 
     @functools.cached_property
     def neg_lik(self) -> np.ndarray:
@@ -561,10 +656,15 @@ class _Shape:
 
     def log_prior(self, prior: str) -> np.ndarray:
         """The log of hyperprior ``prior`` on the grid: the exact-prior
-        table's lookups, or the approximate prior's closed form."""
+        table's lookups, with no exp/log round trip, or the approximate
+        prior's closed form."""
         if prior not in self._log_priors:
             if prior == "exact":
-                values = self.exact_table.log_values_at(self.grid)
+                x = (self.grid - self._t0) / self._h
+                i = np.minimum(x.astype(int), _CACHE_SIZE - 2)
+                s = x - i
+                c = np.frombuffer(self._coef).reshape(-1, 4)[i].T
+                values = c[0] + s * (c[1] + s * (c[2] + s * c[3]))
             else:
                 values = _log_prior(self.a, self.m, self.n, prior)
             self._log_priors[prior] = values
@@ -587,8 +687,8 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
     one sign there.  The slopes are closed forms: -W . (J / (a + J))
     over the table's stored J and W for the likelihood (r0 - 1 as
     a -> 0, with no overflow), -1/2 - (3/2) a/(a + n/m) for the
-    approximate prior, and the slope of the exact-prior table's cubic
-    piece, whose window is the search window."""
+    approximate prior, and ``_Shape.slope_at`` for the exact prior, the
+    slope of the cubic piece of the table, which spans the window."""
     shape = _shape(x.m, x.n)
     grid, log_density = shape.grid, x._mode_scan
     if prior is not None:
@@ -603,7 +703,7 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
         def slope(t: float) -> float:
             return lik_slope(exp(t))
     elif prior == "exact":
-        table_slope = shape.exact_table.slope_at
+        table_slope = shape.slope_at
 
         def slope(t: float) -> float:
             return lik_slope(exp(t)) + table_slope(t)
@@ -628,12 +728,13 @@ def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
     40-digit mpmath root on the tables tested, m up to 1e12.  Under the
     exact prior the slope is read from the exact-prior table of (m, n);
     the mode is within 6e-9 relative of the one on the directly
-    evaluated prior on the tables tested.  The table, the scan's grid,
-    its likelihood columns and each prior's log on the grid are kept
-    per (m, n) (``_Shape``, for at most 16 shapes) and shared with every
-    chain and mode search on a table of that shape, so on a later table
-    of a seen shape the scan costs a few numpy passes, plus 240
-    ``_log1p_sum`` calls per distinct count above 16.
+    evaluated prior on the tables tested; past m = 1e12 the table would
+    lose digits, and this raises ``PreconditionError``.  The window, the
+    table, the scan's grid, its likelihood columns and each prior's log
+    on the grid are one ``_Shape`` per (m, n), for at most 16 shapes,
+    shared with every chain and mode search on a table of that shape, so
+    on a later table of a seen shape the scan costs a few numpy passes,
+    plus 240 ``_log1p_sum`` calls per distinct count above 16.
 
     Requires at least two nonzero cells; with a single occupied cell
     the mode sits at the unusable a = 0 boundary.
@@ -665,9 +766,9 @@ def approx_posterior_curvature(a: float, x: CountTable) -> float:
     exceeds j.  The j = 0 terms are taken together, as (1.5 - r0)/a^2,
     and the others are formed as squared ratios, so the value is +-inf
     only where it leaves the float range, and 0.0 where it underflows."""
+    a = _float(a)
     if not (a > 0.0):
         raise DomainError("a must be positive")
-    a = float(a)
     m, n = x.m, x.n
     j = np.arange(1.0, n)
     rest = float(np.sum((1.0 / (a + j / m)) ** 2
@@ -684,127 +785,7 @@ def log_concavity_certificate(x: CountTable,
     if x.r0 < 3:
         raise PreconditionError(
             "log-concavity certificate needs at least 3 nonzero cells")
-    return all(approx_posterior_curvature(float(a), x) < 0.0 for a in a_grid)
-
-
-def _cheb_vander(x: np.ndarray, size: int) -> np.ndarray:
-    """T_k(x) for k = 0..size-1, one row per k, by the three-term
-    recurrence T_{k+1} = 2x T_k - T_{k-1}."""
-    v = np.empty((size, x.size))
-    v[0], v[1] = 1.0, x
-    x2 = 2.0 * x
-    for k in range(1, size - 1):
-        np.multiply(x2, v[k], out=v[k + 1])
-        v[k + 1] -= v[k - 1]
-    return v
-
-
-class _ExactPriorCache:
-    """The log of the exact hyperprior on a grid uniform in log a over
-    the mode finders' window, ``_mode_window(m)``.
-
-    The log prior is smooth in t = log a and nearly linear at both ends
-    (slope -1/2 at small a, -2 at large a), so it is evaluated at
-    ``_CHEB_NODES`` Chebyshev points of the first kind in t, and its
-    interpolating Chebyshev series (coefficients by the discrete cosine
-    sum) fills the ``_CACHE_SIZE``-point table with values and exact
-    slopes.  Lookups use the cubic Hermite interpolant on that table,
-    stored per interval as the coefficients of its polynomial in the
-    local coordinate and evaluated by Horner's rule.  Against the mpmath
-    log prior over the window they are within 5e-12 on (m, n) = (60, 60),
-    (1000, 30), (10, 2) and (2000, 10029), and 1.3e-9 on (2, 300), where
-    the interpolant sets the error; at m = 1e12 the Fisher sums at the
-    nodes set it, 2.2e-9.  Outside the window they evaluate the prior
-    directly.  ``reader()`` gives a lookup with its own count of direct
-    evaluations, so that each chain counts its own.  The mode search
-    reads ``slope_at``, the derivative of the cubic piece in t: against
-    the mpmath derivative of the log prior it is within 1e-9 on the
-    first four tables, 1.3e-8 on (2, 300), and 4e-9 at m = 1e10, 1e12.
-
-    The table depends on (m, n) alone and is part of that shape's
-    ``_Shape``.  It keeps only its cubic coefficients, 96 kB; the
-    Vandermonde matrices of the build are freed when it ends.
-    """
-
-    def __init__(self, m: int, n: int):
-        if n < 2:
-            raise PreconditionError(
-                "the exact hyperprior is identically zero when n = 1")
-        self.m, self.n = m, n
-        self.lo, self.hi = _mode_window(m)
-        t0, t1 = math.log(self.lo), math.log(self.hi)
-        half = 0.5 * (t1 - t0)
-        # Nodes x_k = cos(pi (k + 1/2) / N) in [-1, 1], t = t0 + half (1 + x)
-        nodes = np.cos(np.pi * (np.arange(_CHEB_NODES) + 0.5) / _CHEB_NODES)
-        at_nodes = 0.5 * np.log(_fisher_sum(
-            np.exp(t0 + half * (1.0 + nodes)), m, n))
-        # c_j = (2/N) sum_k y(x_k) T_j(x_k), c_0 halved
-        c = (2.0 / _CHEB_NODES) * (_cheb_vander(nodes, _CHEB_NODES)
-                                   @ at_nodes)
-        c[0] *= 0.5
-        # Slope series: d_{j-1} = d_{j+1} + 2j c_j, i.e. d_j sums 2i c_i
-        # over i = j+1, j+3, .., with d_0 halved.
-        w = 2.0 * np.arange(_CHEB_NODES) * c
-        tail = np.empty_like(w)
-        tail[0::2] = np.cumsum(w[0::2][::-1])[::-1]
-        tail[1::2] = np.cumsum(w[1::2][::-1])[::-1]
-        d = np.append(tail[1:], 0.0)
-        d[0] *= 0.5
-        # The grid is symmetric about x = 0 and T_j(-x) = (-1)^j T_j(x):
-        # one Vandermonde matrix on its right half serves both halves.
-        right = np.arange(1, _CACHE_SIZE, 2) / (_CACHE_SIZE - 1)
-        flip = (-1.0) ** np.arange(_CHEB_NODES)
-        v = np.stack([c, d, flip * c, flip * d]) @ _cheb_vander(right,
-                                                               _CHEB_NODES)
-        ys = np.concatenate((v[2, ::-1], v[0]))
-        h = (t1 - t0) / (_CACHE_SIZE - 1)
-        # The step times the slope in t, which is dy/dx / half
-        hd = h / half * np.concatenate((v[3, ::-1], v[1]))
-        # On interval i, at s = (t - t_i)/h in [0, 1], the interpolant is
-        # y_i + s (hd_i + s (c2_i + s c3_i)).  The four per interval go in
-        # one flat array of doubles, a quarter of the memory of a list of
-        # Python floats.
-        dy, d0, d1 = np.diff(ys), hd[:-1], hd[1:]
-        self._coef = array("d", np.stack(
-            (ys[:-1], d0, 3.0 * dy - 2.0 * d0 - d1, d0 + d1 - 2.0 * dy),
-            axis=1).tobytes())
-        self._t0, self._h, self._last = t0, h, _CACHE_SIZE - 2
-
-    def reader(self):
-        """A lookup of the log prior at one float a > 0, and a function
-        that gives the number of direct evaluations it has made."""
-        lo, hi, m, n = self.lo, self.hi, self.m, self.n
-        coef, t0, h, last = self._coef, self._t0, self._h, self._last
-        log, direct = math.log, 0
-
-        def log_value(a: float) -> float:
-            nonlocal direct
-            if not lo <= a <= hi:
-                direct += 1
-                return _log_prior(a, m, n, "exact")
-            x = (log(a) - t0) / h
-            i = min(int(x), last)
-            s = x - i
-            k = 4 * i
-            return coef[k] + s * (coef[k + 1] + s * (coef[k + 2]
-                                                     + s * coef[k + 3]))
-        return log_value, lambda: direct
-
-    def log_values_at(self, t: np.ndarray) -> np.ndarray:
-        """The lookups at an array of t = log a in the window, with no
-        exp/log round trip: the mode search's scan."""
-        x = (t - self._t0) / self._h
-        i = np.minimum(x.astype(int), self._last)
-        s = x - i
-        c = np.frombuffer(self._coef).reshape(-1, 4)[i].T
-        return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
-
-    def slope_at(self, t: float) -> float:
-        """(hd + 2 s c2 + 3 s^2 c3) / h at one t = log a in the window."""
-        x = (t - self._t0) / self._h
-        i = min(int(x), self._last)
-        s, c = x - i, self._coef[4 * i + 1:4 * i + 4]
-        return (c[0] + s * (2.0 * c[1] + 3.0 * s * c[2])) / self._h
+    return all(approx_posterior_curvature(a, x) < 0.0 for a in a_grid)
 
 
 def _log_target(x: CountTable, log_prior):
@@ -894,8 +875,10 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     warm-up.  The log target is one kernel bound to the table and the
     prior (``_log_target``), with no validation per call.  The exact
     prior depends on (m, n) only, so it is read from the table of the
-    shape's ``_Shape``, shared with ``posterior_mode_a`` and with every
-    later ``CountTable`` of that shape.  MH draws its normals and
+    shape's ``_Shape`` (``_Shape.reader``), shared with
+    ``posterior_mode_a`` and with every later ``CountTable`` of that
+    shape; past m = 1e12 that table, and so an exact chain, raises
+    ``PreconditionError``.  MH draws its normals and
     log-uniforms in fixed-size blocks (``_mh_variates``), and the slice
     sampler its uniforms (``_uniform_stream``); the slice chain is that
     of one ``rng.random()`` call per uniform.  The theta rows are drawn
@@ -911,7 +894,7 @@ def sample_posterior(x: CountTable, length: int, seed: int,
         raise DomainError(f"unknown method {method!r}")
     _check_seed(seed)
     if prior == "exact":
-        log_prior, direct_evals = _shape(x.m, x.n).exact_table.reader()
+        log_prior, direct_evals = _shape(x.m, x.n).reader()
     else:
         _check_prior(prior)
         log_prior, direct_evals = _approx_log_prior(x.m, x.n), lambda: 0
@@ -1001,6 +984,7 @@ def limit_density_psi(v: float, profile: LimitProfile) -> float:
     without (n-1)! it underflows to 0 at every v once n > 170, and
     without C it overflows near the mode at r0 = n/2, n = 1e4.
     """
+    v = _float(v)
     if not (0.0 < v < math.inf):
         raise DomainError("v must be positive and finite")
     n, r0 = profile.n, profile.r0
@@ -1091,7 +1075,7 @@ def hypergeometric_overall_prior(R: Sequence[int], N: int, k: int) -> float:
         raise DomainError("sum of R exceeds N")
     alpha = 1.0 / k
     R_full = R + [N - sum(R)]
-    out = log_gamma(N + 1.0) + log_gamma((k + 1) * alpha) \
+    out = log_gamma(_float(N) + 1.0) + log_gamma((k + 1) * alpha) \
         - log_gamma(N + (k + 1) * alpha)
     for Rj in R_full:
         out += log_gamma(Rj + alpha) - log_gamma(alpha) - log_gamma(Rj + 1.0)

@@ -121,6 +121,16 @@ class OptimResult:
     converged: bool
 
 
+def _float(x, array: bool = False):
+    """float(x), or x as a float array if ``array``.  An int beyond the
+    float range raises ``DomainError``, not a bare ``OverflowError``."""
+    try:
+        return np.asarray(x, dtype=float) if array else float(x)
+    except OverflowError:
+        raise DomainError("an int argument is beyond the float range "
+                          "(1.8e308)") from None
+
+
 def log_gamma(x: float) -> float:
     """Natural log of the gamma function for x > 0 (``math.lgamma``).
 
@@ -128,8 +138,8 @@ def log_gamma(x: float) -> float:
     |log Gamma(x)| < 1 (near the zeros at x = 1 and x = 2).  Above
     x = 2.56e305 log Gamma(x) leaves the float range: ``DomainError``.
     """
+    x = _float(x)
     try:
-        x = float(x)
         if x > 0.0:
             return math.lgamma(x)
     except OverflowError:
@@ -154,7 +164,7 @@ def log_rising_ratio(x: float, y: float, k: int) -> np.ndarray:
     if k < 0:
         raise DomainError(f"rising-factorial length must be >= 0, got {k}")
     i = np.arange(k, dtype=float)
-    x, y = float(x), float(y)
+    x, y = _float(x), _float(y)
     if not (0.0 < x <= _FLOAT_MAX and 0.0 < y <= _FLOAT_MAX):
         raise DomainError(f"log_rising_ratio requires finite x, y > 0, "
                           f"got {x}, {y}")
@@ -222,11 +232,11 @@ def digamma(x):
     psi(x) ~ -1/x overflows.
     """
     if isinstance(x, _SCALAR_TYPES):
-        y = float(x)
+        y = _float(x)
         if not (y > 0.0):
             raise DomainError(f"digamma requires x > 0, got {x}")
         return _digamma_float(y)
-    y = np.asarray(x, dtype=float)
+    y = _float(x, array=True)
     if not (y > 0.0).all():
         raise DomainError(f"digamma requires x > 0, got {x}")
     out = np.array([_digamma_float(v) for v in y.ravel().tolist()])
@@ -279,7 +289,7 @@ def _log1p_sum(y: float, k: int) -> float:
 def trigamma(x: float) -> float:
     """Trigamma function psi'(x) for x > 0; absolute error below 1e-10.
     It is inf below about 1e-154, where psi'(x) ~ 1/x^2 overflows."""
-    x = float(x)
+    x = _float(x)
     if not (x > 0.0):
         raise DomainError(f"trigamma requires x > 0, got {x}")
     acc = 0.0
@@ -328,7 +338,7 @@ def kl_beta(alpha0: float, beta0: float, alpha: float, beta: float) -> float:
     """
     for name, v in (("alpha0", alpha0), ("beta0", beta0),
                     ("alpha", alpha), ("beta", beta)):
-        if not (0.0 < float(v) <= _KL_MAX):
+        if not (0.0 < _float(v) <= _KL_MAX):
             raise DomainError(f"kl_beta requires 0 < {name} <= {_KL_MAX}, "
                               f"got {v}")
     kl = (_gamma_kl(alpha, alpha0) + _gamma_kl(beta, beta0)

@@ -323,6 +323,8 @@ def test_usage_errors():
 
 _COUNTS = "50 8\n0 4\n1 2\n2 1\n3 1\n"
 _RD = ("refdist", "--m", "10", "--n", "30")
+# m = 1e13 cells: past the exact-prior table's m <= 1e12.
+_HUGE_M_COUNTS = "10000000000000 24\n0 3\n1 20\n2 1\n"
 
 # (subcommand arguments, {input file name: text}, exit code).  Each run
 # must end in one "error:" line, never a traceback or a warning.
@@ -355,6 +357,10 @@ _MALFORMED = {
                         {"c.txt": _COUNTS}, 1),
     "hier-negative-seed": (("hier", "--input", "c.txt", "--seed", "-1"),
                            {"c.txt": _COUNTS}, 1),
+    "hier-m-past-float-range": (("hier", "--input", "c.txt"),
+                                {"c.txt": f"{10**400} 8\n0 4\n1 4\n"}, 1),
+    "hier-exact-m-above-1e12": (("hier", "--input", "c.txt"),
+                                {"c.txt": _HUGE_M_COUNTS}, 3),
     "shrink-missing-file": (("shrink", "--input", "absent.txt"), {}, 2),
     "shrink-empty-file": (("shrink", "--input", "x.txt"), {"x.txt": ""}, 1),
     "shrink-text": (("shrink", "--input", "x.txt"), {"x.txt": "1 two 3"}, 1),
@@ -407,6 +413,20 @@ def test_bad_chain_arguments_leave_no_output_directory(case, tmp_path,
     for name, text in files.items():
         (tmp_path / name).write_text(text)
     assert _run(*argv, "--out", "out/run") == code
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("case", ["hier-m-past-float-range",
+                                  "hier-exact-m-above-1e12"])
+def test_out_of_range_m_is_one_error_line_and_no_output(case, tmp_path,
+                                                         capsys, monkeypatch):
+    argv, files, code = _MALFORMED[case]
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert _run(*argv, "--prior", "exact", "--out", "out") == code
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

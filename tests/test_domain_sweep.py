@@ -17,6 +17,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,7 +31,9 @@ from overallprior.catalogue import (ENTRIES, DiagFisherSpec,
 from overallprior.exceptions import DomainError, OverallPriorError
 from overallprior.hier import (CountTable, LimitProfile,
                                approx_posterior_curvature,
-                               limit_density_psi, marginal_log_likelihood,
+                               hypergeometric_overall_prior,
+                               limit_density_psi, log_concavity_certificate,
+                               marginal_log_likelihood,
                                marginal_pmf, posterior_log_density_a,
                                reference_prior_approx, reference_prior_exact)
 from overallprior.numerics import (digamma, kl_beta, log_gamma,
@@ -385,3 +388,40 @@ def test_digamma_and_trigamma_over_their_domain(x):
     assert math.isfinite(psi) or (psi == -math.inf and 1.0 / x == math.inf)
     assert psi1 > 0.0
     assert psi1 < math.inf or 1.0 / x / x == math.inf
+
+
+_HUGE = 10**400  # an int with no float
+_SMALL = CountTable(m=10, counts={0: 2, 1: 1, 2: 1})
+_INT_PAST_FLOAT_RANGE = {
+    "digamma": lambda: digamma(_HUGE),
+    "digamma-list": lambda: digamma([1.0, _HUGE]),
+    "trigamma": lambda: trigamma(_HUGE),
+    "log_rising_ratio-x": lambda: log_rising_ratio(_HUGE, 1.0, 3),
+    "log_rising_ratio-y": lambda: log_rising_ratio(1.0, _HUGE, 3),
+    "kl_beta": lambda: kl_beta(1.0, 1.0, 1.0, _HUGE),
+    "marginal_log_likelihood": lambda: marginal_log_likelihood(_SMALL, _HUGE),
+    "marginal_pmf": lambda: marginal_pmf(_HUGE, 10, 4),
+    "reference_prior_exact": lambda: reference_prior_exact(_HUGE, 10, 4),
+    "reference_prior_approx": lambda: reference_prior_approx(_HUGE, 10, 4),
+    "posterior_log_density_a": lambda: posterior_log_density_a(
+        _HUGE, _SMALL, "approx"),
+    "approx_posterior_curvature": lambda: approx_posterior_curvature(
+        _HUGE, _SMALL),
+    "log_concavity_certificate": lambda: log_concavity_certificate(
+        _SMALL, [_HUGE]),
+    "limit_density_psi": lambda: limit_density_psi(_HUGE,
+                                                   LimitProfile(5, 2)),
+    "CountTable-m": lambda: CountTable(m=_HUGE, counts={0: 1}),
+    "hypergeometric_overall_prior-N": lambda: hypergeometric_overall_prior(
+        [1], _HUGE, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_INT_PAST_FLOAT_RANGE))
+def test_int_past_the_float_range_is_a_domain_error(name):
+    # float() of such an int raises a bare OverflowError; each entry point
+    # turns it into a DomainError, with no warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="float range"):
+            _INT_PAST_FLOAT_RANGE[name]()

@@ -23,8 +23,7 @@ from hypothesis import strategies as st
 from overallprior import hier
 from overallprior.exceptions import (AccuracyError, BoundaryModeError,
                                      DomainError, PreconditionError)
-from overallprior.hier import (CountTable, LimitProfile, _ExactPriorCache,
-                               _fisher_sum,
+from overallprior.hier import (CountTable, LimitProfile, _fisher_sum,
                                approx_posterior_curvature,
                                hypergeometric_overall_prior,
                                hypergeometric_pmf, likelihood_mode_a,
@@ -1042,7 +1041,7 @@ def test_exact_prior_array_raises_like_scalar_calls(monkeypatch):
 def test_exact_prior_cache_raises_below_cancellation_floor(monkeypatch):
     _fake_fisher_forms(monkeypatch, -1.0)
     with pytest.raises(AccuracyError):
-        _ExactPriorCache(10, 5)
+        hier._Shape(10, 5)._coef
 
 
 def _count_fisher_sums(monkeypatch):
@@ -1060,7 +1059,7 @@ def _count_fisher_sums(monkeypatch):
 
 def test_exact_prior_table_takes_128_fisher_sums(monkeypatch):
     values = _count_fisher_sums(monkeypatch)
-    _ExactPriorCache(60, 60)
+    hier._Shape(60, 60)._coef
     assert sum(values) == 128
 
 
@@ -1131,14 +1130,14 @@ def test_approx_mode_search_builds_no_exact_prior_table(
     t = _synthetic_table()
     _modes(t, "approx")
     assert values == []
-    assert "exact_table" not in vars(hier._shape(t.m, t.n))
+    assert "_coef" not in vars(hier._shape(t.m, t.n))
 
 
 def test_exact_chain_fills_no_mode_grid_column(fresh_shape_caches):
     t = _synthetic_table()
     sample_posterior(t, 200, seed=1, prior="exact")
     shape = hier._shape(t.m, t.n)
-    assert "exact_table" in vars(shape) and "neg_lik" not in vars(shape)
+    assert "_coef" in vars(shape) and "neg_lik" not in vars(shape)
     assert shape._rows == {} and shape._log_priors == {}
 
 
@@ -1165,7 +1164,7 @@ def test_mode_scan_equals_the_mapped_kernel(m, counts, prior):
     counts = dict(enumerate(counts[:m]))
     t, mapped = CountTable(m=m, counts=counts), CountTable(m=m, counts=counts)
     vars(mapped)["_mode_scan"] = marginal_log_likelihood(
-        mapped, np.exp(hier._mode_grid(m)))
+        mapped, np.exp(hier._shape(m, mapped.n).grid))
     assert np.array_equal(t._mode_scan, mapped._mode_scan)
     assert _modes(t, prior) == _modes(mapped, prior)
 
@@ -1201,25 +1200,11 @@ def test_seen_shape_mode_search_takes_log1p_sums_only_for_large_counts(
         assert len(calls) == 240 * len(big)
 
 
-def test_exact_prior_tables_are_bounded(fresh_shape_caches):
-    # The table is a part of its (m, n) shape, so at most 16 tables of
-    # 96 kB are kept, the least recently used dropped first; no table
-    # keeps its build's Vandermonde matrices.
-    for n in range(2, 20):
-        hier._shape(10, n).exact_table
-    info = hier._shape.cache_info()
-    assert info.maxsize == hier._SHAPES == 16
-    assert info.currsize == 16
-    table = hier._shape(10, 19).exact_table
-    assert hier._shape.cache_info().hits == 1
-    assert vars(table).keys() == {"m", "n", "lo", "hi", "_coef", "_t0",
-                                  "_h", "_last"}
-    assert len(table._coef) * table._coef.itemsize == 4 * 2999 * 8
-
-
-def test_mode_shapes_are_bounded(fresh_shape_caches):
+def test_shapes_are_bounded(fresh_shape_caches):
     # One shape per (m, n), whatever the counts; at most 16 are kept, the
-    # least recently used dropped first.  A fresh shape has built no part.
+    # least recently used dropped first.  A fresh shape has built no part;
+    # its exact-prior table keeps 96 kB of cubic coefficients and none of
+    # its build's Vandermonde matrices.
     CountTable(m=10, counts={0: 3, 1: 16})._mode_scan
     CountTable(m=10, counts={4: 18, 5: 1})._mode_scan
     assert hier._shape.cache_info()[:2] == (1, 1)  # hits, misses
@@ -1235,10 +1220,23 @@ def test_mode_shapes_are_bounded(fresh_shape_caches):
     hier._shape(10, 3)
     assert hier._shape.cache_info()[:2] == (2, 19)
     assert (shape.m, shape.n) == (10, 19)
-    assert vars(shape).keys() == {"m", "n", "grid", "a", "tiny", "_rows",
-                                  "_log_priors"}
+    fresh = {"m", "n", "lo", "hi", "_t0", "_h", "grid", "a", "tiny",
+             "_rows", "_log_priors"}
+    assert vars(shape).keys() == fresh
     assert shape._rows == {} and shape._log_priors == {}
     assert shape.neg_lik.shape == shape.grid.shape == (240,)
+    assert len(shape._coef) * shape._coef.itemsize == 4 * 2999 * 8
+    assert vars(shape).keys() == fresh | {"neg_lik", "_coef"}
+
+
+@pytest.mark.parametrize("m", [10, 99999, 100001, 10**12])
+def test_shape_grid_spans_its_window(m):
+    # The mode search's grid and the exact-prior table share one window,
+    # computed once; the grid's ends are its logs exactly.
+    shape = hier._Shape(m, 30)
+    assert shape.grid[0] == math.log(shape.lo)
+    assert shape.grid[-1] == math.log(shape.hi)
+    assert shape.lo == min(1e-9, 1e-4 / m) and shape.hi == 1e4
 
 
 def _log_prior_mpmath(a, m, n):
@@ -1248,7 +1246,7 @@ def _log_prior_mpmath(a, m, n):
 def _table_error(m, n, points):
     """Largest |table - mpmath| of the log prior at ``points`` points
     spread over the window, none of them on a Chebyshev node."""
-    cache = _ExactPriorCache(m, n)
+    cache = hier._Shape(m, n)
     log_value = cache.reader()[0]
     a = np.exp(np.linspace(math.log(cache.lo), math.log(cache.hi),
                            points + 2)[1:-1] + 1e-3)
@@ -1287,6 +1285,23 @@ def test_exact_chain_stays_on_table_at_huge_m():
     assert 1e-14 < a.min() and a.max() < 1e4
     assert 1e-11 < np.median(a) < 1e-9
     assert chain.direct_prior_evals < 0.1 * (warmup + length)
+
+
+def test_exact_prior_table_refuses_m_above_1e12(fresh_shape_caches):
+    # The table's window widens with log m while its nodes stay fixed, so
+    # above m = 1e12 it would lose digits with no error (the exact mode of
+    # this table drifted in its fourth digit by m = 1e30): the exact mode
+    # and chains raise instead.  The approximate prior, the likelihood
+    # and the direct exact prior keep working.
+    t = CountTable(m=10**13, counts={0: 3, 1: 20, 2: 1})
+    with pytest.raises(PreconditionError, match="m <= 1e12"):
+        posterior_mode_a(t, prior="exact")
+    with pytest.raises(PreconditionError, match="m <= 1e12"):
+        sample_posterior(t, 10, seed=0, prior="exact")
+    assert posterior_mode_a(t, prior="approx") > 0.0
+    assert likelihood_mode_a(t) > 0.0
+    assert sample_posterior(t, 10, seed=0, prior="approx").a_samples.size
+    assert reference_prior_exact(1e-13, t.m, t.n) > 0.0
 
 
 def test_count_table_pickles_after_building_its_prior_table():
@@ -1330,7 +1345,8 @@ def test_mh_chain_is_a_prefix_of_a_longer_chain(prior, warmup):
 def _direct_exact_mode(t):
     """The exact-prior mode search on the validated public density: the
     240-point scan of the window, then ``_stencil_root``."""
-    lo, hi = hier._mode_window(t.m)
+    shape = hier._Shape(t.m, t.n)
+    lo, hi = shape.lo, shape.hi
     grid = np.linspace(math.log(lo), math.log(hi), 240)
     k = int(np.argmax(posterior_log_density_a(np.exp(grid), t, "exact")))
     return _stencil_root(lambda a: posterior_log_density_a(a, t, "exact"),
@@ -1422,7 +1438,7 @@ def test_exact_prior_table_slope_mpmath(mn):
     # likelihood's, so it sets that mode's accuracy.  Measured at these
     # points: 9.9e-9 on (2, 300), 3.2e-10 to 6.6e-10 on the moderate
     # tables and 3.9e-9 at m = 1e12.
-    cache = _ExactPriorCache(*mn)
+    cache = hier._Shape(*mn)
     t = np.linspace(math.log(cache.lo), math.log(cache.hi), 23)[1:-1] + 1e-3
     err = max(abs(cache.slope_at(float(u)) - _log_prior_slope_mpmath(u, *mn))
               for u in t)
@@ -1431,7 +1447,7 @@ def test_exact_prior_table_slope_mpmath(mn):
 
 def test_chain_counts_direct_prior_evaluations():
     t = _synthetic_table()
-    log_value, direct = _ExactPriorCache(t.m, t.n).reader()
+    log_value, direct = hier._Shape(t.m, t.n).reader()
     log_value(1e3)
     assert direct() == 0
     assert log_value(2e4) == hier._log_prior(2e4, t.m, t.n, "exact")
@@ -1445,7 +1461,7 @@ def test_sampler_target_window(prior):
     # One occupied cell: the posterior in t falls only as e^{t/2} below
     # its mode, so slice step-outs reach the low edge of the window.
     t = CountTable(m=10, counts={0: 5})
-    log_prior = (_ExactPriorCache(t.m, t.n).reader()[0] if prior == "exact"
+    log_prior = (hier._Shape(t.m, t.n).reader()[0] if prior == "exact"
                  else lambda a: hier._log_prior(a, t.m, t.n, prior))
     target, _ = hier._log_target(t, log_prior)
     edge = hier._LOG_A_LIMIT
@@ -1489,7 +1505,7 @@ def test_bound_kernel_matches_public_functions(name, prior):
     # outside its window, and to the table's accuracy inside it.
     t = _KERNEL_TABLES[name]()
     log_lik = hier._likelihood_kernel(t)
-    table = hier._shape(t.m, t.n).exact_table
+    table = hier._shape(t.m, t.n)
     log_prior = (table.reader()[0] if prior == "exact"
                  else hier._approx_log_prior(t.m, t.n))
     for a in _KERNEL_A:
