@@ -1200,11 +1200,26 @@ def test_seen_shape_mode_search_takes_log1p_sums_only_for_large_counts(
         assert len(calls) == 240 * len(big)
 
 
-def test_shapes_are_bounded(fresh_shape_caches):
+def test_exact_prior_tables_are_bounded(fresh_shape_caches):
+    # The table is a part of its (m, n) shape, so at most 16 tables of
+    # 96 kB are kept, the least recently used dropped first; no table
+    # keeps its build's Vandermonde matrices.
+    for n in range(2, 20):
+        hier._shape(10, n)._coef
+    info = hier._shape.cache_info()
+    assert info.maxsize == hier._SHAPES == 16
+    assert info.currsize == 16
+    shape = hier._shape(10, 19)
+    assert hier._shape.cache_info().hits == 1
+    assert vars(shape).keys() == {"m", "n", "lo", "hi", "_t0", "_h",
+                                  "grid", "a", "tiny", "_rows",
+                                  "_log_priors", "_coef"}
+    assert len(shape._coef) * shape._coef.itemsize == 4 * 2999 * 8
+
+
+def test_mode_shapes_are_bounded(fresh_shape_caches):
     # One shape per (m, n), whatever the counts; at most 16 are kept, the
-    # least recently used dropped first.  A fresh shape has built no part;
-    # its exact-prior table keeps 96 kB of cubic coefficients and none of
-    # its build's Vandermonde matrices.
+    # least recently used dropped first.  A fresh shape has built no part.
     CountTable(m=10, counts={0: 3, 1: 16})._mode_scan
     CountTable(m=10, counts={4: 18, 5: 1})._mode_scan
     assert hier._shape.cache_info()[:2] == (1, 1)  # hits, misses
@@ -1225,8 +1240,7 @@ def test_shapes_are_bounded(fresh_shape_caches):
     assert vars(shape).keys() == fresh
     assert shape._rows == {} and shape._log_priors == {}
     assert shape.neg_lik.shape == shape.grid.shape == (240,)
-    assert len(shape._coef) * shape._coef.itemsize == 4 * 2999 * 8
-    assert vars(shape).keys() == fresh | {"neg_lik", "_coef"}
+    assert vars(shape).keys() == fresh | {"neg_lik"}
 
 
 @pytest.mark.parametrize("m", [10, 99999, 100001, 10**12])
