@@ -9,7 +9,8 @@ arithmetic/geometric averages.
 
 Scale arguments must be positive and finite.  No partial product
 under- or overflows (``_reciprocal_product``): a valid point gives its
-value, or inf where that exceeds the float range.
+value, or inf where that exceeds the float range.  Every argument is
+taken as a float: an int past the float range raises ``DomainError``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SingularityError
-from .numerics import _TINY_FLOAT, _exp, _trigamma_excess, trigamma
+from .numerics import (_TINY_FLOAT, _exp, _float, _trigamma_excess,
+                       trigamma)
 
 __all__ = [
     "BvnParams",
@@ -63,7 +65,8 @@ def _reciprocal_product(*factors: float) -> float:
 
 @dataclass(frozen=True)
 class BvnParams:
-    """Bivariate normal parameters (means, scales, correlation)."""
+    """Bivariate normal parameters (means, scales, correlation), stored
+    as floats."""
 
     mu1: float
     mu2: float
@@ -72,6 +75,8 @@ class BvnParams:
     rho: float
 
     def __post_init__(self):
+        for name in ("mu1", "mu2", "sigma1", "sigma2", "rho"):
+            object.__setattr__(self, name, _float(getattr(self, name)))
         if not all(0.0 < v < math.inf for v in (self.sigma1, self.sigma2)):
             raise DomainError("scales must be positive and finite")
         if not (-1.0 < self.rho < 1.0):
@@ -98,7 +103,7 @@ def theorem1_prior(spec: DiagFisherSpec, theta: Sequence[float]) -> float:
         raise DomainError("theta length must match the number of factors")
     roots = []
     for f, t in zip(spec.f_list, theta):
-        v = f(float(t))
+        v = f(_float(t))
         if not (v > 0.0) or not math.isfinite(v):
             raise DomainError(f"Fisher factor non-positive at theta={t}")
         roots.append(1.0 / math.sqrt(v))
@@ -109,6 +114,7 @@ def bivariate_binomial_prior(theta1: float, theta2: float) -> float:
     """Reference prior for the bivariate binomial:
     {theta1(1-theta1) theta2(1-theta2)}^{-1/2}, a product of Be(1/2,1/2)
     kernels (proper; normalizer pi^2)."""
+    theta1, theta2 = _float(theta1), _float(theta2)
     for t in (theta1, theta2):
         if not (0.0 < t < 1.0):
             raise SingularityError(f"theta={t} on the boundary of (0,1)")
@@ -119,7 +125,7 @@ def bivariate_binomial_prior(theta1: float, theta2: float) -> float:
 def directional_multinomial_prior(xi: Sequence[float]) -> float:
     """Reference prior for the multinomial in the conditional-cell
     parametrization: independent Be(1/2,1/2) kernels for each xi_j."""
-    xi = [float(x) for x in xi]
+    xi = [_float(x) for x in xi]
     for x in xi:
         if not (0.0 < x < 1.0):
             raise SingularityError(f"xi={x} on the boundary of (0,1)")
@@ -129,7 +135,7 @@ def directional_multinomial_prior(xi: Sequence[float]) -> float:
 def theta_to_xi(theta: Sequence[float]) -> np.ndarray:
     """Cell probabilities to conditional probabilities:
     xi_j = theta_j / (theta_j + ... + theta_m), j = 1..m-1."""
-    t = np.asarray(theta, dtype=float)
+    t = _float(theta, array=True)
     if t.ndim != 1 or t.size < 2:
         raise DomainError("theta must have at least 2 cells")
     if np.any(t <= 0.0) or abs(t.sum() - 1.0) > 1e-12:
@@ -140,7 +146,7 @@ def theta_to_xi(theta: Sequence[float]) -> np.ndarray:
 
 def xi_to_theta(xi: Sequence[float]) -> np.ndarray:
     """Inverse of theta_to_xi: theta_j = xi_j prod_{i<j} (1 - xi_i)."""
-    x = np.asarray(xi, dtype=float)
+    x = _float(xi, array=True)
     if x.ndim != 1 or x.size < 1:
         raise DomainError("xi must be a non-empty vector")
     if np.any(x <= 0.0) or np.any(x >= 1.0):
@@ -159,8 +165,8 @@ def expfam_prior(G1pp: Callable[[float], float],
     two-parameter exponential family with carriers G1, G2.  A negative
     curvature, or one past the normal float range, which cannot carry
     the prior's value, raises ``DomainError``."""
-    c1 = G1pp(float(theta1))
-    c2 = G2pp(float(theta2))
+    c1 = G1pp(_float(theta1))
+    c2 = G2pp(_float(theta2))
     if not (c1 >= 0.0 and c2 >= 0.0):
         raise DomainError("both curvatures must be positive")
     for k, c, t in ((1, c1, theta1), (2, c2, theta2)):
@@ -218,6 +224,7 @@ def inverse_gamma_expfam_curvatures():
 
 def inverse_gaussian_prior(alpha: float, psi: float) -> float:
     """Common reference prior for the inverse Gaussian: 1/(alpha sqrt(psi))."""
+    alpha, psi = _float(alpha), _float(psi)
     if not (0.0 < alpha < math.inf and 0.0 < psi < math.inf):
         raise DomainError("alpha and psi must be positive and finite")
     return _reciprocal_product(alpha, math.sqrt(psi))
@@ -228,6 +235,7 @@ def gamma_mean_prior(alpha: float, mu: float) -> float:
     sqrt(alpha trigamma(alpha) - 1) / (sqrt(alpha) mu), the difference
     taken from `_trigamma_excess`; below alpha = 1, where 1/alpha may
     overflow, as sqrt(1 - alpha + alpha^2 trigamma(alpha + 1))/(alpha mu)."""
+    alpha, mu = _float(alpha), _float(mu)
     if not (0.0 < alpha < math.inf and 0.0 < mu < math.inf):
         raise DomainError("alpha and mu must be positive and finite")
     if alpha < 1.0:
@@ -240,6 +248,7 @@ def gamma_mean_prior(alpha: float, mu: float) -> float:
 def stress_strength_prior(theta: float, psi: float) -> float:
     """Reference (= Jeffreys) prior for the exponential stress-strength
     reliability: 1 / {theta (1-theta) psi}."""
+    theta, psi = _float(theta), _float(psi)
     if not (0.0 < theta < 1.0):
         raise SingularityError("theta must lie strictly in (0,1)")
     if not (0.0 < psi < math.inf):
@@ -255,6 +264,7 @@ def eta_to_theta_psi(eta1: float, eta2: float, m: int, n: int):
     the logs of the two powers, so psi is inf past the float range and
     0.0 below it.  Against 40-digit mpmath at 20,000 random points its
     relative error is below 3 * 2^-53 max(1, |L1| + |L2|)."""
+    eta1, eta2, m, n = map(_float, (eta1, eta2, m, n))
     if not (0.0 < eta1 < math.inf and 0.0 < eta2 < math.inf):
         raise DomainError("rates must be positive and finite")
     if m < 1 or n < 1:
@@ -268,6 +278,7 @@ def theta_psi_to_eta(theta: float, psi: float, m: int, n: int):
     """Inverse of eta_to_theta_psi, solved from the ratio
     eta1/eta2 = theta/(1-theta) and the psi product in logs; a rate is
     inf past the float range and 0.0 below it."""
+    theta, psi, m, n = map(_float, (theta, psi, m, n))
     if not (0.0 < theta < 1.0 and 0.0 < psi < math.inf and min(m, n) >= 1):
         raise DomainError("need theta in (0,1), finite psi > 0, m, n >= 1")
     log_r = math.log(theta / (1.0 - theta))  # eta1 = r * eta2
@@ -282,6 +293,7 @@ def right_haar_density(p: BvnParams, beta: float) -> float:
     rotation by beta: the family interpolating pi_1 (beta = pi/2) and
     pi_2 (beta = 0), for finite beta: with u = sin(beta)/sigma2 and
     v = cos(beta)/sigma1, (u + rho v)^2/(1 - rho^2) + v^2."""
+    beta = _float(beta)
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
     u, v = math.sin(beta) / p.sigma2, math.cos(beta) / p.sigma1

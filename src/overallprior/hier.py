@@ -125,7 +125,7 @@ class CountTable:
             raise DomainError("cell index out of range")
         object.__setattr__(self, "counts", counts)
         m, n = self.m, sum(counts.values())
-        if n < 1:
+        if _float(n) < 1:
             raise DomainError("need at least one observation")
         values, cells = zip(*sorted(Counter(counts.values()).items()))
         log_coef = log_gamma(n + 1.0) - sum(
@@ -241,7 +241,7 @@ class LimitProfile:
     r0: int
 
     def __post_init__(self):
-        if self.n < 2:
+        if _float(self.n) < 2:
             raise DomainError("need n >= 2")
         if not (1 <= self.r0 <= self.n):
             raise DomainError("need 1 <= r0 <= n")
@@ -257,6 +257,13 @@ def _is_array(a) -> bool:
     if not (_float(a) > 0.0):
         raise DomainError("a must be positive")
     return False
+
+
+def _check_shape(m: int, n: int) -> None:
+    """Raise unless m >= 2 and n >= 1, or where either is an int past the
+    float range."""
+    if _float(m) < 2 or _float(n) < 1:
+        raise DomainError("need m >= 2 and n >= 1")
 
 
 def _elementwise(f, a):
@@ -328,8 +335,8 @@ def marginal_pmf(a, m: int, n: int) -> np.ndarray:
     the sum of n logs does.
     """
     _is_array(a)
-    if m < 2:
-        raise DomainError("need m >= 2")
+    if _float(m) < 2 or _float(n) < 0:
+        raise DomainError("need m >= 2 and n >= 0")
     col = np.minimum(np.asarray(a, dtype=float), _FLOAT_MAX)[..., None]
     x = np.arange(n, dtype=float)
     log_ratio = (np.log(col + x) - np.log(col + (n - 1 - x) / (m - 1))
@@ -441,8 +448,7 @@ def reference_prior_exact(a, m: int, n: int):
     mpmath up to m = 1e40 (n = 2 and 24).
     """
     array = _is_array(a)
-    if m < 2 or n < 1:
-        raise DomainError("need m >= 2 and n >= 1")
+    _check_shape(m, n)
     flat = np.ravel(np.asarray(a, dtype=float))
     out = np.zeros(flat.shape)
     tiny = flat <= _TINY_A
@@ -464,8 +470,7 @@ def reference_prior_approx(a, m: int, n: int):
     overflows nowhere and is 0.0 only where the prior underflows; the
     square roots are correctly rounded, so a float and an array entry
     give the same float."""
-    if m < 2 or n < 1:
-        raise DomainError("need m >= 2 and n >= 1")
+    _check_shape(m, n)
     c = n / m
     if _is_array(a):
         sqrt = np.sqrt
@@ -487,8 +492,7 @@ def _log_prior(a, m: int, n: int, prior: str):
     an array alike."""
     _check_prior(prior)
     if prior == "approx":
-        if m < 2 or n < 1:
-            raise DomainError("need m >= 2 and n >= 1")
+        _check_shape(m, n)
         return _elementwise(_approx_log_prior(m, n), a)
     v = reference_prior_exact(a, m, n)
     if isinstance(v, np.ndarray):

@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import (AccuracyError, DomainError, PreconditionError,
                          SingularityError)
-from .numerics import _check_seed, _exp
+from .numerics import _check_seed, _exp, _float
 
 __all__ = [
     "MeansData",
@@ -44,12 +44,13 @@ _DRAW_BLOCK = 1024
 
 @dataclass(frozen=True)
 class MeansData:
-    """One unit-variance observation per mean."""
+    """One unit-variance observation per mean; an int datum past the float
+    range raises ``DomainError``."""
 
     x: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
+        x = _float(self.x, array=True)
         if x.ndim != 1 or x.size < 1:
             raise DomainError("data must be a non-empty vector")
         if not np.all(np.isfinite(x)):
@@ -95,11 +96,12 @@ def _log_sq_norm(mu: Sequence[float]) -> tuple[int, float]:
 
     The squares are summed after dividing by max |mu_i|, so that no
     |mu_i|^2 overflows or underflows.  Raises DomainError on a
-    non-finite entry.  At mu = 0 it returns log |mu|^2 = -inf for m = 1,
-    where both densities are finite, and raises SingularityError for
-    m >= 2, where both are singular.
+    non-finite entry, or an int entry past the float range.  At mu = 0
+    it returns log |mu|^2 = -inf for m = 1, where both densities are
+    finite, and raises SingularityError for m >= 2, where both are
+    singular.
     """
-    v = np.asarray(mu, dtype=float)
+    v = _float(mu, array=True)
     if v.ndim != 1 or v.size < 1:
         raise DomainError("mu must be a non-empty vector")
     if not np.all(np.isfinite(v)):

@@ -21,26 +21,34 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from overallprior.catalogue import (ENTRIES, DiagFisherSpec,
+from overallprior.catalogue import (ENTRIES, BvnParams, DiagFisherSpec,
+                                    directional_multinomial_prior,
                                     eta_to_theta_psi, expfam_prior,
                                     gamma_expfam_curvatures,
+                                    gamma_mean_prior,
                                     inverse_gamma_expfam_curvatures,
                                     inverse_gaussian_expfam_curvatures,
-                                    normal_expfam_curvatures, theorem1_prior,
-                                    theta_psi_to_eta)
+                                    inverse_gaussian_prior,
+                                    normal_expfam_curvatures,
+                                    right_haar_density, stress_strength_prior,
+                                    theorem1_prior, theta_psi_to_eta,
+                                    theta_to_xi, xi_to_theta)
 from overallprior.exceptions import DomainError, OverallPriorError
 from overallprior.hier import (CountTable, LimitProfile,
                                approx_posterior_curvature,
                                hypergeometric_overall_prior,
                                limit_density_psi, log_concavity_certificate,
                                marginal_log_likelihood,
-                               marginal_pmf, posterior_log_density_a,
+                               marginal_pmf, mode_asymptotic,
+                               posterior_log_density_a,
                                reference_prior_approx, reference_prior_exact)
 from overallprior.numerics import (digamma, kl_beta, log_gamma,
                                    log_rising_ratio, trigamma)
-from overallprior.refdist import (RefDistConfig, d_mu, d_sigma,
-                                  expected_loss, normal_posterior_sample)
-from overallprior.shrinkage import (hierarchical_prior_density,
+from overallprior.refdist import (CountVector, RefDistConfig, d_mu, d_sigma,
+                                  dirichlet_posterior_variances,
+                                  expected_loss, loss_curve,
+                                  normal_posterior_sample, optimal_a)
+from overallprior.shrinkage import (MeansData, hierarchical_prior_density,
                                     reference_prior_density)
 
 FLOAT_MAX = sys.float_info.max
@@ -132,6 +140,20 @@ def test_expected_loss_over_its_domain(a, m, n):
         assert m * a > 1e305
         return
     assert math.isfinite(v)
+
+
+@sweep
+@given(cells, sizes)
+@example(2, 1)
+@example(10**12, 300)
+def test_optimal_a_over_its_domain(m, n):
+    # The minimizer lies in the search window [1e-4/m, 10], with a finite
+    # minimum.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = optimal_a(RefDistConfig(m, n))
+    assert 1e-4 / m <= res.argmin <= 10.0
+    assert math.isfinite(res.min_value)
 
 
 @sweep
@@ -412,9 +434,68 @@ _INT_PAST_FLOAT_RANGE = {
     "limit_density_psi": lambda: limit_density_psi(_HUGE,
                                                    LimitProfile(5, 2)),
     "CountTable-m": lambda: CountTable(m=_HUGE, counts={0: 1}),
+    "CountTable-n": lambda: CountTable(m=10, counts={0: _HUGE}),
     "hypergeometric_overall_prior-N": lambda: hypergeometric_overall_prior(
         [1], _HUGE, 1),
+    "reference_prior_exact-m": lambda: reference_prior_exact(1.0, _HUGE, 5),
+    "reference_prior_exact-n": lambda: reference_prior_exact(1.0, 5, _HUGE),
+    "marginal_pmf-m": lambda: marginal_pmf(1.0, _HUGE, 5),
+    "marginal_pmf-n": lambda: marginal_pmf(1.0, 10, _HUGE),
+    "reference_prior_approx-m": lambda: reference_prior_approx(1.0, _HUGE, 5),
+    "reference_prior_approx-n": lambda: reference_prior_approx(1.0, 5, _HUGE),
+    "LimitProfile-n": lambda: LimitProfile(_HUGE, 3),
+    "limit_density_psi-n": lambda: limit_density_psi(
+        1.0, LimitProfile(_HUGE, 3)),
+    "mode_asymptotic-n": lambda: mode_asymptotic(LimitProfile(_HUGE, 3)),
+    "RefDistConfig-m": lambda: RefDistConfig(_HUGE, 5),
+    "RefDistConfig-n": lambda: RefDistConfig(5, _HUGE),
+    "optimal_a-m": lambda: optimal_a(RefDistConfig(_HUGE, 5)),
+    "loss_curve": lambda: loss_curve(RefDistConfig(5, 5), [_HUGE]),
+    "d_sigma": lambda: d_sigma(_HUGE, 5),
+    "d_mu": lambda: d_mu(_HUGE, 5),
+    "normal_posterior_sample-data": lambda: normal_posterior_sample(
+        [1.0, _HUGE, 2.0], 1.0, 3, seed=0),
+    "normal_posterior_sample-a": lambda: normal_posterior_sample(
+        [1.0, 3.0, 2.0], _HUGE, 3, seed=0),
+    "CountVector-n": lambda: CountVector((1, _HUGE)),
+    "dirichlet_posterior_variances": lambda: dirichlet_posterior_variances(
+        CountVector((1, 2)), _HUGE),
+    "MeansData": lambda: MeansData([1.0, _HUGE, 2.0]),
+    "hierarchical_prior_density": lambda: hierarchical_prior_density(
+        [_HUGE, 1.0]),
+    "reference_prior_density": lambda: reference_prior_density([_HUGE, 1.0]),
+    "BvnParams": lambda: BvnParams(0.0, 0.0, _HUGE, 1.0, 0.5),
+    "inverse_gaussian_prior": lambda: inverse_gaussian_prior(_HUGE, 1.0),
+    "gamma_mean_prior": lambda: gamma_mean_prior(_HUGE, 1.0),
+    "stress_strength_prior": lambda: stress_strength_prior(0.5, _HUGE),
+    "eta_to_theta_psi": lambda: eta_to_theta_psi(_HUGE, 1.0, 2, 3),
+    "eta_to_theta_psi-m": lambda: eta_to_theta_psi(1.0, 1.0, _HUGE, 3),
+    "theta_psi_to_eta-n": lambda: theta_psi_to_eta(0.5, 1.0, 2, _HUGE),
+    "directional_multinomial_prior": lambda: directional_multinomial_prior(
+        [_HUGE]),
+    "theta_to_xi": lambda: theta_to_xi([_HUGE, 0.5]),
+    "xi_to_theta": lambda: xi_to_theta([_HUGE]),
+    "right_haar_density": lambda: right_haar_density(
+        BvnParams(0.0, 0.0, 1.0, 1.0, 0.5), _HUGE),
+    "expfam_prior": lambda: expfam_prior(*normal_expfam_curvatures(),
+                                         -_HUGE, 1.0),
+    "theorem1_prior": lambda: theorem1_prior(DiagFisherSpec((float,)),
+                                             [_HUGE]),
 }
+
+
+def _entry_past_float_range(name, k):
+    """Catalogue command ``name`` with 10**400 in argument place k and 0.5
+    in the others."""
+    fn, _, _, count = ENTRIES[name]
+    args = [0.5] * (count or 2)
+    args[k] = _HUGE
+    return lambda: fn(args)
+
+
+_INT_PAST_FLOAT_RANGE.update(
+    (f"ENTRIES-{name}-{k}", _entry_past_float_range(name, k))
+    for name, entry in ENTRIES.items() for k in range(entry[3] or 2))
 
 
 @pytest.mark.parametrize("name", sorted(_INT_PAST_FLOAT_RANGE))

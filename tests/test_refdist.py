@@ -11,6 +11,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from overallprior import refdist
 from overallprior.exceptions import (AccuracyError, DegenerateDataError,
                                      DomainError)
 from overallprior.numerics import digamma, kl_beta
@@ -185,12 +186,32 @@ _OPTIMAL_A_MPMATH = {(10, 100): 0.08343687738298266,
 @pytest.mark.parametrize("mn", sorted(_OPTIMAL_A_MPMATH),
                          ids=lambda mn: f"{mn[0]}x{mn[1]}")
 def test_optimal_a_matches_mpmath_argmin(mn):
-    # Measured: 1.0e-15, 2.4e-14 and 4.4e-16 relative, in 18, 17 and 13
-    # slope evaluations.
+    # Measured: 7.2e-15, 2.6e-14 and 4.8e-15 relative, in 10, 12 and 11
+    # slope evaluations, the two at the warm bracket's ends included.
     cfg = RefDistConfig(*mn)
     res = optimal_a(cfg)
     assert res.argmin == pytest.approx(_OPTIMAL_A_MPMATH[mn], rel=1e-12)
-    assert res.converged and res.iterations <= 20
+    assert res.converged and res.iterations <= 12
+    assert res.min_value == expected_loss(res.argmin, cfg)
+
+
+# Slope evaluations of the solve on the whole window [1e-4/m, 10].
+_WHOLE_WINDOW_EVALS = {(10, 100): 14, (100, 1000): 17, (1000, 100): 13}
+
+
+@pytest.mark.parametrize("warm", [(2.0, 3.0), (0.1, 0.3)],
+                         ids=["root-below", "root-above"])
+@pytest.mark.parametrize("mn", sorted(_OPTIMAL_A_MPMATH),
+                         ids=lambda mn: f"{mn[0]}x{mn[1]}")
+def test_optimal_a_falls_back_to_the_whole_window(mn, warm, monkeypatch):
+    # A warm bracket [lo/m, hi/m] that misses m a* ~ 0.8: the solve on
+    # the whole window still finds a*, after the two warm evaluations.
+    monkeypatch.setattr(refdist, "_A_WARM_LO_TIMES_M", warm[0])
+    monkeypatch.setattr(refdist, "_A_WARM_HI_TIMES_M", warm[1])
+    cfg = RefDistConfig(*mn)
+    res = optimal_a(cfg)
+    assert res.argmin == pytest.approx(_OPTIMAL_A_MPMATH[mn], rel=1e-12)
+    assert res.iterations == _WHOLE_WINDOW_EVALS[mn] + 2
     assert res.min_value == expected_loss(res.argmin, cfg)
 
 
