@@ -22,8 +22,8 @@ import numpy as np
 
 from .exceptions import (AccuracyError, BoundaryModeError, DomainError,
                          PreconditionError)
-from .numerics import (_FLOAT_MAX, _check_seed, _find_root, _float,
-                       _log1p_sum, log_gamma)
+from .numerics import (_FLOAT_MAX, _TINY_FLOAT, _check_seed, _find_root,
+                       _float, _log1p_sum, log_gamma)
 
 __all__ = [
     "CountTable",
@@ -59,8 +59,8 @@ _CACHE_SIZE = 3000
 _CHEB_NODES = 128
 
 # Shapes (m, n) whose ``_Shape`` a process keeps, the least recently
-# used dropped first.  A shape holds its exact-prior table (96 kB) and at
-# most about 50 kB of mode-search columns: about 2.4 MB in all.
+# used dropped first.  A shape holds its exact-prior table (96 kB):
+# about 1.5 MB in all.
 _SHAPES = 16
 
 # The samplers' support in t = log a: |t| <= _LOG_A_LIMIT, a in
@@ -82,10 +82,12 @@ _CACHE_CHUNK = 1 << 14
 
 # At or below this a, j/a in the likelihood and the Fisher sum (of
 # order 1/a^2) can overflow a float; both switch to closed forms that
-# take log a or sqrt(a) separately.  They drop a against every j/m >= 1/m
-# (a + j/m == j/m in floats), which holds while m a < 2^-53, i.e. for m
-# below about 1e284.
+# take log a or sqrt(a) separately.  Both drop a against every j >= 1
+# (a + j == j in floats).  The likelihood's form also drops m a against
+# every i >= 1 in log(m a + i) while m a < _TINY_MA, that is for m below
+# about 1e284; above, it keeps L(m a, n - 1).
 _TINY_A = 1e-300
+_TINY_MA = 2.0 ** -53
 
 # Counts up to this enter the likelihood term by term (``CountTable``).
 _LIK_HEAD = 16
@@ -148,30 +150,6 @@ class CountTable:
             [np.arange(1.0, top), np.arange(1.0, n) / m]))
         object.__setattr__(self, "_lik_w", np.concatenate(
             [exceed[1:top], np.full(n - 1, -1)]).astype(float))
-
-    @functools.cached_property
-    def _mode_scan(self) -> np.ndarray:
-        """log p(x|a) on the grid of ``_Shape``, read by both modes.  The
-        kernel's sum in its own order, one numpy pass a term: the shape's
-        -L(m a, n - 1) column, plus R'_j times its
-        log1p(j/a) row for each head entry, plus c_v L(a, v - 1) mapped
-        over the grid for each count v > 16, plus c0.  So it equals
-        ``marginal_log_likelihood`` at the grid's a bit for bit, and a
-        table of a seen shape with no count above 16 makes no
-        ``_log1p_sum`` call."""
-        shape = _shape(self.m, self.n)
-        scan = shape.neg_lik.copy()
-        for j, r in self._lik_head:
-            scan += r * shape.row(j)
-        a = shape.a[shape.tiny:].tolist()
-        for v, c in self._lik_runs:
-            scan += c * np.array([_log1p_sum(y, v) for y in a])
-        scan += self._lik_c0
-        if shape.tiny:  # a <= _TINY_A: the kernel's closed form
-            log_lik = _likelihood_kernel(self)
-            scan = np.concatenate(
-                ([log_lik(y) for y in shape.a[:shape.tiny].tolist()], scan))
-        return scan
 
     @property
     def r0(self) -> int:
@@ -294,7 +272,10 @@ def marginal_log_likelihood(x: CountTable, a):
     error is below 1e-15 on the tables of the tests; 9e-14 on {0: 500,
     1: 3, 2: 1} at m = 1e6, a difference of terms 250 times its size.
     Below ``_TINY_A`` (j/a would overflow, a + j == j) it is log(n/m)
-    - sum log(counts) + (r0 - 1) log a.  Every a is one kernel call."""
+    - sum log(counts) + (r0 - 1) log a where m a < 2^-53 (m a + i == i),
+    and log n! - sum log(counts) + r0 log a - n log(m a) - L(m a, n - 1)
+    where m a is larger, at m above about 1e284.  Every a is one kernel
+    call."""
     return _elementwise(_likelihood_kernel(x), a)
 
 
@@ -307,8 +288,14 @@ def _likelihood_kernel(x: CountTable):
 
     def log_lik(a: float) -> float:
         if a <= tiny:
-            return (math.log(x.n / x.m) + (x.r0 - 1) * math.log(a)
-                    - sum(map(math.log, x.counts.values())))
+            ma = m * a
+            if ma < _TINY_MA:
+                return (math.log(x.n / x.m) + (x.r0 - 1) * math.log(a)
+                        - sum(map(math.log, x.counts.values())))
+            return (math.lgamma(x.n + 1.0)
+                    - sum(map(math.log, x.counts.values()))
+                    + x.r0 * math.log(a) - x.n * math.log(ma)
+                    - log1p_sum(ma, k))
         s = -log1p_sum(m * a, k)
         for j, r in head:
             s += r * log1p(j / a)
@@ -439,13 +426,14 @@ def reference_prior_exact(a, m: int, n: int):
     most found), and below 1e-12 on (2, 300) and (20, 1000) (4e-13),
     where the pmf row sets it.  At m = 1e12 it reaches
     2.6e-9 near the switch between the forms, where both cancel.  The
-    prior's error is half the sum's.  The sum is
-    positive for n >= 2; where it underflows (a beyond about 1e75, the
-    prior below 1e-160) the prior is 0.0.  A negative sum is a defect
-    and raises ``AccuracyError``.  Unlike the table that the mode search
-    and the samplers read, which needs m <= 1e12 (``_Shape._coef``), it
-    takes any m: at m a in [1e-3, 100] it is within 2e-14 relative of
-    mpmath up to m = 1e40 (n = 2 and 24).
+    prior's error is half the sum's.  The sum is positive for n >= 2.
+    Below the normal float range it loses digits (7e-2 on (1000, 30) at
+    a = 1e80), so there the prior is 0.0: where it would be below
+    1.5e-154, for a beyond about 2e77 on (60, 60).  A negative sum is a
+    defect and raises ``AccuracyError``.  Unlike the table that the mode
+    search and the samplers read, which needs m <= 1e12
+    (``_Shape._coef``), it takes any m: at m a in [1e-3, 100] it is
+    within 2e-14 relative of mpmath up to m = 1e40 (n = 2 and 24).
     """
     array = _is_array(a)
     _check_shape(m, n)
@@ -458,7 +446,8 @@ def reference_prior_exact(a, m: int, n: int):
         # overflows at subnormal a: take the two square roots separately.
         harmonic = np.sum(1.0 / np.arange(1.0, n))
         out[tiny] = np.sqrt((m - 1) / m * harmonic) / np.sqrt(flat[tiny])
-    out[~tiny] = np.sqrt(_fisher_sum(flat[~tiny], m, n))
+    s = _fisher_sum(flat[~tiny], m, n)
+    out[~tiny] = np.sqrt(np.where(s < _TINY_FLOAT, 0.0, s))
     return out.reshape(a.shape) if array else float(out[0])
 
 
@@ -534,15 +523,9 @@ def _cheb_vander(x: np.ndarray, size: int) -> np.ndarray:
 class _Shape:
     """What is computed from a table's shape (m, n) alone, kept per shape
     by ``_shape`` and read by the mode search and the samplers on every
-    table of that shape.  On construction: the window [lo, hi] of a that
-    the mode search scans and the exact-prior table covers, and the
-    search's 240-point ``grid`` uniform in t = log a over it.  The other
-    parts are built on first use: ``_coef``, the exact-prior table, and
-    the search's columns on the grid, the likelihood kernel's
-    -L(m a, n - 1), one row of log1p(j/a) per head index j < 16 and each
-    prior's log.  The first ``tiny`` grid points have a <= ``_TINY_A``,
-    where the kernel takes its closed form; the column and rows start
-    after them.  Each column or row is 240 doubles, 1.9 kB."""
+    table of that shape: on construction, the window [lo, hi] of a that
+    the mode search solves over and the exact-prior table covers; on
+    first use, ``_coef``, the exact-prior table."""
 
     def __init__(self, m: int, n: int):
         self.m, self.n = m, n
@@ -550,10 +533,6 @@ class _Shape:
         self.hi = _MODE_BRACKET[1]
         self._t0, t1 = math.log(self.lo), math.log(self.hi)
         self._h = (t1 - self._t0) / (_CACHE_SIZE - 1)  # the table's step
-        self.grid = np.linspace(self._t0, t1, 240)
-        self.a = np.exp(self.grid)
-        self.tiny = int(np.count_nonzero(self.a <= _TINY_A))
-        self._rows, self._log_priors = {}, {}
 
     @functools.cached_property
     def _coef(self) -> array:
@@ -644,36 +623,6 @@ class _Shape:
         s, c = x - i, self._coef[4 * i + 1:4 * i + 4]
         return (c[0] + s * (2.0 * c[1] + 3.0 * s * c[2])) / self._h
 
-    @functools.cached_property
-    def neg_lik(self) -> np.ndarray:
-        mf, k = float(self.m), self.n - 1
-        return np.array(
-            [-_log1p_sum(mf * v, k) for v in self.a[self.tiny:].tolist()])
-
-    def row(self, j: float) -> np.ndarray:
-        """log1p(j/a) at the grid's a above ``_TINY_A``."""
-        if j not in self._rows:
-            log1p = math.log1p
-            self._rows[j] = np.array([log1p(j / v)
-                                      for v in self.a[self.tiny:].tolist()])
-        return self._rows[j]
-
-    def log_prior(self, prior: str) -> np.ndarray:
-        """The log of hyperprior ``prior`` on the grid: the exact-prior
-        table's lookups, with no exp/log round trip, or the approximate
-        prior's closed form."""
-        if prior not in self._log_priors:
-            if prior == "exact":
-                x = (self.grid - self._t0) / self._h
-                i = np.minimum(x.astype(int), _CACHE_SIZE - 2)
-                s = x - i
-                c = np.frombuffer(self._coef).reshape(-1, 4)[i].T
-                values = c[0] + s * (c[1] + s * (c[2] + s * c[3]))
-            else:
-                values = _log_prior(self.a, self.m, self.n, prior)
-            self._log_priors[prior] = values
-        return self._log_priors[prior]
-
 
 @functools.lru_cache(maxsize=_SHAPES)
 def _shape(m: int, n: int) -> _Shape:
@@ -683,20 +632,22 @@ def _shape(m: int, n: int) -> _Shape:
 
 def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
     """Maximize log p(x|a), plus the log of hyperprior ``prior`` unless
-    it is None, over the mode search window for the table: a 240-point
-    scan uniform in t = log a (``CountTable._mode_scan``, plus the
-    prior's column of the table's ``_Shape``), then the zero of the
-    slope in t between the grid points either side of the best one
-    (``numerics._find_root``), or the window's edge where the slope has
-    one sign there.  The slopes are closed forms: -W . (J / (a + J))
-    over the table's stored J and W for the likelihood (r0 - 1 as
-    a -> 0, with no overflow), -1/2 - (3/2) a/(a + n/m) for the
-    approximate prior, and ``_Shape.slope_at`` for the exact prior, the
-    slope of the cubic piece of the table, which spans the window."""
-    shape = _shape(x.m, x.n)
-    grid, log_density = shape.grid, x._mode_scan
+    it is None, over the mode search window [lo, hi] of the table's
+    ``_Shape``: the zero of the slope in t = log a on [log lo, log hi]
+    (``numerics._find_root``, from the two end slopes), or the window's
+    edge where the slope has one sign at both ends.  The likelihood is
+    unimodal in a (Levin and Reeds, Ann. Statist. 5:79, 1977), and on
+    every table tested so is the density under each prior, so the slope
+    changes sign at most once, from + to -.  The slopes are closed forms:
+    -W . (J / (a + J)) over the table's stored J and W for the
+    likelihood (r0 - 1 as a -> 0, with no overflow), -1/2 - (3/2)
+    a/(a + n/m) for the approximate prior, and ``_Shape.slope_at`` for
+    the exact prior, the slope of the cubic piece of the table, which
+    spans the window.  So the search evaluates no log density, and is
+    right where that density is flat to rounding."""
     if prior is not None:
-        log_density = log_density + shape.log_prior(prior)
+        _check_prior(prior)
+    shape = _shape(x.m, x.n)
     j, dot, buf = x._lik_j, x._lik_w.dot, np.empty_like(x._lik_j)
     exp, add, divide, c = math.exp, np.add, np.divide, x.n / x.m
 
@@ -715,9 +666,7 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
         def slope(t: float) -> float:
             a = exp(t)
             return lik_slope(a) - 0.5 - 1.5 * a / (a + c)
-    k = int(np.argmax(log_density))
-    left = grid[max(k - 1, 0)]
-    right = grid[min(k + 1, len(grid) - 1)]
+    left, right = math.log(shape.lo), math.log(shape.hi)
     s_left, s_right = slope(left), slope(right)
     if s_left * s_right > 0.0:
         return exp(right if s_left > 0.0 else left)
@@ -727,18 +676,17 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
 def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
     """Empirical-Bayes mode of the hyperposterior of a.
 
-    The zero of the slope of the log density in log a (``_log_mode``).
+    The zero of the slope of the log density in log a over the whole
+    mode search window (``_log_mode``), 9 to 21 slope evaluations on
+    the tables tested, 15 the median.
     Under the approximate prior it is within 3e-14 relative of the
     40-digit mpmath root on the tables tested, m up to 1e12.  Under the
     exact prior the slope is read from the exact-prior table of (m, n);
     the mode is within 6e-9 relative of the one on the directly
     evaluated prior on the tables tested; past m = 1e12 the table would
-    lose digits, and this raises ``PreconditionError``.  The window, the
-    table, the scan's grid, its likelihood columns and each prior's log
-    on the grid are one ``_Shape`` per (m, n), for at most 16 shapes,
-    shared with every chain and mode search on a table of that shape, so
-    on a later table of a seen shape the scan costs a few numpy passes,
-    plus 240 ``_log1p_sum`` calls per distinct count above 16.
+    lose digits, and this raises ``PreconditionError``.  The window and
+    the table are one ``_Shape`` per (m, n), for at most 16 shapes,
+    shared with every chain and mode search on a table of that shape.
 
     Requires at least two nonzero cells; with a single occupied cell
     the mode sits at the unusable a = 0 boundary.
@@ -752,11 +700,14 @@ def posterior_mode_a(x: CountTable, prior: str = "exact") -> float:
 def likelihood_mode_a(x: CountTable) -> float:
     """Type-II maximum likelihood value of a (no hyperprior).
 
-    The zero of the likelihood's slope in log a, within 3e-15 relative
-    of the 40-digit mpmath root on the tables tested, m up to 1e12.
-    The marginal likelihood is bounded away from zero at infinity, so
-    an interior maximizer need not exist; when every cell is occupied
-    the likelihood is increasing in a and this raises."""
+    The zero of the likelihood's slope in log a over the whole mode
+    search window (``_log_mode``), within 1e-14 relative of the
+    40-digit mpmath root on the tables tested, m up to 1e12.  The
+    marginal likelihood is bounded away from zero at infinity, so an
+    interior maximizer need not exist.  Where the mode lies above 5e3,
+    half the window's top, this raises; so it does where the likelihood
+    increases over the whole window: when every cell is occupied, and on
+    sparse tables of huge m, such as two singletons among 1e12 cells."""
     a_hat = _log_mode(x)
     if a_hat > 0.5 * _MODE_BRACKET[1]:
         raise BoundaryModeError("marginal likelihood has no interior mode")
@@ -890,9 +841,9 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     ``rng.gamma`` call over all of them.  ``target_evals`` counts
     the log-target calls.
     """
-    if length < 1:
+    if _float(length) < 1:
         raise DomainError("chain length must be >= 1")
-    if warmup < 0:
+    if _float(warmup) < 0:
         raise DomainError("warmup must be >= 0")
     if method not in ("mh", "slice"):
         raise DomainError(f"unknown method {method!r}")

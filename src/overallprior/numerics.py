@@ -161,7 +161,7 @@ def log_rising_ratio(x: float, y: float, k: int) -> np.ndarray:
     subnormal y, is log(x + i) - log(y + i), with no cancellation there.
     """
     k = operator.index(k)
-    if k < 0:
+    if _float(k) < 0:
         raise DomainError(f"rising-factorial length must be >= 0, got {k}")
     i = np.arange(k, dtype=float)
     x, y = _float(x), _float(y)

@@ -10,7 +10,7 @@ posterior-summary helpers used by the sparse-table demonstrations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -126,7 +126,7 @@ def reference_predictive(x: int, n: int) -> float:
 
     p(x | n) = (1/pi) Gamma(x+1/2) Gamma(n-x+1/2) / (x! (n-x)!).
     """
-    if not (0 <= x <= n):
+    if not (0 <= x <= _float(n)):
         raise DomainError(f"count x={x} outside 0..{n}")
     return float(_predictive_row(n)[x])
 
@@ -323,7 +323,7 @@ def normal_posterior_sample(data: Sequence[float], a: float, size: int,
         raise DomainError("a must be positive and finite")
     if not (a + n > 2.0):
         raise DomainError("need a + n > 2 for a proper posterior")
-    if size < 1:
+    if _float(size) < 1:
         raise DomainError("size must be >= 1")
     if x.min() == x.max():
         raise DegenerateDataError("constant data: posterior degenerates")

@@ -259,7 +259,7 @@ def gibbs_sample(data: MeansData, length: int, seed: int) -> ShrinkChain:
     """
     if data.m < 3:
         raise PreconditionError("gibbs_sample requires m >= 3")
-    if length < 1:
+    if _float(length) < 1:
         raise DomainError("chain length must be >= 1")
     s_rng, theta_rng = (np.random.default_rng(child) for child in
                         np.random.SeedSequence(_check_seed(seed)).spawn(2))

@@ -41,14 +41,17 @@ from overallprior.hier import (CountTable, LimitProfile,
                                marginal_log_likelihood,
                                marginal_pmf, mode_asymptotic,
                                posterior_log_density_a,
-                               reference_prior_approx, reference_prior_exact)
+                               reference_prior_approx, reference_prior_exact,
+                               sample_posterior)
 from overallprior.numerics import (digamma, kl_beta, log_gamma,
                                    log_rising_ratio, trigamma)
 from overallprior.refdist import (CountVector, RefDistConfig, d_mu, d_sigma,
                                   dirichlet_posterior_variances,
                                   expected_loss, loss_curve,
-                                  normal_posterior_sample, optimal_a)
-from overallprior.shrinkage import (MeansData, hierarchical_prior_density,
+                                  normal_posterior_sample, optimal_a,
+                                  reference_predictive)
+from overallprior.shrinkage import (MeansData, gibbs_sample,
+                                    hierarchical_prior_density,
                                     reference_prior_density)
 
 FLOAT_MAX = sys.float_info.max
@@ -420,6 +423,7 @@ _INT_PAST_FLOAT_RANGE = {
     "trigamma": lambda: trigamma(_HUGE),
     "log_rising_ratio-x": lambda: log_rising_ratio(_HUGE, 1.0, 3),
     "log_rising_ratio-y": lambda: log_rising_ratio(1.0, _HUGE, 3),
+    "log_rising_ratio-k": lambda: log_rising_ratio(1.0, 2.0, _HUGE),
     "kl_beta": lambda: kl_beta(1.0, 1.0, 1.0, _HUGE),
     "marginal_log_likelihood": lambda: marginal_log_likelihood(_SMALL, _HUGE),
     "marginal_pmf": lambda: marginal_pmf(_HUGE, 10, 4),
@@ -447,6 +451,15 @@ _INT_PAST_FLOAT_RANGE = {
     "limit_density_psi-n": lambda: limit_density_psi(
         1.0, LimitProfile(_HUGE, 3)),
     "mode_asymptotic-n": lambda: mode_asymptotic(LimitProfile(_HUGE, 3)),
+    # Sizes: each is checked before anything is allocated or looped over.
+    "sample_posterior-length": lambda: sample_posterior(_SMALL, _HUGE, seed=0),
+    "sample_posterior-warmup": lambda: sample_posterior(_SMALL, 10, seed=0,
+                                                        warmup=_HUGE),
+    "reference_predictive-n": lambda: reference_predictive(1, _HUGE),
+    "normal_posterior_sample-size": lambda: normal_posterior_sample(
+        [1.0, 3.0, 2.0], 1.0, _HUGE, seed=0),
+    "gibbs_sample-length": lambda: gibbs_sample(MeansData([1.0, 3.0, 2.0]),
+                                                _HUGE, seed=0),
     "RefDistConfig-m": lambda: RefDistConfig(_HUGE, 5),
     "RefDistConfig-n": lambda: RefDistConfig(5, _HUGE),
     "optimal_a-m": lambda: optimal_a(RefDistConfig(_HUGE, 5)),

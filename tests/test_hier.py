@@ -152,8 +152,14 @@ def test_marginal_log_likelihood_mpmath_sweep(name):
 
 @pytest.mark.parametrize("a", [1e-308, 1e-310, 5e-324])
 def test_marginal_log_likelihood_subnormal_a(a):
-    # J/a overflows a float here; the tiny-a form must not.
-    for name, t in _sweep_tables().items():
+    # J/a overflows a float here; the tiny-a form must not.  At m = 1e300
+    # and 1e307, m a is not below 2^-53 (m a + 1 != 1), and the form
+    # keeps L(m a, n - 1): dropping it was up to 3.2e-4 off at 1e-308.
+    huge = {f"{m:.0e}-{name}": CountTable(m=m, counts=counts)
+            for m in (10**300, 10**307)
+            for name, counts in (("3-20-1", {0: 3, 1: 20, 2: 1}),
+                                 ("500-3-1", {0: 500, 1: 3, 2: 1}))}
+    for name, t in {**_sweep_tables(), **huge}.items():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = marginal_log_likelihood(t, a)
@@ -494,6 +500,87 @@ def test_modes_scale_as_one_over_m_at_huge_m():
         np.testing.assert_allclose(scaled_modes(m), ref, rtol=1e-5)
 
 
+@pytest.mark.parametrize("cells", [2, 5])
+def test_likelihood_rising_over_the_window_has_no_mode(cells):
+    # Singletons among 1e12 cells: the likelihood's slope in log a is
+    # positive over the whole window, while its log is flat to rounding
+    # near the top.  A 240-point scan of the log found an argmax there
+    # and returned a = 377.925 (2 cells) and 990.412 (5 cells).
+    t = CountTable(m=10**12, counts={i: 1 for i in range(cells)})
+    with pytest.raises(BoundaryModeError):
+        likelihood_mode_a(t)
+
+
+@pytest.mark.parametrize("m", [10**302, 10**304, 10**307],
+                         ids=["1e302", "1e304", "1e307"])
+def test_modes_scale_as_one_over_m_past_1e300(m):
+    # m a at both modes keeps its value at m = 1e298 (below).  The window
+    # reaches down to 1e-4/m, below 1e-300, where a scan of the log
+    # density read the likelihood's tiny-a form past its domain: m a of
+    # the approximate-prior mode was 0.778 at 1e302 and 168244.7 at 1e307.
+    t = CountTable(m=m, counts={0: 3, 1: 20, 2: 1})
+    assert posterior_mode_a(t, prior="approx") * m == pytest.approx(
+        0.46352174531874607, rel=1e-9)
+    assert likelihood_mode_a(t) * m == pytest.approx(0.6657880510110482,
+                                                     rel=1e-9)
+
+
+def _slopes_on_window(t, prior, points):
+    """The slope in t = log a of the log likelihood, plus that of the log
+    of hyperprior ``prior`` unless it is None, at ``points`` points
+    uniform in t over the mode search window, and a bound on its
+    rounding.  The likelihood's slope is taken from the exceedance
+    profile R, as sum_{j<n} [(j/m)/(a + j/m) - R_j j/(a + j)]; the
+    exact prior's is the table's ``_Shape.slope_at``."""
+    shape = hier._Shape(t.m, t.n)
+    u = np.linspace(math.log(shape.lo), math.log(shape.hi), points)
+    a, m = np.exp(u), float(t.m)
+    j = np.arange(t.n, dtype=float)
+    r, jm = np.array(t.r_profile, dtype=float), j / m
+    slope, size = np.empty(points), np.empty(points)
+    for k in range(0, points, 100):  # 100 x n temporaries
+        col = a[k:k + 100, None]
+        up, down = jm / (col + jm), r * j / (col + j)
+        slope[k:k + 100] = np.sum(up - down, axis=1)
+        size[k:k + 100] = np.sum(up + down, axis=1)
+    if prior == "approx":
+        slope -= 0.5 + 1.5 * a / (a + t.n / m)
+    elif prior == "exact":
+        slope += [shape.slope_at(v) for v in u.tolist()]
+    return u, slope, 1e-13 * (size + 2.0)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.floats(math.log(2.0), math.log(1e12)).map(
+           lambda v: max(2, round(math.exp(v)))),
+       st.lists(st.integers(1, 300), min_size=2, max_size=8),
+       st.sampled_from(["exact", "approx", None]))
+@example(10**298, [3, 20, 1], "approx")
+@example(10**298, [3, 20, 1], None)
+@example(10**307, [3, 20, 1], "approx")
+@example(10**307, [1, 1, 1, 1, 1], None)
+def test_slope_changes_sign_at_most_once(m, counts, prior):
+    # The premise of the mode search: the likelihood is unimodal in a
+    # (Levin and Reeds, Ann. Statist. 5:79, 1977), and so is the density
+    # under each prior on these tables, so the slope falls through zero
+    # at most once over the window and Brent's method on the whole
+    # window finds the mode.  Points where the slope is within rounding
+    # of zero, as far out in a flat tail, carry no sign.
+    t = CountTable(m=m, counts=dict(enumerate(counts[:m])))
+    u, slope, rounding = _slopes_on_window(t, prior, 2000)
+    signs = np.sign(slope[np.abs(slope) > rounding])
+    assert not np.any(np.diff(signs) > 0)
+    mode = hier._log_mode(t, prior)
+    shape = hier._shape(t.m, t.n)
+    if shape.lo < mode < shape.hi:
+        if prior is None:
+            density = functools.partial(marginal_log_likelihood, t)
+        else:
+            density = functools.partial(posterior_log_density_a, x=t,
+                                        prior=prior)
+        assert density(mode) >= np.max(density(np.exp(u))) - 1e-9
+
+
 def test_posterior_mode_matches_grid_argmax():
     t = CountTable(m=50, counts={0: 3, 1: 2, 2: 1, 3: 1})
     for prior in ("exact", "approx"):
@@ -802,10 +889,12 @@ def test_theta_draws_peak_memory():
 
 
 def test_modes_pinned():
-    # Recorded with the modes found as zeros of their closed-form slopes.
+    # Recorded with the modes found as zeros of their closed-form slopes
+    # over the whole window; 4.7e-16 and 3.3e-16 relative off the
+    # 40-digit mpmath roots.
     t = _synthetic_table()
-    assert posterior_mode_a(t, prior="approx") == 0.2378709009949269
-    assert likelihood_mode_a(t) == 0.3388273941304611
+    assert posterior_mode_a(t, prior="approx") == 0.23787090099492678
+    assert likelihood_mode_a(t) == 0.338827394130461
 
 
 @pytest.mark.parametrize("method", ["mh", "slice"])
@@ -976,6 +1065,24 @@ def test_exact_prior_no_overflow_at_sampler_window():
             [True, False])
 
 
+@pytest.mark.parametrize("mn", [(60, 60), (1000, 30), (10**12, 30),
+                                (2, 300)], ids=_mn_id)
+def test_exact_prior_is_zero_where_its_sum_is_subnormal(mn):
+    # A Fisher sum below the normal float range has lost digits (up to
+    # 6.6e-2 on (1000, 30) at a = 1e80), so the prior is 0.0 there, from
+    # 1.5e-154 down, and elsewhere within 1e-13 of mpmath; on (2, 300),
+    # where the pmf row sets the error, within 5e-13 (1.4e-13 measured).
+    m, n = mn
+    rel = 5e-13 if mn == (2, 300) else 1e-13
+    a = np.concatenate((np.logspace(8, 200, 49), [1e74, 1e79, 1e80]))
+    for v, prior in zip(a.tolist(), reference_prior_exact(a, m, n)):
+        if prior != 0.0:
+            ref = mpmath.sqrt(_fisher_sum_mpmath(v, m, n))
+            assert float(abs(prior / ref - 1)) < rel, v
+        else:
+            assert float(_fisher_sum_mpmath(v, m, n)) < 2.3e-308, v
+
+
 @pytest.mark.parametrize("n", [2, 30, 300])
 @pytest.mark.parametrize("m", [2, 60, 10**6, 10**12])
 def test_far_tail_reaches_the_binomial_limit(m, n):
@@ -1133,14 +1240,6 @@ def test_approx_mode_search_builds_no_exact_prior_table(
     assert "_coef" not in vars(hier._shape(t.m, t.n))
 
 
-def test_exact_chain_fills_no_mode_grid_column(fresh_shape_caches):
-    t = _synthetic_table()
-    sample_posterior(t, 200, seed=1, prior="exact")
-    shape = hier._shape(t.m, t.n)
-    assert "_coef" in vars(shape) and "neg_lik" not in vars(shape)
-    assert shape._rows == {} and shape._log_priors == {}
-
-
 def _modes(t, prior):
     """Both modes of ``t``, None for a likelihood mode on the boundary."""
     try:
@@ -1148,25 +1247,6 @@ def _modes(t, prior):
     except BoundaryModeError:
         lik = None
     return posterior_mode_a(t, prior=prior), lik
-
-
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(st.floats(math.log(2.0), math.log(1e12)).map(
-           lambda u: max(2, round(math.exp(u)))),
-       st.lists(st.one_of(st.integers(1, 16), st.integers(17, 300)),
-                min_size=2, max_size=8),
-       st.sampled_from(["exact", "approx"]))
-@example(10**298, [3, 20, 1], "approx")  # two grid points below _TINY_A
-def test_mode_scan_equals_the_mapped_kernel(m, counts, prior):
-    # The scan is built from the shape's columns in the kernel's order of
-    # operations, so it is the public likelihood on the grid bit for bit,
-    # and the modes are those of a scan that maps the kernel.
-    counts = dict(enumerate(counts[:m]))
-    t, mapped = CountTable(m=m, counts=counts), CountTable(m=m, counts=counts)
-    vars(mapped)["_mode_scan"] = marginal_log_likelihood(
-        mapped, np.exp(hier._shape(m, mapped.n).grid))
-    assert np.array_equal(t._mode_scan, mapped._mode_scan)
-    assert _modes(t, prior) == _modes(mapped, prior)
 
 
 def _count_log1p_sums(monkeypatch):
@@ -1181,23 +1261,17 @@ def _count_log1p_sums(monkeypatch):
     return calls
 
 
-def test_seen_shape_mode_search_takes_log1p_sums_only_for_large_counts(
-        monkeypatch, fresh_shape_caches):
-    # The first mode search of a shape fills its -L(m a, n - 1) column,
-    # 240 sums.  A later table of that shape pays 240 sums for each
-    # distinct count above 16, and none otherwise.
+def test_mode_search_takes_no_log1p_sum(monkeypatch, fresh_shape_caches):
+    # The mode search reads only closed-form slopes: it evaluates no log
+    # density, so it takes no L(y, k) on a table of a new shape or of a
+    # seen one, whatever its counts.
     calls = _count_log1p_sums(monkeypatch)
-    first = CountTable(m=60, counts={0: 30, 1: 20, 2: 5, 3: 5})
-    _modes(first, "exact")
-    assert len(calls) == 240 + 2 * 240
-    for counts in ({4: 16, 5: 16, 6: 16, 7: 12}, {0: 1, 1: 2, 2: 57}):
-        calls.clear()
-        table = CountTable(m=60, counts=counts)
-        for prior in ("exact", "approx"):
-            posterior_mode_a(table, prior=prior)
-        likelihood_mode_a(table)
-        big = {v for v in counts.values() if v > 16}
-        assert len(calls) == 240 * len(big)
+    for counts in ({0: 30, 1: 20, 2: 5, 3: 5}, {4: 16, 5: 16, 6: 16, 7: 12},
+                   {0: 1, 1: 2, 2: 57}):
+        _modes(CountTable(m=60, counts=counts), "exact")
+        posterior_mode_a(CountTable(m=60, counts=counts), prior="approx")
+    assert calls == []
+    assert hier._shape.cache_info()[:2] == (8, 1)  # hits, misses
 
 
 def test_exact_prior_tables_are_bounded(fresh_shape_caches):
@@ -1212,16 +1286,16 @@ def test_exact_prior_tables_are_bounded(fresh_shape_caches):
     shape = hier._shape(10, 19)
     assert hier._shape.cache_info().hits == 1
     assert vars(shape).keys() == {"m", "n", "lo", "hi", "_t0", "_h",
-                                  "grid", "a", "tiny", "_rows",
-                                  "_log_priors", "_coef"}
+                                  "_coef"}
     assert len(shape._coef) * shape._coef.itemsize == 4 * 2999 * 8
 
 
 def test_mode_shapes_are_bounded(fresh_shape_caches):
     # One shape per (m, n), whatever the counts; at most 16 are kept, the
-    # least recently used dropped first.  A fresh shape has built no part.
-    CountTable(m=10, counts={0: 3, 1: 16})._mode_scan
-    CountTable(m=10, counts={4: 18, 5: 1})._mode_scan
+    # least recently used dropped first.  A fresh shape has built no part,
+    # and an approximate-prior mode search builds none.
+    posterior_mode_a(CountTable(m=10, counts={0: 3, 1: 16}), prior="approx")
+    posterior_mode_a(CountTable(m=10, counts={4: 18, 5: 1}), prior="approx")
     assert hier._shape.cache_info()[:2] == (1, 1)  # hits, misses
     hier._shape.cache_clear()
     for n in range(2, 20):
@@ -1235,21 +1309,17 @@ def test_mode_shapes_are_bounded(fresh_shape_caches):
     hier._shape(10, 3)
     assert hier._shape.cache_info()[:2] == (2, 19)
     assert (shape.m, shape.n) == (10, 19)
-    fresh = {"m", "n", "lo", "hi", "_t0", "_h", "grid", "a", "tiny",
-             "_rows", "_log_priors"}
+    fresh = {"m", "n", "lo", "hi", "_t0", "_h"}
     assert vars(shape).keys() == fresh
-    assert shape._rows == {} and shape._log_priors == {}
-    assert shape.neg_lik.shape == shape.grid.shape == (240,)
-    assert vars(shape).keys() == fresh | {"neg_lik"}
+    posterior_mode_a(CountTable(m=10, counts={0: 10, 1: 9}), prior="approx")
+    assert vars(shape).keys() == fresh
 
 
 @pytest.mark.parametrize("m", [10, 99999, 100001, 10**12])
 def test_shape_grid_spans_its_window(m):
-    # The mode search's grid and the exact-prior table share one window,
-    # computed once; the grid's ends are its logs exactly.
+    # The mode search and the exact-prior table share one window,
+    # computed once.
     shape = hier._Shape(m, 30)
-    assert shape.grid[0] == math.log(shape.lo)
-    assert shape.grid[-1] == math.log(shape.hi)
     assert shape.lo == min(1e-9, 1e-4 / m) and shape.hi == 1e4
 
 
@@ -1416,8 +1486,8 @@ def _mode_root_mpmath(t, prior, guess):
 
 @pytest.mark.parametrize("name", list(_EXACT_MODE_TABLES))
 def test_modes_match_mpmath_roots(name):
-    # Measured: at most 2.4e-14 under the approximate prior (2x300) and
-    # 3e-15 for the likelihood.
+    # Measured: at most 2.5e-14 under the approximate prior and 8.9e-15
+    # for the likelihood, both on 2x300.
     t = _EXACT_MODE_TABLES[name]()
     mode = posterior_mode_a(t, prior="approx")
     assert mode == pytest.approx(_mode_root_mpmath(t, "approx", mode),
