@@ -163,7 +163,7 @@ def cmd_refdist(args) -> int:
     res = refdist.optimal_a(cfg)
     out = _outdir(args)
     _write_csv(out / "loss_curve.csv", ["a", "expected_loss"],
-               (curve.grid.points, curve.grid.values))
+               (curve.points, curve.values))
     summary = {"a_star": res.argmin, "d_star": res.min_value,
                "m": args.m, "n": args.n}
     _write_json(out / "summary.json", summary)
@@ -180,12 +180,11 @@ def cmd_hier(args) -> int:
     grid = _parse_grid(args.grid)
     _check_chain_args(args)
     table = hier.CountTable.from_sparse_text(Path(args.input).read_text())
-    # First, so that a table with one occupied cell fails before any output.
+    # Before any output, so that a table either refuses writes nothing.
     mode = hier.posterior_mode_a(table, prior=args.prior)
-    out = _outdir(args)
-
     chain = hier.sample_posterior(table, args.chain, seed=args.seed,
                                   prior=args.prior)
+    out = _outdir(args)
     _write_csv(out / "chain.csv", ["iteration", "a"],
                (range(chain.a_samples.size), chain.a_samples))
 

@@ -69,6 +69,9 @@ _SHAPES = 16
 # chain resolves; inside it, a, m a and a^1.5 stay finite floats.
 _LOG_A_LIMIT = math.log(1e200)
 
+# The largest m the samplers take (see ``sample_posterior``).
+_SAMPLER_MAX_M = 1e176
+
 # Variates per bulk draw of the samplers: the slice sampler's uniforms
 # (``_uniform_stream``), and the MH sampler's normals and log-uniforms
 # (``_mh_variates``).  A fixed size, so that a chain is a prefix of any
@@ -83,9 +86,9 @@ _CACHE_CHUNK = 1 << 14
 # At or below this a, j/a in the likelihood and the Fisher sum (of
 # order 1/a^2) can overflow a float; both switch to closed forms that
 # take log a or sqrt(a) separately.  Both drop a against every j >= 1
-# (a + j == j in floats).  The likelihood's form also drops m a against
-# every i >= 1 in log(m a + i) while m a < _TINY_MA, that is for m below
-# about 1e284; above, it keeps L(m a, n - 1).
+# (a + j == j in floats), and keep m a against i >= 1: the likelihood's
+# form drops it in log(m a + i) only while m a < _TINY_MA (m below about
+# 1e284), where m a + i == i.
 _TINY_A = 1e-300
 _TINY_MA = 2.0 ** -53
 
@@ -99,23 +102,14 @@ class CountTable:
 
     ``counts`` maps cell index (0-based) to a positive count; absent
     cells are zero.  ``n`` is the total count and ``r_profile[j]`` the
-    number of cells whose count exceeds j, for j = 0..n-1.  Both are
-    computed once, on construction, with the likelihood's pieces (see
-    ``marginal_log_likelihood``) and the mode search's slope's J = (1, ..,
-    c_max - 1, 1/m, .., (n-1)/m) and W = (r_profile[1:c_max], then n - 1
-    entries of -1), with c_max the largest count.
+    number of cells whose count exceeds j, for j = 0..n-1.  Construction
+    checks the counts and stores ``m``, ``counts`` and ``n``, in O(cells);
+    each piece derived from them is built on first read and then kept.
     """
 
     m: int
     counts: Dict[int, int]
     n: int = field(init=False, repr=False, compare=False)
-    # r_profile; c0 = log[n! / prod(counts!)] - n log m; (j, R'_j), (v-1, c_v)
-    _exceed: np.ndarray = field(init=False, repr=False, compare=False)
-    _lik_c0: float = field(init=False, repr=False, compare=False)
-    _lik_head: tuple = field(init=False, repr=False, compare=False)
-    _lik_runs: tuple = field(init=False, repr=False, compare=False)
-    _lik_j: np.ndarray = field(init=False, repr=False, compare=False)
-    _lik_w: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if _float(self.m) < 2:
@@ -126,30 +120,10 @@ class CountTable:
         if any(i < 0 or i >= self.m for i in counts):
             raise DomainError("cell index out of range")
         object.__setattr__(self, "counts", counts)
-        m, n = self.m, sum(counts.values())
+        n = sum(counts.values())
         if _float(n) < 1:
             raise DomainError("need at least one observation")
-        values, cells = zip(*sorted(Counter(counts.values()).items()))
-        log_coef = log_gamma(n + 1.0) - sum(
-            c * log_gamma(v + 1.0) for v, c in zip(values, cells))
-        # exceed[j] = number of cells whose count v > j
-        by_count = np.zeros(n + 1, dtype=int)
-        by_count[list(values)] = cells
-        exceed = np.cumsum(by_count[::-1])[::-1][1:]
-        top = values[-1]
-        big = sum(c for v, c in zip(values, cells) if v > _LIK_HEAD)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_exceed", exceed)
-        object.__setattr__(self, "_lik_c0", log_coef - n * math.log(m))
-        object.__setattr__(self, "_lik_head", tuple(
-            (float(j), float(exceed[j] - big))
-            for j in range(1, min(top, _LIK_HEAD)) if exceed[j] > big))
-        object.__setattr__(self, "_lik_runs", tuple(
-            (v - 1, c) for v, c in zip(values, cells) if v > _LIK_HEAD))
-        object.__setattr__(self, "_lik_j", np.concatenate(
-            [np.arange(1.0, top), np.arange(1.0, n) / m]))
-        object.__setattr__(self, "_lik_w", np.concatenate(
-            [exceed[1:top], np.full(n - 1, -1)]).astype(float))
 
     @property
     def r0(self) -> int:
@@ -158,6 +132,36 @@ class CountTable:
     @property
     def r_profile(self) -> tuple:
         return tuple(self._exceed.tolist())
+
+    @functools.cached_property
+    def _lik_terms(self) -> tuple:
+        """The likelihood's c0 = log[n! / prod(counts!)] - n log m, head
+        (j, R'_j) and runs (v - 1, c_v), from the distinct counts v and
+        the number c_v of cells holding each (``_likelihood_kernel``)."""
+        pairs, n = sorted(Counter(self.counts.values()).items()), self.n
+        c0 = log_gamma(n + 1.0) - sum(
+            c * log_gamma(v + 1.0) for v, c in pairs) - n * math.log(self.m)
+        head = tuple((float(j), float(r))
+                     for j in range(1, min(pairs[-1][0], _LIK_HEAD))
+                     if (r := sum(c for v, c in pairs if j < v <= _LIK_HEAD)))
+        runs = tuple((v - 1, c) for v, c in pairs if v > _LIK_HEAD)
+        return c0, head, runs
+
+    @functools.cached_property
+    def _exceed(self) -> np.ndarray:
+        """``r_profile`` as an array of n ints."""
+        cells = np.bincount(list(self.counts.values()), minlength=self.n + 1)
+        return np.cumsum(cells[::-1])[::-1][1:]
+
+    @functools.cached_property
+    def _slope_jw(self) -> tuple:
+        """The mode search's J = (1, .., c_max - 1, 1/m, .., (n-1)/m) and
+        W = (r_profile[1:c_max], then n - 1 entries of -1), with c_max the
+        largest count (see ``_log_mode``)."""
+        top, n = max(self.counts.values()), self.n
+        j = np.concatenate([np.arange(1.0, top), np.arange(1.0, n) / self.m])
+        w = np.concatenate([self._exceed[1:top], np.full(n - 1, -1)])
+        return j, w.astype(float)
 
     @classmethod
     def from_dense(cls, counts: Sequence[int]) -> "CountTable":
@@ -282,7 +286,7 @@ def marginal_log_likelihood(x: CountTable, a):
 def _likelihood_kernel(x: CountTable):
     """``marginal_log_likelihood(x, a)`` at one float a > 0 in ``math``,
     built once per table, with no validation or dispatch per call."""
-    c0, head, runs = x._lik_c0, x._lik_head, x._lik_runs
+    c0, head, runs = x._lik_terms
     m, k, tiny = float(x.m), x.n - 1, _TINY_A
     log1p, log1p_sum = math.log1p, _log1p_sum
 
@@ -418,9 +422,12 @@ def reference_prior_exact(a, m: int, n: int):
     """Unnormalized exact reference hyperprior: square root of the
     marginal-model Fisher information; elementwise for an array of a.
 
-    Behaves like sqrt((m-1) c_n / m) / sqrt(a) near zero and decays as
-    a^-2 at infinity, hence proper.  The Fisher sum takes the one of its
-    two forms that keeps its digits at each a (``_fisher_sum``).
+    Behaves like sqrt((m-1) H_{n-1} / m) / sqrt(a) near zero and decays
+    as a^-2 at infinity, hence proper.  The Fisher sum takes the one of
+    its two forms that keeps its digits at each a (``_fisher_sum``).  At
+    a <= 1e-300, where the sum can overflow, the prior is
+    sqrt((m-1)/m sum_{i<n} i/(m a + i)^2) / sqrt(a), exact to O(a): within
+    2e-16 of mpmath for m up to 1e307, at a = 1e-300 and 5e-324.
     Against mpmath over a in [1e-300, 1e8] its relative error is below
     2e-14 on (m, n) = (60, 60), (1000, 30) and (10, 2) (1.3e-14 the
     most found), and below 1e-12 on (2, 300) and (20, 1000) (4e-13),
@@ -440,12 +447,11 @@ def reference_prior_exact(a, m: int, n: int):
     flat = np.ravel(np.asarray(a, dtype=float))
     out = np.zeros(flat.shape)
     tiny = flat <= _TINY_A
-    if tiny.any():
-        # Every j >= 1 term of the Fisher sum is below 1e-290 of the j = 0
-        # term, (m-1)/m sum_i 1/(ma+i) / a = (m-1)/m H_{n-1} / a, which
-        # overflows at subnormal a: take the two square roots separately.
-        harmonic = np.sum(1.0 / np.arange(1.0, n))
-        out[tiny] = np.sqrt((m - 1) / m * harmonic) / np.sqrt(flat[tiny])
+    i = np.arange(1.0, n)
+    for k in np.flatnonzero(tiny):
+        # Its j = 0 term, less the j >= 1 terms m/(ma+j)^2, to O(a).
+        s = np.sum(i / (m * flat[k] + i) ** 2)
+        out[k] = math.sqrt((m - 1) / m * s) / math.sqrt(flat[k])
     s = _fisher_sum(flat[~tiny], m, n)
     out[~tiny] = np.sqrt(np.where(s < _TINY_FLOAT, 0.0, s))
     return out.reshape(a.shape) if array else float(out[0])
@@ -639,7 +645,7 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
     unimodal in a (Levin and Reeds, Ann. Statist. 5:79, 1977), and on
     every table tested so is the density under each prior, so the slope
     changes sign at most once, from + to -.  The slopes are closed forms:
-    -W . (J / (a + J)) over the table's stored J and W for the
+    -W . (J / (a + J)) over the table's ``_slope_jw`` for the
     likelihood (r0 - 1 as a -> 0, with no overflow), -1/2 - (3/2)
     a/(a + n/m) for the approximate prior, and ``_Shape.slope_at`` for
     the exact prior, the slope of the cubic piece of the table, which
@@ -648,7 +654,8 @@ def _log_mode(x: CountTable, prior: Optional[str] = None) -> float:
     if prior is not None:
         _check_prior(prior)
     shape = _shape(x.m, x.n)
-    j, dot, buf = x._lik_j, x._lik_w.dot, np.empty_like(x._lik_j)
+    j, w = x._slope_jw
+    dot, buf = w.dot, np.empty_like(j)
     exp, add, divide, c = math.exp, np.add, np.divide, x.n / x.m
 
     def lik_slope(a: float) -> float:
@@ -833,13 +840,16 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     shape's ``_Shape`` (``_Shape.reader``), shared with
     ``posterior_mode_a`` and with every later ``CountTable`` of that
     shape; past m = 1e12 that table, and so an exact chain, raises
-    ``PreconditionError``.  MH draws its normals and
-    log-uniforms in fixed-size blocks (``_mh_variates``), and the slice
-    sampler its uniforms (``_uniform_stream``); the slice chain is that
-    of one ``rng.random()`` call per uniform.  The theta rows are drawn
-    straight into the result, a block of rows at a time, and equal one
-    ``rng.gamma`` call over all of them.  ``target_evals`` counts
-    the log-target calls.
+    ``PreconditionError``.  The samplers keep a >= 1e-200, and the
+    posterior sits at m a of order 1: past m = 1e176 more than 1e-12 of
+    it lies below 1e-200, so any chain raises ``PreconditionError``.  MH
+    draws its normals and log-uniforms in fixed-size blocks
+    (``_mh_variates``), and the slice sampler its uniforms
+    (``_uniform_stream``); the slice chain is that of one
+    ``rng.random()`` call per uniform.  The theta rows are drawn straight
+    into the result, a block of rows at a time, and equal one
+    ``rng.gamma`` call over all of them.  ``target_evals`` counts the
+    log-target calls.
     """
     if _float(length) < 1:
         raise DomainError("chain length must be >= 1")
@@ -848,6 +858,8 @@ def sample_posterior(x: CountTable, length: int, seed: int,
     if method not in ("mh", "slice"):
         raise DomainError(f"unknown method {method!r}")
     _check_seed(seed)
+    if x.m > _SAMPLER_MAX_M:
+        raise PreconditionError(f"the samplers need m <= 1e176, got {x.m}")
     if prior == "exact":
         log_prior, direct_evals = _shape(x.m, x.n).reader()
     else:

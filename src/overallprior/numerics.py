@@ -38,7 +38,6 @@ import numpy as np
 from .exceptions import AccuracyError, DomainError
 
 __all__ = [
-    "Grid1D",
     "OptimResult",
     "log_gamma",
     "log_rising_ratio",
@@ -89,36 +88,14 @@ _SCALAR_TYPES = (int, float, np.floating)
 
 
 @dataclass(frozen=True)
-class Grid1D:
-    """A tabulated function: strictly increasing abscissae and values."""
-
-    points: tuple
-    values: tuple
-
-    def __post_init__(self):
-        points = tuple(float(p) for p in self.points)
-        values = tuple(float(v) for v in self.values)
-        if len(points) != len(values):
-            raise DomainError("points and values must have equal length")
-        if len(points) < 1:
-            raise DomainError("grid must be non-empty")
-        if any(b <= a for a, b in zip(points, points[1:])):
-            raise DomainError("grid points must be strictly increasing")
-        if not all(math.isfinite(v) for v in values):
-            raise DomainError("grid values must be finite")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "values", values)
-
-
-@dataclass(frozen=True)
 class OptimResult:
     """Outcome of a scalar minimization: ``iterations`` counts the
-    evaluations the solver made."""
+    evaluations the solver made.  There is no convergence flag: a solver
+    that fails raises ``AccuracyError`` instead of returning."""
 
     argmin: float
     min_value: float
     iterations: int
-    converged: bool
 
 
 def _float(x, array: bool = False):

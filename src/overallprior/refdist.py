@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .exceptions import AccuracyError, DegenerateDataError, DomainError
-from .numerics import (_FLOAT_MAX, Grid1D, OptimResult, _check_seed,
+from .numerics import (_FLOAT_MAX, OptimResult, _check_seed,
                        _digamma_float, _find_root, _float, _gamma_kl,
                        log_gamma, log_rising_ratio)
 
@@ -79,15 +79,26 @@ class RefDistConfig:
 
 @dataclass(frozen=True)
 class LossCurve:
-    """Tabulated expected logarithmic loss d(a | m, n)."""
+    """Tabulated expected logarithmic loss d(a | m, n): finite,
+    nonnegative (to -1e-12, for rounding) ``values`` at strictly
+    increasing ``points`` a, as tuples of floats of one nonzero length."""
 
-    grid: Grid1D
+    points: tuple
+    values: tuple
     m: int
     n: int
 
     def __post_init__(self):
-        if any(v < -1e-12 for v in self.grid.values):
-            raise DomainError("loss values must be nonnegative")
+        points = tuple(float(p) for p in self.points)
+        values = tuple(float(v) for v in self.values)
+        if not points or len(points) != len(values):
+            raise DomainError("need as many points as values, at least one")
+        if any(b <= a for a, b in zip(points, points[1:])):
+            raise DomainError("grid points must be strictly increasing")
+        if not all(math.isfinite(v) and v >= -1e-12 for v in values):
+            raise DomainError("loss values must be finite and nonnegative")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -224,7 +235,7 @@ def optimal_a(cfg: RefDistConfig) -> OptimResult:
                               math.log(_A_BRACKET_HI))
     a = math.exp(t)
     return OptimResult(argmin=a, min_value=_expected_loss(a, m, n, predictive),
-                       iterations=evals + 2, converged=True)
+                       iterations=evals + 2)
 
 
 def loss_curve(cfg: RefDistConfig, a_grid: Sequence[float]) -> LossCurve:
@@ -236,8 +247,7 @@ def loss_curve(cfg: RefDistConfig, a_grid: Sequence[float]) -> LossCurve:
                           f"m a <= {_MAX_MA}")
     predictive = _predictive_row(cfg.n)
     vals = [_expected_loss(a, cfg.m, cfg.n, predictive) for a in pts]
-    return LossCurve(grid=Grid1D(points=tuple(pts), values=tuple(vals)),
-                     m=cfg.m, n=cfg.n)
+    return LossCurve(points=tuple(pts), values=tuple(vals), m=cfg.m, n=cfg.n)
 
 
 def dirichlet_posterior_means(x: CountVector, a: float) -> list:

@@ -6,8 +6,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# Every @given test draws the same examples on every run, so two runs of
+# one commit check the same cases; each test keeps its own max_examples.
+settings.register_profile("derandomized", derandomize=True, deadline=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture

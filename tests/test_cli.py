@@ -430,6 +430,20 @@ def test_out_of_range_m_is_one_error_line_and_no_output(case, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("m", [10**177, 10**250], ids=["1e177", "1e250"])
+def test_approx_chain_past_m_1e176_is_one_error_line_and_no_output(
+        m, tmp_path, capsys, monkeypatch):
+    # The approximate-prior mode exists there, but the chain would miss
+    # the posterior: the run stops before the output directory is made.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text(f"{m} 24\n0 3\n1 20\n2 1\n")
+    assert _run("hier", "--input", "c.txt", "--prior", "approx",
+                "--out", "out") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("data, code", [("1e200 1e200 1e200", 1),
                                         ("1.34e154 0 0", 3)])
 def test_shrink_out_of_range_data_from_the_shell(tmp_path, data, code):

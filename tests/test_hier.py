@@ -51,6 +51,53 @@ def test_count_table_validation():
         CountTable(m=5, counts={0: 0})
 
 
+def _two_cell_table():
+    # n = 2e6 in two cells: every derived piece of size n would be large.
+    return CountTable(m=2, counts={0: 10**6, 1: 10**6})
+
+
+def test_count_table_builds_nothing_of_size_n():
+    tracemalloc.start()
+    try:
+        t = _two_cell_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    assert not any(isinstance(v, np.ndarray) for v in vars(t).values())
+
+
+@pytest.mark.parametrize("a", [1e-3, 0.5, 1e3])
+def test_two_cell_table_likelihood_mpmath(a):
+    # The log likelihood is about -15 here, a sum of terms up to log n! =
+    # 2.7e7 that cancel: its error is set by their rounding, measured at
+    # 2.8e-16 of log n! (3.6e-10, 4.9e-10 and 1.5e-11 relative).
+    t = _two_cell_table()
+    err = marginal_log_likelihood(t, a) - _mll_mpmath(t, a)
+    assert float(abs(err)) < 1e-15 * math.lgamma(t.n + 1)
+
+
+def test_approx_chain_builds_no_profile_or_slope_arrays():
+    t = _two_cell_table()
+    tracemalloc.start()
+    try:
+        sample_posterior(t, 200, seed=0, prior="approx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert "_exceed" not in vars(t) and "_slope_jw" not in vars(t)
+
+
+def test_mode_searches_share_the_cached_slope_arrays():
+    t = _synthetic_table()
+    assert "_slope_jw" not in vars(t)
+    posterior_mode_a(t, prior="approx")
+    j, w = vars(t)["_slope_jw"]
+    likelihood_mode_a(t)
+    assert all(a is b for a, b in zip(vars(t)["_slope_jw"], (j, w)))
+
+
 def test_sparse_text_roundtrip():
     t = CountTable.from_sparse_text("1000 3\n0 2\n1 1\n")
     assert (t.m, t.n, t.r0) == (1000, 3, 2)
@@ -947,6 +994,22 @@ def test_sampler_argument_validation():
             sample_posterior(t, 10, seed=1, method=method, warmup=-1)
 
 
+@pytest.mark.parametrize("method", ["mh", "slice"])
+def test_samplers_refuse_m_above_1e176(method):
+    # The samplers keep a >= 1e-200, and the posterior sits at m a of
+    # order 1: at m = 1e202 their median m a was 103 (mode 0.46), and past
+    # m = 1e250 MH kept its start and the slice chain wandered below
+    # a = 1e-293.  Up to 1e176 the mass they miss is about 1e-12.
+    counts = {0: 3, 1: 20, 2: 1}
+    for m in (10**177, 10**250, 10**300):
+        with pytest.raises(PreconditionError, match="1e176"):
+            sample_posterior(CountTable(m=m, counts=counts), 10, seed=0,
+                             prior="approx", method=method)
+    t = CountTable(m=10**176, counts=counts)
+    chain = sample_posterior(t, 200, seed=0, prior="approx", method=method)
+    assert 1e-3 < np.median(t.m * chain.a_samples) < 1e3
+
+
 def test_slice_sampler_steps_out_into_far_tail():
     # Under the approximate prior the slice sampler steps out to m a of
     # about 7e74 on this table; the target must stay finite there.
@@ -1017,6 +1080,37 @@ def test_tiny_a_closed_forms_at_huge_m(a):
     ref = float(mpmath.sqrt(_fisher_sum_mpmath(a, t.m, t.n)))
     assert reference_prior_exact(a, t.m, t.n) == pytest.approx(ref,
                                                               rel=1e-15)
+
+
+# (m, n, a) at a <= 1e-300, where the prior takes its tiny-a form, with
+# m a up to 1e7: at m = 1e300 and 1e307 with a = 1e-300, dropping m a
+# against i was 31% to 1.2e6 times off.
+_TINY_A_POINTS = [(m, 24, a) for m in (60, 10**6, 10**290, 10**300, 10**307)
+                  for a in (1e-300, 5e-324)] + [
+    (10**300, 2, 1e-300), (10**307, 60, 1e-300), (10**307, 60, 5e-324),
+    (10**290, 2, 5e-324)]
+
+
+@pytest.mark.parametrize("m,n,a", _TINY_A_POINTS, ids=[
+    f"m{float(m):.0e}-n{n}-a{a:.0e}" for m, n, a in _TINY_A_POINTS])
+def test_exact_prior_tiny_a_keeps_m_a(m, n, a):
+    # The reference takes the j = 0 term in closed form, (m-1)/m (1 -
+    # prod_{i<n} (1 - a/(ma+i))) / a^2 by expm1 and log1p, so 50 digits
+    # suffice where Q_0 - 1/m would cancel to about a.
+    with mpmath.workdps(50):
+        mp_a = mpmath.mpf(a)
+        b = (m - 1) * mp_a
+        p = [mpmath.binomial(n, x) * mpmath.beta(x + mp_a, n - x + b)
+             / mpmath.beta(mp_a, b) for x in range(n + 1)]
+        log_p0_ratio = mpmath.fsum(mpmath.log1p(-mp_a / (m * mp_a + i))
+                                   for i in range(1, n))
+        s = -(m - 1) * mpmath.expm1(log_p0_ratio) / m / mp_a ** 2
+        s += mpmath.fsum(mpmath.fsum(p[j + 1:]) / (mp_a + j) ** 2
+                         - m / (m * mp_a + j) ** 2 for j in range(1, n))
+        ref = mpmath.sqrt(s)
+    got = reference_prior_exact(a, m, n)
+    assert float(abs((got - ref) / ref)) < 1e-15
+    assert reference_prior_exact(np.array([a, 1.0]), m, n)[0] == got
 
 
 # (m, n): relative bound on the Fisher sum for a in [1e-300, 1e8].  Up

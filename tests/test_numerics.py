@@ -13,9 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from overallprior.exceptions import AccuracyError, DomainError
-from overallprior.numerics import (Grid1D, _find_root, _log1p_sum, digamma,
-                                   kl_beta, log_gamma, log_rising_ratio,
-                                   trigamma)
+from overallprior.numerics import (_find_root, _log1p_sum, digamma, kl_beta,
+                                   log_gamma, log_rising_ratio, trigamma)
 
 # ---------------------------------------------------------------- specials
 
@@ -391,15 +390,3 @@ def test_find_root_rejects_nonfinite_values(value):
     with pytest.raises(AccuracyError):
         _find_root(lambda x: x - 0.3 if x in (0.0, 1.0) else value, 0.0, 1.0)
 
-
-# ---------------------------------------------------------------- Grid1D
-
-
-def test_grid_requires_increasing_points():
-    with pytest.raises(DomainError):
-        Grid1D(points=(0.0, 0.0, 1.0), values=(1.0, 1.0, 1.0))
-
-
-def test_grid_requires_finite_values():
-    with pytest.raises(DomainError):
-        Grid1D(points=(0.0, 1.0), values=(1.0, math.inf))

@@ -15,7 +15,7 @@ from overallprior import refdist
 from overallprior.exceptions import (AccuracyError, DegenerateDataError,
                                      DomainError)
 from overallprior.numerics import digamma, kl_beta
-from overallprior.refdist import (CountVector, RefDistConfig,
+from overallprior.refdist import (CountVector, LossCurve, RefDistConfig,
                                   dirichlet_posterior_means,
                                   dirichlet_posterior_variances, d_mu,
                                   d_sigma, expected_loss, loss_curve,
@@ -168,7 +168,6 @@ def test_expected_loss_rejects_nonpositive_a():
 
 def test_optimal_a_published_values():
     res = optimal_a(RefDistConfig(m=10, n=100))
-    assert res.converged
     assert res.argmin == pytest.approx(0.083, rel=0.05)
     res = optimal_a(RefDistConfig(m=1000, n=100))
     assert res.argmin == pytest.approx(0.00076, rel=0.10)
@@ -191,7 +190,7 @@ def test_optimal_a_matches_mpmath_argmin(mn):
     cfg = RefDistConfig(*mn)
     res = optimal_a(cfg)
     assert res.argmin == pytest.approx(_OPTIMAL_A_MPMATH[mn], rel=1e-12)
-    assert res.converged and res.iterations <= 12
+    assert res.iterations <= 12
     assert res.min_value == expected_loss(res.argmin, cfg)
 
 
@@ -233,9 +232,9 @@ def test_loss_curve_minimum_matches_optimizer():
     grid = np.exp(np.linspace(math.log(res.argmin / 5),
                               math.log(res.argmin * 5), 81))
     curve = loss_curve(cfg, grid)
-    k = int(np.argmin(curve.grid.values))
-    assert curve.grid.points[k] == pytest.approx(res.argmin, rel=0.1)
-    assert min(curve.grid.values) >= res.min_value - 1e-12
+    k = int(np.argmin(curve.values))
+    assert curve.points[k] == pytest.approx(res.argmin, rel=0.1)
+    assert min(curve.values) >= res.min_value - 1e-12
 
 
 def test_loss_curve_values_are_expected_loss():
@@ -244,8 +243,8 @@ def test_loss_curve_values_are_expected_loss():
     cfg = RefDistConfig(m=100, n=1000)
     grid = np.exp(np.linspace(math.log(1e-3), math.log(10.0), 60)).tolist()
     curve = loss_curve(cfg, grid)
-    assert curve.grid.points == tuple(grid)
-    assert list(curve.grid.values) == [expected_loss(a, cfg) for a in grid]
+    assert curve.points == tuple(grid)
+    assert list(curve.values) == [expected_loss(a, cfg) for a in grid]
     res = optimal_a(cfg)
     assert res.min_value == expected_loss(res.argmin, cfg)
 
@@ -254,6 +253,32 @@ def test_loss_curve_rejects_nonpositive_grid():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(DomainError):
             loss_curve(RefDistConfig(3, 5), [bad, 1.0])
+
+
+def test_loss_curve_requires_increasing_points():
+    with pytest.raises(DomainError):
+        LossCurve(points=(0.0, 0.0, 1.0), values=(1.0, 1.0, 1.0), m=3, n=5)
+
+
+def test_loss_curve_requires_finite_values():
+    with pytest.raises(DomainError):
+        LossCurve(points=(0.0, 1.0), values=(1.0, math.inf), m=3, n=5)
+
+
+@pytest.mark.parametrize("points, values", [
+    ((0.0, 1.0), (1.0,)),           # unequal lengths
+    ((), ()),                       # empty
+    ((0.0, 1.0), (1.0, -1e-9)),     # a negative loss
+], ids=["unequal-length", "empty", "negative-loss"])
+def test_loss_curve_rejects_malformed_tables(points, values):
+    with pytest.raises(DomainError):
+        LossCurve(points=points, values=values, m=3, n=5)
+
+
+def test_loss_curve_holds_its_points_and_values_as_floats():
+    curve = LossCurve(points=[1, 2], values=[np.float64(0.5), 0], m=3, n=5)
+    assert curve.points == (1.0, 2.0) and curve.values == (0.5, 0.0)
+    assert all(type(v) is float for v in curve.points + curve.values)
 
 
 # --------------------------------------------- Dirichlet posterior summaries
